@@ -11,6 +11,7 @@ from .hilbert import (
     OscillatorSpec,
     ProductOperator,
     build_Q,
+    circulant,
     fidelity,
     inner,
     ladder_b,

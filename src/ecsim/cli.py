@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +104,8 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     add("density_commutation",
         max(float(np.linalg.norm(a @ b - b @ a, 2)) for a in shifts for b in shifts))
 
-    h_cfg = cfg.couplings.as_coefficients()
-    e_ser = ecs_series(model, h_cfg, cfg.k0)
-    e_dis = ecs_displacement(model, h_cfg, cfg.k0)
+    e_ser = ecs_series(model, cfg.couplings, cfg.k0)
+    e_dis = ecs_displacement(model, cfg.couplings, cfg.k0)
     add("construction_equivalence", 1.0 - fidelity(e_ser.state, e_dis.state))
     add("annihilation_action", check_b_action(e_ser))
 
@@ -116,7 +114,7 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     for q in rng.integers(1, lat.sites, size=3):
         q = int(q)
         shifted = shifts[q] @ e_ser.state
-        target = ecs_series(model, h_cfg, lat.shift_index(cfg.k0, -q)).state
+        target = ecs_series(model, cfg.couplings, lat.shift_index(cfg.k0, -q)).state
         shift_res = max(shift_res, float(np.linalg.norm(shifted - target)))
         roundtrip_res = max(roundtrip_res, float(
             np.linalg.norm(shifts[q].conj().T @ shifted - e_ser.state)))
@@ -290,8 +288,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[float]) -> int:
         gc = gamma_closed_form(alpha_phi(sol, pos), cfg.k0, pos)
         return ge.max_deviation(gc)
 
-    with ThreadPoolExecutor(max_workers=min(4, len(factors))) as pool:
-        gaps = list(pool.map(gap_for, factors))
+    gaps = [gap_for(f) for f in factors]
 
     orders = [float(np.log(gaps[i] / gaps[i + 1]) / np.log(factors[i] / factors[i + 1]))
               for i in range(len(gaps) - 1)]

@@ -12,8 +12,6 @@ import io
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dynamics import CouplingSet, ModulatorStrategy, TimeGrid
 from .hilbert import Dispersion, Lattice, Model, OscillatorSpec
 from .observables import PositionGrid
@@ -132,7 +130,7 @@ def _validate_truncation(model: Model, couplings: CouplingSet) -> None:
     fit under the Fock cutoff: both the couplings used directly as state
     coefficients and the dynamical envelope 2*sum|g|/omega must satisfy
     amplitude^2 <= cutoff/4."""
-    direct = float(np.linalg.norm(couplings.particle_matrix(), 2)) if couplings.items else 0.0
+    direct = couplings.operator_amplitude()
     dynamic = 2.0 * couplings.l1_amplitude / model.osc.omega
     amp = max(direct, dynamic)
     if amp ** 2 > model.osc.cutoff / 4.0:

@@ -8,9 +8,13 @@ unimodular modulator f_q(t)) and a residual H1.  H0 generates the evolution
     h_q(t) = -i g_q int_{t0}^t f_q(t') e^{i w t'} dt',
     chi(t) = -(i/2) int_{t0}^t [ Qdot^dag Q - Q^dag Qdot ] dt',
 
-assembled here from half-step trapezoid quadrature of h and chi.  The
-residual is integrated in the rotated frame |t> = U0^dag(t)|t) with a
-unitary midpoint-exponential stepper acting on H1 conjugated by U0.
+assembled here from half-step trapezoid quadrature of h and chi.  Every
+particle factor (G, A(t), Q(t), Qdot(t)) is a circulant built by
+``hilbert.circulant``; a coupling set is a ``CoefficientSet`` that also
+checks g_{-q} = g_q^*.  Dense generators come from ``ProductOperator.dense``
+and their exponentials from ``hilbert.hermitian_function``.  The residual is
+integrated in the rotated frame |t> = U0^dag(t)|t) with a unitary
+midpoint-exponential stepper acting on H1 conjugated by U0.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from .hilbert import (
     Lattice,
     Model,
     ProductOperator,
+    circulant,
+    hermitian_function,
+    ladder_b,
     make_basis_state,
     oscillator_annihilation,
+    require_finite,
     shift_matrix,
 )
 
@@ -34,8 +42,9 @@ STABILITY_LIMIT = 0.5
 
 
 @dataclass(frozen=True)
-class CouplingSet:
-    """Coupling function q -> g_q of the particle-oscillator interaction.
+class CouplingSet(CoefficientSet):
+    """Coupling function q -> g_q of the particle-oscillator interaction: a
+    coefficient set whose circulant is G = sum_q g_q rho_q.
 
     The physical constraint g_{-q} = g_q^* is validated by default; the
     closed-form density-matrix results for a strictly single-mode coupling
@@ -43,19 +52,13 @@ class CouplingSet:
     itself stays Hermitian either way).
     """
 
-    lattice: Lattice
-    items: tuple[tuple[int, complex], ...]
     hermitian: bool = True
 
     def __post_init__(self):
-        merged: dict[int, complex] = {}
-        for q, v in self.items:
-            qc = self.lattice.wrap_offset(q)
-            merged[qc] = merged.get(qc, 0.0) + complex(v)
-        object.__setattr__(self, "items", tuple(sorted(merged.items())))
+        super().__post_init__()
         if self.hermitian:
             for q, v in self.items:
-                partner = merged.get(self.lattice.wrap_offset(-q), 0.0)
+                partner = self.get(-q)
                 if abs(np.conj(v) - partner) > 1e-12 * max(1.0, abs(v)):
                     raise ValueError(
                         f"coupling constraint g_-q = g_q* violated at q={q}: "
@@ -63,8 +66,7 @@ class CouplingSet:
 
     @classmethod
     def from_dict(cls, lattice: Lattice, values, hermitian: bool = True) -> "CouplingSet":
-        return cls(lattice, tuple((int(q), complex(v)) for q, v in values.items()),
-                   hermitian=hermitian)
+        return cls(lattice, tuple(values.items()), hermitian=hermitian)
 
     @classmethod
     def hermitian_pair(cls, lattice: Lattice, q0: int, g: complex) -> "CouplingSet":
@@ -74,37 +76,6 @@ class CouplingSet:
                 raise ValueError("self-paired offset requires a real coupling")
             return cls(lattice, ((q0, complex(g).real),))
         return cls(lattice, ((q0, complex(g)), (-q0, np.conj(complex(g)))))
-
-    @classmethod
-    def zero(cls, lattice: Lattice) -> "CouplingSet":
-        return cls(lattice, ())
-
-    def scaled(self, factor: float) -> "CouplingSet":
-        """Scale all couplings by a real factor (preserves the constraint)."""
-        return CouplingSet(self.lattice, tuple((q, factor * v) for q, v in self.items),
-                           hermitian=self.hermitian)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.items)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.items], dtype=complex)
-
-    @property
-    def l1_amplitude(self) -> float:
-        return float(sum(abs(v) for _, v in self.items))
-
-    def particle_matrix(self) -> np.ndarray:
-        N = self.lattice.sites
-        mat = np.zeros((N, N), dtype=complex)
-        for q, v in self.items:
-            mat += v * shift_matrix(self.lattice, q)
-        return mat
-
-    def as_coefficients(self) -> CoefficientSet:
-        return CoefficientSet(self.lattice, self.items)
 
 
 @dataclass(frozen=True)
@@ -160,6 +131,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        require_finite(t0=self.t0, t_end=self.t_end)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if not self.t_end > self.t0:
@@ -220,11 +192,7 @@ def modulated_particle_matrix(model: Model, couplings: CouplingSet,
     """A(t) = sum_q g_q f_q(t) rho_q; a circulant for every strategy, so
     values at different times commute."""
     f = strategy.factors(model, k0, couplings.offsets, t)
-    N = model.lattice.sites
-    mat = np.zeros((N, N), dtype=complex)
-    for (q, g), fq in zip(couplings.items, f):
-        mat += g * fq * shift_matrix(model.lattice, q)
-    return mat
+    return circulant(model.lattice, couplings.offsets, couplings.values * f)
 
 
 def split_hamiltonian(model: Model, couplings: CouplingSet, strategy: ModulatorStrategy,
@@ -241,15 +209,6 @@ def split_hamiltonian(model: Model, couplings: CouplingSet, strategy: ModulatorS
     h1 = ProductOperator(((gp_t - a_mat, osc_phase * b.conj().T),
                           ((gp_t - a_mat).conj().T, np.conj(osc_phase) * b)))
     return h0, h1
-
-
-def _unitary_step(h_dense: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) for Hermitian H via eigendecomposition; exactly the
-    identity for a vanishing generator."""
-    if not np.any(h_dense):
-        return np.eye(h_dense.shape[0], dtype=complex)
-    w, v = np.linalg.eigh(h_dense)
-    return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
 
 def check_stability(model: Model, couplings: CouplingSet, grid: TimeGrid) -> None:
@@ -290,18 +249,9 @@ class ZeroOrderSolution:
     def half_index(self, step: int, mid: bool = False) -> int:
         return 2 * step + (1 if mid else 0)
 
-    def coefficients_at(self, step: int, mid: bool = False) -> CoefficientSet:
-        j = self.half_index(step, mid)
-        return CoefficientSet(self.model.lattice,
-                              tuple(zip(self.offsets, self.h_half[j])))
-
     def q_matrix(self, step: int, mid: bool = False) -> np.ndarray:
-        j = self.half_index(step, mid)
-        N = self.model.lattice.sites
-        mat = np.zeros((N, N), dtype=complex)
-        for q, v in zip(self.offsets, self.h_half[j]):
-            mat += v * shift_matrix(self.model.lattice, q)
-        return mat
+        return circulant(self.model.lattice, self.offsets,
+                         self.h_half[self.half_index(step, mid)])
 
     def chi(self, step: int, mid: bool = False) -> np.ndarray:
         return self.chi_half[self.half_index(step, mid)]
@@ -311,12 +261,13 @@ class ZeroOrderSolution:
         so that U0 = exp(-i * this)."""
         qp = self.q_matrix(step, mid)
         b = oscillator_annihilation(self.model.osc)
-        return (1j * (np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b))
-                + np.kron(self.chi(step, mid), np.eye(self.model.osc.levels)))
+        return ProductOperator(((1j * qp, b.conj().T), (-1j * qp.conj().T, b),
+                                (self.chi(step, mid), np.eye(self.model.osc.levels)))).dense()
 
     def u0(self, step: int, mid: bool = False) -> np.ndarray:
         """Dense zero-order evolution operator at a grid point or midpoint."""
-        return _unitary_step(self.u0_generator_hermitian(step, mid), 1.0)
+        return hermitian_function(self.u0_generator_hermitian(step, mid),
+                                  lambda w: np.exp(-1j * w))
 
     def zero_order_state(self, step: int) -> np.ndarray:
         """U0(t)|0,k0), the exact solution of the H0 dynamics."""
@@ -352,36 +303,20 @@ def zero_order_solution(model: Model, couplings: CouplingSet, strategy: Modulato
     omega = model.osc.omega
     N = model.lattice.sites
 
-    h = np.zeros((n_half, len(offsets)), dtype=complex)
-    hdot = np.zeros_like(h)
+    hdot = np.array([-1j * g_vals * strategy.factors(model, k0, offsets, tau)
+                     * np.exp(1j * omega * tau) for tau in taus])
+    h = np.zeros_like(hdot)
+    np.cumsum(0.5 * dt_half * (hdot[:-1] + hdot[1:]), axis=0, out=h[1:])
+    q, qdot = circulant(model.lattice, offsets, np.stack([h, hdot]))
+    q_dag = q.conj().swapaxes(-1, -2)
+    qdot_dag = qdot.conj().swapaxes(-1, -2)
+    integrand = 0.5j * (q_dag @ qdot - qdot_dag @ q)
     chi = np.zeros((n_half, N, N), dtype=complex)
-    shifts = [shift_matrix(model.lattice, q) for q in offsets]
-
-    def q_of(vals: np.ndarray) -> np.ndarray:
-        mat = np.zeros((N, N), dtype=complex)
-        for s, v in zip(shifts, vals):
-            mat += v * s
-        return mat
-
-    def chi_integrand(h_vals: np.ndarray, hd_vals: np.ndarray) -> np.ndarray:
-        qm = q_of(h_vals)
-        qd = q_of(hd_vals)
-        return 0.5j * (qm.conj().T @ qd - qd.conj().T @ qm)
-
-    for j in range(n_half):
-        hdot[j] = -1j * g_vals * strategy.factors(model, k0, offsets, taus[j]) \
-            * np.exp(1j * omega * taus[j])
-    for j in range(1, n_half):
-        h[j] = h[j - 1] + 0.5 * dt_half * (hdot[j - 1] + hdot[j])
-    prev = chi_integrand(h[0], hdot[0])
-    for j in range(1, n_half):
-        cur = chi_integrand(h[j], hdot[j])
-        chi[j] = chi[j - 1] + 0.5 * dt_half * (prev + cur)
-        prev = cur
+    np.cumsum(0.5 * dt_half * (integrand[:-1] + integrand[1:]), axis=0, out=chi[1:])
 
     amp_bound = np.abs(h).sum(axis=1).max() if offsets else 0.0
     if amp_bound ** 2 > model.osc.cutoff / 4.0:
-        amp = max(np.linalg.norm(q_of(h[j]), 2) for j in range(0, n_half, 2))
+        amp = np.linalg.norm(q[::2], 2, axis=(-2, -1)).max()
         if amp ** 2 > model.osc.cutoff / 4.0:
             raise ValueError(
                 f"accumulated amplitude^2 = {amp ** 2:.3g} exceeds cutoff/4 = "
@@ -407,8 +342,8 @@ def u0_commutators_check(sol: ZeroOrderSolution, step: int, tol: float = 1e-6,
     u = sol.u0(step)
     qp = sol.q_matrix(step)
     levels = model.osc.levels
-    b = np.kron(np.eye(model.lattice.sites), oscillator_annihilation(model.osc))
-    q_full = np.kron(qp, np.eye(levels))
+    b = ladder_b(model).dense()
+    q_full = ProductOperator.single(qp, np.eye(levels)).dense()
     if keep_levels is None:
         scale = np.linalg.norm(qp, 2) * np.sqrt(levels)
         bound, depth = 1.0, 0
@@ -420,7 +355,7 @@ def u0_commutators_check(sol: ZeroOrderSolution, step: int, tol: float = 1e-6,
         raise ValueError("amplitude too large for a reliable subspace at this cutoff")
     mask = np.zeros(levels)
     mask[:keep_levels + 1] = 1.0
-    proj = np.kron(np.eye(model.lattice.sites), np.diag(mask))
+    proj = ProductOperator.single(np.eye(model.lattice.sites), np.diag(mask)).dense()
 
     ud = u.conj().T
     bd = b.conj().T
@@ -464,7 +399,7 @@ def propagate_residual(sol: ZeroOrderSolution) -> ResidualResult:
         if np.any(h1_dense):
             u0m = sol.u0(i, mid=True)
             h_tilde = u0m.conj().T @ h1_dense @ u0m
-            psi = _unitary_step(h_tilde, grid.dt) @ psi
+            psi = hermitian_function(h_tilde, lambda w: np.exp(-1j * grid.dt * w)) @ psi
         states[i + 1] = psi.reshape(model.shape)
     return ResidualResult(sol=sol, states=states)
 

@@ -26,7 +26,9 @@ from scipy.special import gammainc, roots_laguerre
 from .hilbert import (
     CoefficientSet,
     Model,
+    ProductOperator,
     fidelity,
+    hermitian_function,
     inner,
     make_basis_state,
     oscillator_annihilation,
@@ -67,12 +69,6 @@ def _check_truncation(model: Model, h: CoefficientSet, tol: float) -> None:
             f"coherent tail beyond the cutoff is {tail:.3g} >= tolerance {tol:.3g}")
 
 
-def _hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
-    """Matrix function of a Hermitian matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(mat)
-    return (v * fn(w)) @ v.conj().T
-
-
 def _series_state(model: Model, h: CoefficientSet, k0: int, order_cap: int) -> np.ndarray:
     """exp(-Q^dag Q/2) sum_{n<=order_cap} (Q b^dag)^n/n! |0,k0), no amplitude guard.
 
@@ -87,7 +83,7 @@ def _series_state(model: Model, h: CoefficientSet, k0: int, order_cap: int) -> n
     for n in range(1, order_cap + 1):
         term = (qp @ term @ bdag.T) / n
         acc += term
-    pref = _hermitian_function(qp.conj().T @ qp, lambda w: np.exp(-0.5 * w))
+    pref = hermitian_function(qp.conj().T @ qp, lambda w: np.exp(-0.5 * w))
     return pref @ acc
 
 
@@ -147,7 +143,7 @@ def ecs_displacement(model: Model, h: CoefficientSet, k0: int,
     _check_truncation(model, h, tol)
     qp = h.particle_matrix()
     b = oscillator_annihilation(model.osc)
-    gen = np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b)
+    gen = ProductOperator(((qp, b.conj().T), (-qp.conj().T, b))).dense()
     state = (expm(gen) @ make_basis_state(model, k0, 0).reshape(-1)).reshape(model.shape)
     return _finish(model, h, k0, "displacement", state, tol)
 

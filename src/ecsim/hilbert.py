@@ -4,14 +4,21 @@ A single spinless particle lives on a periodic momentum lattice (``Lattice``),
 a harmonic oscillator on a truncated Fock ladder (``OscillatorSpec``).  States
 are complex arrays of shape ``(sites, cutoff + 1)`` indexed by
 (momentum index, Fock level); operators are sums of tensor products of a
-particle matrix and an oscillator matrix (``ProductOperator``).
+particle matrix and an oscillator matrix (``ProductOperator``, whose
+``dense`` is the one place the Kronecker flattening order is fixed).
+
+Every particle factor of the zero-order Hamiltonian is a circulant
+sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (offsets
+canonicalised modulo the lattice, finite values) and ``circulant`` its one
+builder, batched over leading axes of the values.  ``hermitian_function``
+evaluates matrix functions of Hermitian generators.
 
 Natural units, hbar = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -19,6 +26,13 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 DISPERSION_KINDS = ("quadratic", "tight_binding", "flat")
+
+
+def require_finite(**fields: float) -> None:
+    """Reject NaN and infinite parameters, naming the offending field."""
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,7 @@ class Lattice:
     def __post_init__(self):
         if self.sites < 1:
             raise ValueError(f"sites must be positive, got {self.sites}")
+        require_finite(length=self.length)
         if self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
 
@@ -101,6 +116,7 @@ class Dispersion:
     def __post_init__(self):
         if self.kind not in DISPERSION_KINDS:
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        require_finite(mass=self.mass, hopping=self.hopping, value=self.value)
         if self.kind == "quadratic" and self.mass <= 0:
             raise ValueError("mass must be positive")
 
@@ -135,6 +151,7 @@ class OscillatorSpec:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        require_finite(omega=self.omega)
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
@@ -224,10 +241,6 @@ class ProductOperator:
     def single(cls, particle: np.ndarray, oscillator: np.ndarray) -> "ProductOperator":
         return cls(terms=((particle, oscillator),))
 
-    @classmethod
-    def identity(cls, model: Model) -> "ProductOperator":
-        return cls.single(np.eye(model.lattice.sites), np.eye(model.osc.levels))
-
     @property
     def shape(self) -> tuple[int, int]:
         p, o = self.terms[0]
@@ -249,32 +262,6 @@ class ProductOperator:
         for p, o in self.terms:
             out += np.kron(p, o)
         return out
-
-    def dagger(self) -> "ProductOperator":
-        return ProductOperator(tuple((p.conj().T, o.conj().T) for p, o in self.terms))
-
-    def __add__(self, other: "ProductOperator") -> "ProductOperator":
-        if self.shape != other.shape:
-            raise ValueError("operator shape mismatch")
-        return ProductOperator(self.terms + other.terms)
-
-    def __neg__(self) -> "ProductOperator":
-        return ProductOperator(tuple((-p, o) for p, o in self.terms))
-
-    def __sub__(self, other: "ProductOperator") -> "ProductOperator":
-        return self + (-other)
-
-    def __mul__(self, scalar: complex) -> "ProductOperator":
-        return ProductOperator(tuple((scalar * p, o) for p, o in self.terms))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ProductOperator") -> "ProductOperator":
-        if self.shape != other.shape:
-            raise ValueError("operator shape mismatch")
-        terms = tuple((p1 @ p2, o1 @ o2)
-                      for p1, o1 in self.terms for p2, o2 in other.terms)
-        return ProductOperator(terms)
 
 
 def shift_matrix(lattice: Lattice, q: int) -> np.ndarray:
@@ -312,12 +299,36 @@ def ladder_b_dag(model: Model) -> ProductOperator:
                                   oscillator_annihilation(model.osc).conj().T)
 
 
+def circulant(lattice: Lattice, offsets, values) -> np.ndarray:
+    """sum_q values[..., q] * shift_matrix(lattice, q): the particle matrix of
+    sum_q v_q rho_q, batched over the leading axes of `values` (the last axis
+    runs over `offsets`).  Entry [r, c] depends on (c - r) mod N only, so the
+    values are first accumulated per wrapped offset, in the given order."""
+    values = np.asarray(values, dtype=complex)
+    N = lattice.sites
+    diagonals = np.zeros(values.shape[:-1] + (N,), dtype=complex)
+    for i, q in enumerate(offsets):
+        diagonals[..., lattice.wrap_offset(q) % N] += values[..., i]
+    cols = np.arange(N)
+    return diagonals[..., (cols[None, :] - cols[:, None]) % N]
+
+
+def hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
+    """fn(mat) for a Hermitian matrix, with `fn` applied to its eigenvalues;
+    a vanishing matrix gives exactly fn(0) times the identity."""
+    if not np.any(mat):
+        return np.diag(fn(np.zeros(mat.shape[0]))).astype(complex)
+    w, v = np.linalg.eigh(mat)
+    return (v * fn(w)) @ v.conj().T
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Map from momentum offsets q to complex coefficients h_q.
+    """Circulant particle operator sum_q h_q rho_q, stored as the map q -> h_q.
 
     Offsets are canonicalized modulo the lattice; coefficients landing on the
-    same canonical offset are summed.  Absent offsets are zero.
+    same canonical offset are summed.  Absent offsets are zero; every value
+    must be finite.
     """
 
     lattice: Lattice
@@ -326,13 +337,17 @@ class CoefficientSet:
     def __post_init__(self):
         merged: dict[int, complex] = {}
         for q, v in self.items:
+            v = complex(v)
+            if not np.isfinite(v):
+                raise ValueError(
+                    f"{type(self).__name__} value at offset {q} must be finite, got {v}")
             qc = self.lattice.wrap_offset(q)
-            merged[qc] = merged.get(qc, 0.0) + complex(v)
+            merged[qc] = merged.get(qc, 0.0) + v
         object.__setattr__(self, "items", tuple(sorted(merged.items())))
 
     @classmethod
     def from_dict(cls, lattice: Lattice, values: Mapping[int, complex]) -> "CoefficientSet":
-        return cls(lattice, tuple((int(q), complex(v)) for q, v in values.items()))
+        return cls(lattice, tuple(values.items()))
 
     @classmethod
     def single_mode(cls, lattice: Lattice, q0: int, amplitude: complex) -> "CoefficientSet":
@@ -350,24 +365,29 @@ class CoefficientSet:
         return 0.0
 
     def scaled(self, factor: complex) -> "CoefficientSet":
-        return CoefficientSet(self.lattice, tuple((q, factor * v) for q, v in self.items))
+        """All values times `factor`; keeps the type and its other fields."""
+        return replace(self, items=tuple((q, factor * v) for q, v in self.items))
 
     @property
     def offsets(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.items)
 
     @property
+    def values(self) -> np.ndarray:
+        return np.array([v for _, v in self.items], dtype=complex)
+
+    @property
+    def l1_amplitude(self) -> float:
+        return float(sum(abs(v) for _, v in self.items))
+
+    @property
     def l2_amplitude(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for _, v in self.items)))
 
     def particle_matrix(self) -> np.ndarray:
-        """Q on the particle factor: sum_q h_q * shift(q).  A circulant, so
-        any two such matrices (and their adjoints) commute."""
-        N = self.lattice.sites
-        mat = np.zeros((N, N), dtype=complex)
-        for q, v in self.items:
-            mat += v * shift_matrix(self.lattice, q)
-        return mat
+        """The circulant sum_q h_q shift(q), so any two such matrices (and
+        their adjoints) commute."""
+        return circulant(self.lattice, self.offsets, self.values)
 
     def operator_amplitude(self) -> float:
         """Largest displacement amplitude over the commuting family's

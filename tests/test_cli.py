@@ -99,6 +99,25 @@ def test_truncation_rule_rejected_before_computation(tmp_path):
     assert main(["properties", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("old,new,field", [
+    ("omega = 2.5", "omega = nan", "omega"),
+    ("omega = 2.5", "omega = inf", "omega"),
+    ("hopping = 1.0", "hopping = nan", "hopping"),
+    ("length = 5.0", "length = inf", "length"),
+    ("t0 = -1.5", "t0 = nan", "t0"),
+    ("\n1 = 0.12, 0.0", "\n1 = nan, 0.0", "CouplingSet value at offset 1"),
+], ids=["omega-nan", "omega-inf", "hopping-nan", "length-inf", "t0-nan", "coupling-nan"])
+def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, field):
+    assert SMALL_CONFIG.count(old) == 1
+    p = tmp_path / "non_finite.ini"
+    p.write_text(SMALL_CONFIG.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "must be finite" in err
+    assert not out.exists()  # rejected while loading, before any output or propagation
+
+
 def test_properties_command(config_path, tmp_path, capsys):
     out = tmp_path / "props"
     assert main(["properties", "--config", config_path, "--out", str(out)]) == 0

@@ -6,12 +6,12 @@ import pytest
 from conftest import make_model
 from ecsim import oracle
 from ecsim.dynamics import CouplingSet, TimeGrid, hamiltonian_full
-from ecsim.hilbert import ProductOperator, ladder_b, make_basis_state, rho
+from ecsim.hilbert import ladder_b, make_basis_state, rho
 
 
 def test_conjugate_free_trivials():
     model = make_model(sites=5, cutoff=6, omega=1.3)
-    ident = ProductOperator.identity(model)
+    ident = np.eye(model.dim)
     assert np.allclose(oracle.conjugate_free(model, ident, 0.9),
                        np.eye(model.dim), atol=1e-14)
 
