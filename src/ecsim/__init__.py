@@ -10,8 +10,10 @@ from .hilbert import (
     Model,
     OscillatorSpec,
     ProductOperator,
+    branches,
     build_Q,
     circulant,
+    displacement,
     fidelity,
     inner,
     ladder_b,

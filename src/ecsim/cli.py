@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .config import ConfigError, RunConfig, load_config, resolved_config_text
+from .config import ConfigError, RunConfig, load_config, require_positive, resolved_config_text
 from .dynamics import (
     ModulatorStrategy,
     propagate_residual,
@@ -272,9 +272,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
 def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[float]) -> int:
     if abs(cfg.grid.t_end) > 1e-12 or cfg.grid.t0 >= 0:
         raise ConfigError("sweep requires t_end = 0 and t0 < 0")
-    if len(factors) < 2 or any(f <= 0 for f in factors) \
-            or any(factors[i] <= factors[i + 1] for i in range(len(factors) - 1)):
-        raise ConfigError("factors must be positive and strictly decreasing")
+    for f in factors:
+        require_positive("--factors", f)
+    if len(factors) < 2 or any(factors[i] <= factors[i + 1] for i in range(len(factors) - 1)):
+        raise ConfigError("--factors must hold at least two strictly decreasing values")
     _prepare_out(cfg, out_dir)
     model = cfg.model
     pos = cfg.positions()
@@ -342,6 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        require_positive("--tolerance", args.tolerance)
         cfg = load_config(args.config, strategy_override=args.strategy,
                           seed_override=args.seed, tolerance_scale=args.tolerance)
         if args.command == "properties":

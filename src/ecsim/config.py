@@ -119,6 +119,13 @@ class RunConfig:
         return base * self.tolerance_scale
 
 
+def require_positive(name: str, value: float) -> float:
+    """`value` if it is finite and > 0, else a ConfigError naming the input."""
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _get(cp: configparser.ConfigParser, section: str, key: str, default: str) -> str:
     if cp.has_option(section, key):
         return cp.get(section, key)
@@ -188,10 +195,7 @@ def load_config(path: str, strategy_override: str | None = None,
                         steps=int(get("time", "steps")))
 
         strategy_kind = (strategy_override or get("strategy", "kind")).strip()
-        if strategy_kind not in ("static_unit", "recoil_phase"):
-            raise ConfigError(
-                f"strategy {strategy_kind!r} not available from configuration "
-                "(custom_phase needs a phase function; use the library API)")
+        ModulatorStrategy(kind=strategy_kind)  # rejects unknown kinds
 
         count = int(get("positions", "count"))
         if count < 2:
@@ -208,7 +212,7 @@ def load_config(path: str, strategy_override: str | None = None,
             for key, val in cp.items("tolerances"):
                 if key not in DEFAULT_TOLERANCES:
                     raise ConfigError(f"unknown tolerance key {key!r}")
-                tolerances[key] = float(val)
+                tolerances[key] = require_positive(f"[tolerances] {key}", float(val))
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:

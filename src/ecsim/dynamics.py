@@ -9,18 +9,19 @@ unimodular modulator f_q(t)) and a residual H1.  H0 generates the evolution
     chi(t) = -(i/2) int_{t0}^t [ Qdot^dag Q - Q^dag Qdot ] dt',
 
 assembled here from half-step trapezoid quadrature of h and chi.  Every
-particle factor (G, A(t), Q(t), Qdot(t)) is a circulant built by
+particle factor (G, A(t), Q(t), Qdot(t), chi(t)) is a circulant built by
 ``hilbert.circulant``; a coupling set is a ``CoefficientSet`` that also
-checks g_{-q} = g_q^*.  Dense generators come from ``ProductOperator.dense``
-and their exponentials from ``hilbert.hermitian_function``.  The residual is
-integrated in the rotated frame |t> = U0^dag(t)|t) with a unitary
-midpoint-exponential stepper acting on H1 conjugated by U0.
+checks g_{-q} = g_q^*.  chi is kept as its real branch values, so
+U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} comes from
+``hilbert.displacement``.  The residual is integrated in the rotated frame
+|t> = U0^dag(t)|t) with a unitary midpoint-exponential stepper acting on H1
+conjugated by U0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .hilbert import (
     Lattice,
     Model,
     ProductOperator,
+    branches,
     circulant,
+    displacement,
     hermitian_function,
     ladder_b,
     make_basis_state,
@@ -82,20 +85,16 @@ class CouplingSet(CoefficientSet):
 class ModulatorStrategy:
     """Unimodular family f_q(t) replacing the operator phases inside H0.
 
-    Kinds: ``static_unit`` (f = 1), ``recoil_phase``
+    Kinds: ``static_unit`` (f = 1) and ``recoil_phase``
     (f_q(t) = exp(i (eps_{k0} - eps_{k0+q}) t), referenced to the initial
-    momentum), ``custom_phase`` (f = exp(i phi(q, t)) for a user-supplied real
-    phase function).
+    momentum).
     """
 
     kind: str
-    phase: Callable[[int, float], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("static_unit", "recoil_phase", "custom_phase"):
+        if self.kind not in ("static_unit", "recoil_phase"):
             raise ValueError(f"unknown modulator kind {self.kind!r}")
-        if self.kind == "custom_phase" and self.phase is None:
-            raise ValueError("custom_phase requires a phase function")
 
     @classmethod
     def static_unit(cls) -> "ModulatorStrategy":
@@ -105,21 +104,14 @@ class ModulatorStrategy:
     def recoil_phase(cls) -> "ModulatorStrategy":
         return cls(kind="recoil_phase")
 
-    @classmethod
-    def custom_phase(cls, phase: Callable[[int, float], float]) -> "ModulatorStrategy":
-        return cls(kind="custom_phase", phase=phase)
-
     def factors(self, model: Model, k0: int, offsets, t: float) -> np.ndarray:
         """f_q(t) for each offset; always unimodular."""
         if self.kind == "static_unit":
             return np.ones(len(offsets), dtype=complex)
-        if self.kind == "recoil_phase":
-            eps = model.energies()
-            lat = model.lattice
-            detune = np.array([eps[k0] - eps[lat.shift_index(k0, q)] for q in offsets])
-            return np.exp(1j * detune * t)
-        phases = np.array([self.phase(q, t) for q in offsets], dtype=float)
-        return np.exp(1j * phases)
+        eps = model.energies()
+        lat = model.lattice
+        detune = np.array([eps[k0] - eps[lat.shift_index(k0, q)] for q in offsets])
+        return np.exp(1j * detune * t)
 
 
 @dataclass(frozen=True)
@@ -212,10 +204,10 @@ def split_hamiltonian(model: Model, couplings: CouplingSet, strategy: ModulatorS
 
 
 def check_stability(model: Model, couplings: CouplingSet, grid: TimeGrid) -> None:
-    """Reject grids with dt ||H|| beyond the stability guard; the spectral
-    norm is picture-invariant."""
-    h = hamiltonian_full(model, couplings, picture="schrodinger").dense()
-    hnorm = np.linalg.norm(h, 2)
+    """Reject grids with dt ||H|| beyond the stability guard.  On branch j,
+    H = g_j b^dag + g_j^* b is unitarily equal to |g_j| (b + b^dag)."""
+    b = oscillator_annihilation(model.osc)
+    hnorm = couplings.operator_amplitude() * np.linalg.norm(b + b.conj().T, 2)
     if grid.dt * hnorm >= STABILITY_LIMIT:
         raise ValueError(
             f"dt*||H|| = {grid.dt * hnorm:.3g} exceeds stability guard {STABILITY_LIMIT}")
@@ -226,7 +218,8 @@ class ZeroOrderSolution:
     """h_q(t), chi(t) and U0(t) accumulated on a half-step grid.
 
     Arrays are indexed by half-steps j = 0..2*steps (time t0 + j*dt/2); grid
-    points are the even entries.  U0 matrices are assembled on demand.
+    points are the even entries.  chi is stored by its real branch values;
+    chi and U0 matrices are assembled on demand.
     """
 
     model: Model
@@ -236,15 +229,11 @@ class ZeroOrderSolution:
     k0: int
     h_half: np.ndarray      # (2*steps+1, n_offsets)
     hdot_half: np.ndarray   # (2*steps+1, n_offsets)
-    chi_half: np.ndarray    # (2*steps+1, N, N)
+    mu_half: np.ndarray     # (2*steps+1, N)
 
     @property
     def offsets(self) -> tuple[int, ...]:
         return self.couplings.offsets
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
     def half_index(self, step: int, mid: bool = False) -> int:
         return 2 * step + (1 if mid else 0)
@@ -254,20 +243,16 @@ class ZeroOrderSolution:
                          self.h_half[self.half_index(step, mid)])
 
     def chi(self, step: int, mid: bool = False) -> np.ndarray:
-        return self.chi_half[self.half_index(step, mid)]
-
-    def u0_generator_hermitian(self, step: int, mid: bool = False) -> np.ndarray:
-        """i * generator of U0: i(Q b^dag - Q^dag b) + chi, a Hermitian matrix
-        so that U0 = exp(-i * this)."""
-        qp = self.q_matrix(step, mid)
-        b = oscillator_annihilation(self.model.osc)
-        return ProductOperator(((1j * qp, b.conj().T), (-1j * qp.conj().T, b),
-                                (self.chi(step, mid), np.eye(self.model.osc.levels)))).dense()
+        """sum_j mu_j f_j f_j^dag: the circulant with offset-w coefficient
+        (1/N) sum_j e^{-2 pi i j w/N} mu_j."""
+        mu = self.mu_half[self.half_index(step, mid)]
+        return circulant(self.model.lattice, range(mu.size), np.fft.fft(mu, norm="forward"))
 
     def u0(self, step: int, mid: bool = False) -> np.ndarray:
         """Dense zero-order evolution operator at a grid point or midpoint."""
-        return hermitian_function(self.u0_generator_hermitian(step, mid),
-                                  lambda w: np.exp(-1j * w))
+        j = self.half_index(step, mid)
+        return displacement(self.model, branches(self.model.lattice, self.offsets,
+                                                 self.h_half[j]), self.mu_half[j])
 
     def zero_order_state(self, step: int) -> np.ndarray:
         """U0(t)|0,k0), the exact solution of the H0 dynamics."""
@@ -287,10 +272,9 @@ def zero_order_solution(model: Model, couplings: CouplingSet, strategy: Modulato
                         grid: TimeGrid, k0: int) -> ZeroOrderSolution:
     """Accumulate h_q(t) and chi(t) by composite trapezoid on a half-step grid.
 
-    hdot_q(t) = -i g_q f_q(t) e^{iwt} is analytic; chi's integrand
-    (i/2)(Q^dag Qdot - Qdot^dag Q) is Hermitian, keeping chi Hermitian at
-    every stored time.  Raises if the accumulated amplitude breaks the
-    truncation rule ||Q||^2 <= cutoff/4.
+    hdot_q(t) = -i g_q f_q(t) e^{iwt} is analytic.  On branch j chi's integrand
+    (i/2)(Q^dag Qdot - Qdot^dag Q) is the real Im(lamdot_j^* lam_j).  Raises if
+    the accumulated amplitude breaks the truncation rule ||Q||^2 <= cutoff/4.
     """
     if not 0 <= int(k0) < model.lattice.sites:
         raise ValueError(f"momentum index {k0} out of range")
@@ -301,29 +285,24 @@ def zero_order_solution(model: Model, couplings: CouplingSet, strategy: Modulato
     dt_half = grid.dt / 2.0
     taus = grid.t0 + dt_half * np.arange(n_half)
     omega = model.osc.omega
-    N = model.lattice.sites
 
     hdot = np.array([-1j * g_vals * strategy.factors(model, k0, offsets, tau)
                      * np.exp(1j * omega * tau) for tau in taus])
     h = np.zeros_like(hdot)
     np.cumsum(0.5 * dt_half * (hdot[:-1] + hdot[1:]), axis=0, out=h[1:])
-    q, qdot = circulant(model.lattice, offsets, np.stack([h, hdot]))
-    q_dag = q.conj().swapaxes(-1, -2)
-    qdot_dag = qdot.conj().swapaxes(-1, -2)
-    integrand = 0.5j * (q_dag @ qdot - qdot_dag @ q)
-    chi = np.zeros((n_half, N, N), dtype=complex)
-    np.cumsum(0.5 * dt_half * (integrand[:-1] + integrand[1:]), axis=0, out=chi[1:])
+    lam, lamdot = branches(model.lattice, offsets, np.stack([h, hdot]))
+    integrand = np.imag(lamdot.conj() * lam)
+    mu = np.zeros(integrand.shape)
+    np.cumsum(0.5 * dt_half * (integrand[:-1] + integrand[1:]), axis=0, out=mu[1:])
 
-    amp_bound = np.abs(h).sum(axis=1).max() if offsets else 0.0
-    if amp_bound ** 2 > model.osc.cutoff / 4.0:
-        amp = np.linalg.norm(q[::2], 2, axis=(-2, -1)).max()
-        if amp ** 2 > model.osc.cutoff / 4.0:
-            raise ValueError(
-                f"accumulated amplitude^2 = {amp ** 2:.3g} exceeds cutoff/4 = "
-                f"{model.osc.cutoff / 4.0:.3g}; raise the cutoff or weaken the coupling")
+    amp = np.abs(lam[::2]).max()
+    if amp ** 2 > model.osc.cutoff / 4.0:
+        raise ValueError(
+            f"accumulated amplitude^2 = {amp ** 2:.3g} exceeds cutoff/4 = "
+            f"{model.osc.cutoff / 4.0:.3g}; raise the cutoff or weaken the coupling")
 
     return ZeroOrderSolution(model=model, couplings=couplings, strategy=strategy,
-                             grid=grid, k0=k0, h_half=h, hdot_half=hdot, chi_half=chi)
+                             grid=grid, k0=k0, h_half=h, hdot_half=hdot, mu_half=mu)
 
 
 def u0_commutators_check(sol: ZeroOrderSolution, step: int, tol: float = 1e-6,

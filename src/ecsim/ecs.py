@@ -8,6 +8,8 @@ the particle with the oscillator:
     |h, k0> = exp(-Q^dag Q / 2) sum_n (Q b^dag)^n / n!  |0, k0)
             = exp(Q b^dag - Q^dag b) |0, k0)
 
+The displacement is sum_x |x><x| x D(alpha(x)), one oscillator displacement
+per eigenbranch of Q, built by ``hilbert.displacement`` (which also builds U0).
 Both constructions are provided, together with numerical checks of the
 annihilation action b|h,k0> = Q|h,k0>, momentum-shift relations, the overlap
 formula for single-mode coefficient sets, a quadrature test of the resolution
@@ -20,13 +22,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammainc, roots_laguerre
 
 from .hilbert import (
     CoefficientSet,
     Model,
-    ProductOperator,
+    branches,
+    displacement,
     fidelity,
     hermitian_function,
     inner,
@@ -136,15 +138,13 @@ def ecs_series(model: Model, h: CoefficientSet, k0: int,
 
 def ecs_displacement(model: Model, h: CoefficientSet, k0: int,
                      tol: float = TRUNCATION_TOL) -> EcsState:
-    """Displacement construction exp(Q b^dag - Q^dag b)|0,k0) by dense matrix
-    exponential of the anti-Hermitian generator."""
+    """Displacement construction exp(Q b^dag - Q^dag b)|0,k0), one oscillator
+    displacement D(lam_j) per eigenbranch of Q."""
     if not 0 <= int(k0) < model.lattice.sites:
         raise ValueError(f"momentum index {k0} out of range")
     _check_truncation(model, h, tol)
-    qp = h.particle_matrix()
-    b = oscillator_annihilation(model.osc)
-    gen = ProductOperator(((qp, b.conj().T), (-qp.conj().T, b))).dense()
-    state = (expm(gen) @ make_basis_state(model, k0, 0).reshape(-1)).reshape(model.shape)
+    u = displacement(model, branches(model.lattice, h.offsets, h.values))
+    state = (u @ make_basis_state(model, k0, 0).reshape(-1)).reshape(model.shape)
     return _finish(model, h, k0, "displacement", state, tol)
 
 

@@ -10,8 +10,10 @@ particle matrix and an oscillator matrix (``ProductOperator``, whose
 Every particle factor of the zero-order Hamiltonian is a circulant
 sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (offsets
 canonicalised modulo the lattice, finite values) and ``circulant`` its one
-builder, batched over leading axes of the values.  ``hermitian_function``
-evaluates matrix functions of Hermitian generators.
+builder, batched over leading axes of the values; ``branches`` gives their
+eigenvalues on the shared Fourier vectors, and ``displacement`` builds
+exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
+from them, one oscillator exponential per branch.
 
 Natural units, hbar = 1.
 """
@@ -299,27 +301,51 @@ def ladder_b_dag(model: Model) -> ProductOperator:
                                   oscillator_annihilation(model.osc).conj().T)
 
 
-def circulant(lattice: Lattice, offsets, values) -> np.ndarray:
-    """sum_q values[..., q] * shift_matrix(lattice, q): the particle matrix of
-    sum_q v_q rho_q, batched over the leading axes of `values` (the last axis
-    runs over `offsets`).  Entry [r, c] depends on (c - r) mod N only, so the
-    values are first accumulated per wrapped offset, in the given order."""
+def _offset_diagonals(lattice: Lattice, offsets, values) -> np.ndarray:
+    """Coefficient of rho_w for w = 0..N-1: values summed per wrapped offset."""
     values = np.asarray(values, dtype=complex)
     N = lattice.sites
     diagonals = np.zeros(values.shape[:-1] + (N,), dtype=complex)
     for i, q in enumerate(offsets):
         diagonals[..., lattice.wrap_offset(q) % N] += values[..., i]
-    cols = np.arange(N)
-    return diagonals[..., (cols[None, :] - cols[:, None]) % N]
+    return diagonals
+
+
+def circulant(lattice: Lattice, offsets, values) -> np.ndarray:
+    """sum_q values[..., q] * shift_matrix(lattice, q): the particle matrix of
+    sum_q v_q rho_q, batched over the leading axes of `values` (the last axis
+    runs over `offsets`).  Entry [r, c] depends on (c - r) mod N only."""
+    diagonals = _offset_diagonals(lattice, offsets, values)
+    cols = np.arange(lattice.sites)
+    return diagonals[..., (cols[None, :] - cols[:, None]) % lattice.sites]
+
+
+def branches(lattice: Lattice, offsets, values) -> np.ndarray:
+    """Eigenvalues sum_w v_w e^{2 pi i j w/N} of circulant(...), batched alike,
+    on the Fourier vectors f_j[n] = e^{2 pi i j n/N}/sqrt(N); one FFT."""
+    return np.fft.ifft(_offset_diagonals(lattice, offsets, values), norm="forward")
 
 
 def hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
-    """fn(mat) for a Hermitian matrix, with `fn` applied to its eigenvalues;
-    a vanishing matrix gives exactly fn(0) times the identity."""
+    """fn(mat) for a Hermitian matrix or a stack of them, with `fn` applied to
+    the eigenvalues; a vanishing input gives exactly fn(0) times the identity."""
     if not np.any(mat):
-        return np.diag(fn(np.zeros(mat.shape[0]))).astype(complex)
+        return np.broadcast_to(np.diag(fn(np.zeros(mat.shape[-1]))), mat.shape).astype(complex)
     w, v = np.linalg.eigh(mat)
-    return (v * fn(w)) @ v.conj().T
+    return (v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def displacement(model: Model, lam, mu=0.0) -> np.ndarray:
+    """Dense exp(Q b^dag - Q^dag b - i chi) = sum_j f_j f_j^dag x D(lam_j) e^{-i mu_j}
+    for circulants with branch values `lam` (Q) and real `mu` (chi): a block
+    circulant whose offset-w block is (1/N) sum_j e^{-2 pi i j w/N} D_j."""
+    lam, mu = np.reshape(lam, (-1, 1, 1)), np.reshape(mu, (-1, 1, 1))
+    b = oscillator_annihilation(model.osc)
+    generators = 1j * (lam * b.conj().T - lam.conj() * b) + mu * np.eye(model.osc.levels)
+    blocks = hermitian_function(generators, lambda w: np.exp(-1j * w))
+    per_offset = np.fft.fft(blocks, axis=0, norm="forward")
+    dense = circulant(model.lattice, range(len(lam)), np.moveaxis(per_offset, 0, -1))
+    return dense.transpose(2, 0, 3, 1).reshape(model.dim, model.dim)
 
 
 @dataclass(frozen=True)
@@ -391,10 +417,8 @@ class CoefficientSet:
 
     def operator_amplitude(self) -> float:
         """Largest displacement amplitude over the commuting family's
-        eigenbranches, ||Q||_2."""
-        if not self.items:
-            return 0.0
-        return float(np.linalg.norm(self.particle_matrix(), 2))
+        eigenbranches, max_j |lam_j| = ||Q||_2 (Q is normal)."""
+        return float(np.abs(branches(self.lattice, self.offsets, self.values)).max())
 
 
 def build_Q(model: Model, h: CoefficientSet) -> ProductOperator:

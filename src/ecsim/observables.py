@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import ZeroOrderSolution
 from .ecs import coherent_state_vector
-from .hilbert import Lattice, Model, fidelity, make_basis_state
+from .hilbert import Lattice, Model, fidelity
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,9 @@ def gamma_first_approx(sol: ZeroOrderSolution, grid: PositionGrid) -> GammaGrid:
     """First approximation: the rotated-frame state frozen to |0, k0).
     Requires a solution ending at t = 0 (started at t0 < 0)."""
     _require_t_end_zero(sol)
-    state = make_basis_state(sol.model, sol.k0, 0)
     step, tt = _grid_step(sol, None)
-    physical = (sol.u0(step) @ state.reshape(-1)).reshape(sol.model.shape)
-    return _gamma_from_product_state(sol.model, physical, grid, tt, "first_approx")
+    return _gamma_from_product_state(sol.model, sol.zero_order_state(step), grid, tt,
+                                     "first_approx")
 
 
 def _require_t_end_zero(sol: ZeroOrderSolution) -> None:

@@ -50,10 +50,6 @@ def schrodinger_hamiltonian_dense(model: Model, couplings: CouplingSet) -> np.nd
     return h + h.conj().T
 
 
-def interaction_hamiltonian_dense(model: Model, couplings: CouplingSet, t: float) -> np.ndarray:
-    return conjugate_free(model, schrodinger_hamiltonian_dense(model, couplings), t)
-
-
 class DensePropagator:
     """Midpoint-exponential stepper for a time-dependent Hermitian H(t).
 

@@ -1,12 +1,33 @@
-"""Randomised reference checks of the circulant builder and the coupling type."""
+"""Randomised reference checks of the circulant builder, its branch
+(Fourier eigenvalue) representation and the coupling type."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from conftest import make_model
-from ecsim.dynamics import CouplingSet, ModulatorStrategy, hamiltonian_full, split_hamiltonian
-from ecsim.hilbert import CoefficientSet, Lattice, circulant, shift_matrix
+from ecsim.dynamics import (
+    STABILITY_LIMIT,
+    CouplingSet,
+    ModulatorStrategy,
+    TimeGrid,
+    check_stability,
+    hamiltonian_full,
+    split_hamiltonian,
+    zero_order_solution,
+)
+from ecsim.hilbert import (
+    CoefficientSet,
+    Lattice,
+    branches,
+    circulant,
+    displacement,
+    oscillator_annihilation,
+    shift_matrix,
+)
+from ecsim.observables import PositionGrid, alpha_phi
 
 PINNED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -61,6 +82,57 @@ def test_circulant_batched_leading_axes(case, rows, cols, seed):
             assert np.array_equal(got[i, j], loop_reference(lat, offsets, batch[i, j]))
 
 
+def fourier_vectors(sites):
+    """Column j is f_j[n] = e^{2 pi i j n/N} / sqrt(N)."""
+    n = np.arange(sites)
+    return np.exp(2j * np.pi * np.outer(n, n) / sites) / np.sqrt(sites)
+
+
+@PINNED
+@given(lattice_terms(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_branches_are_the_circulant_eigenvalues(case, rows, seed):
+    lat, offsets, _ = case
+    rng = np.random.default_rng(seed)
+    batch = (rng.standard_normal((rows, len(offsets)))
+             + 1j * rng.standard_normal((rows, len(offsets))))
+    mats = circulant(lat, offsets, batch)
+    lam = branches(lat, offsets, batch)
+    assert lam.shape == (rows, lat.sites)
+    f = fourier_vectors(lat.sites)
+    assert np.abs(mats @ f - lam[:, None, :] * f).max() < 1e-12
+
+
+@st.composite
+def small_terms(draw, lat):
+    offsets = draw(st.lists(st.integers(min_value=-lat.sites, max_value=lat.sites),
+                            min_size=1, max_size=4))
+    small = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
+    vals = draw(st.lists(st.builds(complex, small, small),
+                         min_size=len(offsets), max_size=len(offsets)))
+    return offsets, np.array(vals)
+
+
+@PINNED
+@given(st.data(), st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6))
+def test_displacement_matches_expm_of_dense_generator(data, sites, cutoff):
+    model = make_model(sites=sites, cutoff=cutoff)
+    lat = model.lattice
+    q_offsets, q_vals = data.draw(small_terms(lat))
+    c_offsets, c_vals = data.draw(small_terms(lat))
+    # chi = C + C^dag, a Hermitian circulant with real branch values
+    chi_offsets = list(c_offsets) + [-q for q in c_offsets]
+    chi_vals = np.concatenate([c_vals, c_vals.conj()])
+    qp = circulant(lat, q_offsets, q_vals)
+    chi = circulant(lat, chi_offsets, chi_vals)
+    b = oscillator_annihilation(model.osc)
+    gen = (np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b)
+           - 1j * np.kron(chi, np.eye(model.osc.levels)))
+    got = displacement(model, branches(lat, q_offsets, q_vals),
+                       branches(lat, chi_offsets, chi_vals).real)
+    assert np.abs(got - expm(gen)).max() < 1e-12
+
+
 @st.composite
 def coupled_models(draw):
     sites = draw(st.integers(min_value=2, max_value=8))
@@ -101,3 +173,41 @@ def test_scaled_coupling_keeps_type_and_flag(mc, factor, hermitian):
     assert type(s) is CouplingSet and s.hermitian is hermitian
     assert s.items == tuple((q, factor * v) for q, v in c.items)
     assert type(CoefficientSet(model.lattice, c.items).scaled(factor)) is CoefficientSet
+
+
+@PINNED
+@given(lattice_terms())
+def test_operator_amplitude_is_the_spectral_norm(case):
+    lat, offsets, vals = case
+    h = CoefficientSet(lat, tuple(zip(offsets, vals)))
+    assert abs(h.operator_amplitude() - np.linalg.norm(h.particle_matrix(), 2)) \
+        < 1e-12 * max(1.0, h.l1_amplitude)
+
+
+@PINNED
+@given(coupled_models())
+def test_stability_guard_matches_the_dense_hamiltonian_norm(mc):
+    model, couplings = mc
+    hnorm = np.linalg.norm(hamiltonian_full(model, couplings).dense(), 2)
+    assume(hnorm > 1e-6)
+    dt = STABILITY_LIMIT / hnorm
+    check_stability(model, couplings, TimeGrid(-dt * (1 - 1e-9), 0.0, 1))
+    with pytest.raises(ValueError):
+        check_stability(model, couplings, TimeGrid(-dt * (1 + 1e-9), 0.0, 1))
+
+
+@PINNED
+@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]))
+def test_branches_of_h_and_chi_are_alpha_and_phi(mc, kind):
+    model, couplings = mc
+    lat = model.lattice
+    assume(couplings.operator_amplitude() > 1e-6)
+    couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
+    grid = TimeGrid(-1.0, 0.0, 20)
+    sol = zero_order_solution(model, couplings, ModulatorStrategy(kind=kind), grid,
+                              lat.sites // 2)
+    field = alpha_phi(sol, PositionGrid.uniform(lat))  # x_m = m * spacing
+    branch = -np.arange(lat.sites) % lat.sites        # f_{-m} peaks at x_m
+    lam = branches(lat, sol.offsets, sol.h_half[-1])
+    assert np.abs(lam[branch] - field.alpha_final).max() < 1e-13
+    assert np.abs(sol.mu_half[-1][branch] - field.phi).max() < 1e-13

@@ -106,7 +106,10 @@ def test_truncation_rule_rejected_before_computation(tmp_path):
     ("length = 5.0", "length = inf", "length"),
     ("t0 = -1.5", "t0 = nan", "t0"),
     ("\n1 = 0.12, 0.0", "\n1 = nan, 0.0", "CouplingSet value at offset 1"),
-], ids=["omega-nan", "omega-inf", "hopping-nan", "length-inf", "t0-nan", "coupling-nan"])
+    ("seed = 3\n", "seed = 3\n\n[tolerances]\nevolve_fidelity = nan\n",
+     "[tolerances] evolve_fidelity"),
+], ids=["omega-nan", "omega-inf", "hopping-nan", "length-inf", "t0-nan", "coupling-nan",
+        "tolerance-nan"])
 def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, field):
     assert SMALL_CONFIG.count(old) == 1
     p = tmp_path / "non_finite.ini"
@@ -116,6 +119,20 @@ def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, f
     err = capsys.readouterr().err
     assert field in err and "must be finite" in err
     assert not out.exists()  # rejected while loading, before any output or propagation
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["properties", "--tolerance", "nan"], "--tolerance"),
+    (["properties", "--tolerance", "0"], "--tolerance"),
+    (["properties", "--tolerance", "-1"], "--tolerance"),
+    (["sweep", "--factors", "1,nan"], "--factors"),
+], ids=["tolerance-nan", "tolerance-zero", "tolerance-negative", "factors-nan"])
+def test_non_positive_flag_is_a_configuration_error(config_path, tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert main(argv + ["--config", config_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "must be finite and positive" in err
+    assert not out.exists()  # rejected before any output or computation
 
 
 def test_properties_command(config_path, tmp_path, capsys):

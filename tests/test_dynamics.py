@@ -110,10 +110,8 @@ def test_commutator_rho_t_degenerate_cases():
 def test_split_exact_for_flat_dispersion():
     model = make_model(sites=5, cutoff=6, kind="flat")
     c = pair(model, 1, 0.3)
-    for strat in (ModulatorStrategy.static_unit(),
-                  ModulatorStrategy.custom_phase(lambda q, t: 0.0)):
-        _, h1 = split_hamiltonian(model, c, strat, 0.37, k0=2)
-        assert not np.any(h1.dense())
+    _, h1 = split_hamiltonian(model, c, ModulatorStrategy.static_unit(), 0.37, k0=2)
+    assert not np.any(h1.dense())
 
 
 def test_split_reconstructs_full_hamiltonian():
@@ -141,8 +139,7 @@ def test_modulated_family_commutes():
 
 def test_strategy_unimodularity():
     model = make_model(sites=5)
-    for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase(),
-                  ModulatorStrategy.custom_phase(lambda q, t: 0.3 * q * t)):
+    for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
         f = strat.factors(model, 2, (1, 2, -1), 0.9)
         assert np.allclose(np.abs(f), 1.0, atol=1e-14)
     with pytest.raises(ValueError):
