@@ -89,9 +89,6 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     """
     model = cfg.model
     lat = model.lattice
-    if model.osc.cutoff < 12:
-        raise ConfigError("the property suite scans amplitudes up to 1 and "
-                          "needs cutoff >= 12")
     rng = np.random.default_rng(cfg.seed)
     checks: list[CheckResult] = []
 
@@ -156,6 +153,9 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
 
 
 def cmd_properties(cfg: RunConfig, out_dir: str) -> int:
+    if cfg.model.osc.cutoff < 12:
+        raise ConfigError("the property suite scans amplitudes up to 1 and "
+                          "needs cutoff >= 12")
     _prepare_out(cfg, out_dir)
     checks = run_properties(cfg)
     _emit_report(os.path.join(out_dir, "properties_report.txt"),
@@ -269,11 +269,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
     return 0 if agree else 1
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[float]) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     if abs(cfg.grid.t_end) > 1e-12 or cfg.grid.t0 >= 0:
         raise ConfigError("sweep requires t_end = 0 and t0 < 0")
-    for f in factors:
-        require_positive("--factors", f)
+    factors = [require_positive("--factors", f) for f in factors]
     if len(factors) < 2 or any(factors[i] <= factors[i + 1] for i in range(len(factors) - 1)):
         raise ConfigError("--factors must hold at least two strictly decreasing values")
     _prepare_out(cfg, out_dir)
@@ -352,8 +351,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evolve(cfg, args.out, compare_strategies=args.compare_strategies)
         if args.command == "gamma":
             return cmd_gamma(cfg, args.out)
-        factors = [float(f) for f in args.factors.split(",")]
-        return cmd_sweep(cfg, args.out, factors)
+        return cmd_sweep(cfg, args.out, args.factors.split(","))
     except (ConfigError, TruncationError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

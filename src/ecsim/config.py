@@ -119,11 +119,15 @@ class RunConfig:
         return base * self.tolerance_scale
 
 
-def require_positive(name: str, value: float) -> float:
-    """`value` if it is finite and > 0, else a ConfigError naming the input."""
-    if not 0.0 < value < float("inf"):
+def require_positive(name: str, value) -> float:
+    """`value` as a float if it is a finite number > 0, else a ConfigError naming the input."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = float("nan")
+    if not 0.0 < number < float("inf"):
         raise ConfigError(f"{name} must be finite and positive, got {value}")
-    return value
+    return number
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, default: str) -> str:

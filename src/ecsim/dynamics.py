@@ -12,10 +12,10 @@ assembled here from half-step trapezoid quadrature of h and chi.  Every
 particle factor (G, A(t), Q(t), Qdot(t), chi(t)) is a circulant built by
 ``hilbert.circulant``; a coupling set is a ``CoefficientSet`` that also
 checks g_{-q} = g_q^*.  chi is kept as its real branch values, so
-U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} comes from
+U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
 ``hilbert.displacement``.  The residual is integrated in the rotated frame
-|t> = U0^dag(t)|t) with a unitary midpoint-exponential stepper acting on H1
-conjugated by U0.
+|t> = U0^dag(t)|t) by midpoint steps U0m^dag exp(-i dt H1) U0m, exp(-i dt H1)
+applied to the state by its Taylor series; no step forms a dense operator.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .hilbert import (
     branches,
     circulant,
     displacement,
-    hermitian_function,
     ladder_b,
     make_basis_state,
     oscillator_annihilation,
@@ -248,19 +247,25 @@ class ZeroOrderSolution:
         mu = self.mu_half[self.half_index(step, mid)]
         return circulant(self.model.lattice, range(mu.size), np.fft.fft(mu, norm="forward"))
 
-    def u0(self, step: int, mid: bool = False) -> np.ndarray:
-        """Dense zero-order evolution operator at a grid point or midpoint."""
-        j = self.half_index(step, mid)
-        return displacement(self.model, branches(self.model.lattice, self.offsets,
-                                                 self.h_half[j]), self.mu_half[j])
+    def u0(self, step: int, states: np.ndarray, mid: bool = False,
+           adjoint: bool = False) -> np.ndarray:
+        """U0 (U0^dag, by the negated branches, if `adjoint`) at a grid point
+        or midpoint, applied to states of shape (..., N, levels)."""
+        j, sign = self.half_index(step, mid), (-1.0 if adjoint else 1.0)
+        lam = sign * branches(self.model.lattice, self.offsets, self.h_half[j])
+        return displacement(self.model, lam, sign * self.mu_half[j], states)
+
+    def u0_matrix(self, step: int) -> np.ndarray:
+        """Dense U0 at a grid point, column by column from its action (diagnostics)."""
+        eye = np.eye(self.model.dim)
+        return self.u0(step, eye.reshape((-1,) + self.model.shape)).reshape(eye.shape).T
 
     def zero_order_state(self, step: int) -> np.ndarray:
         """U0(t)|0,k0), the exact solution of the H0 dynamics."""
-        psi0 = make_basis_state(self.model, self.k0, 0).reshape(-1)
-        return (self.u0(step) @ psi0).reshape(self.model.shape)
+        return self.u0(step, make_basis_state(self.model, self.k0, 0))
 
     def unitarity_error(self, step: int) -> float:
-        u = self.u0(step)
+        u = self.u0_matrix(step)
         return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
 
     def chi_hermiticity_error(self, step: int) -> float:
@@ -318,7 +323,7 @@ def u0_commutators_check(sol: ZeroOrderSolution, step: int, tol: float = 1e-6,
     default as the largest subspace where that bound stays below tol/10.
     """
     model = sol.model
-    u = sol.u0(step)
+    u = sol.u0_matrix(step)
     qp = sol.q_matrix(step)
     levels = model.osc.levels
     b = ladder_b(model).dense()
@@ -359,27 +364,27 @@ class ResidualResult(NamedTuple):
 
     def physical_state(self, step: int) -> np.ndarray:
         """U0(t)|t>, the interaction-picture state."""
-        flat = self.states[step].reshape(-1)
-        return (self.sol.u0(step) @ flat).reshape(self.sol.model.shape)
+        return self.sol.u0(step, self.states[step])
 
 
 def propagate_residual(sol: ZeroOrderSolution) -> ResidualResult:
-    """Integrate i d/dt |t> = U0^dag(t) H1(t) U0(t) |t> from |0,k0) with a
-    unitary midpoint-exponential stepper; returns the full trajectory."""
-    model = sol.model
+    """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
+    U0m^dag exp(-i dt H1) U0m, skipped where H1 vanishes; returns the trajectory."""
     grid = sol.grid
-    psi = make_basis_state(model, sol.k0, 0).reshape(-1)
-    states = np.empty((grid.steps + 1,) + model.shape, dtype=complex)
-    states[0] = psi.reshape(model.shape)
+    states = np.empty((grid.steps + 1,) + sol.model.shape, dtype=complex)
+    psi = states[0] = make_basis_state(sol.model, sol.k0, 0)
     for i in range(grid.steps):
-        t_mid = grid.midpoint(i)
-        _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, t_mid, sol.k0)
-        h1_dense = h1.dense()
-        if np.any(h1_dense):
-            u0m = sol.u0(i, mid=True)
-            h_tilde = u0m.conj().T @ h1_dense @ u0m
-            psi = hermitian_function(h_tilde, lambda w: np.exp(-1j * grid.dt * w)) @ psi
-        states[i + 1] = psi.reshape(model.shape)
+        _, h1 = split_hamiltonian(sol.model, sol.couplings, sol.strategy,
+                                  grid.midpoint(i), sol.k0)
+        if any(np.any(p) for p, _ in h1.terms):
+            # exp(-i dt H1) by its Taylor series, up to a term below eps * the sum
+            term = total = sol.u0(i, psi, mid=True)
+            n = 1
+            while np.linalg.norm(term) > np.finfo(float).eps * np.linalg.norm(total):
+                term = h1.apply(term) * (-1j * grid.dt / n)
+                total, n = total + term, n + 1
+            psi = sol.u0(i, total, mid=True, adjoint=True)
+        states[i + 1] = psi
     return ResidualResult(sol=sol, states=states)
 
 

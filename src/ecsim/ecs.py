@@ -9,7 +9,7 @@ the particle with the oscillator:
             = exp(Q b^dag - Q^dag b) |0, k0)
 
 The displacement is sum_x |x><x| x D(alpha(x)), one oscillator displacement
-per eigenbranch of Q, built by ``hilbert.displacement`` (which also builds U0).
+per eigenbranch of Q, applied to |0,k0) by ``hilbert.displacement`` (U0's too).
 Both constructions are provided, together with numerical checks of the
 annihilation action b|h,k0> = Q|h,k0>, momentum-shift relations, the overlap
 formula for single-mode coefficient sets, a quadrature test of the resolution
@@ -143,8 +143,8 @@ def ecs_displacement(model: Model, h: CoefficientSet, k0: int,
     if not 0 <= int(k0) < model.lattice.sites:
         raise ValueError(f"momentum index {k0} out of range")
     _check_truncation(model, h, tol)
-    u = displacement(model, branches(model.lattice, h.offsets, h.values))
-    state = (u @ make_basis_state(model, k0, 0).reshape(-1)).reshape(model.shape)
+    state = displacement(model, branches(model.lattice, h.offsets, h.values), 0.0,
+                         make_basis_state(model, k0, 0))
     return _finish(model, h, k0, "displacement", state, tol)
 
 

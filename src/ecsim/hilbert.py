@@ -11,9 +11,9 @@ Every particle factor of the zero-order Hamiltonian is a circulant
 sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (offsets
 canonicalised modulo the lattice, finite values) and ``circulant`` its one
 builder, batched over leading axes of the values; ``branches`` gives their
-eigenvalues on the shared Fourier vectors, and ``displacement`` builds
+eigenvalues on the shared Fourier vectors, and ``displacement`` applies
 exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
-from them, one oscillator exponential per branch.
+to states without forming it, one oscillator exponential per branch.
 
 Natural units, hbar = 1.
 """
@@ -335,17 +335,19 @@ def hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
     return (v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def displacement(model: Model, lam, mu=0.0) -> np.ndarray:
-    """Dense exp(Q b^dag - Q^dag b - i chi) = sum_j f_j f_j^dag x D(lam_j) e^{-i mu_j}
-    for circulants with branch values `lam` (Q) and real `mu` (chi): a block
-    circulant whose offset-w block is (1/N) sum_j e^{-2 pi i j w/N} D_j."""
+def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
+    """exp(Q b^dag - Q^dag b - i chi) = sum_j f_j f_j^dag x D(lam_j) e^{-i mu_j} on
+    states (..., N, levels), for circulants with branch values `lam` (Q) and real
+    `mu` (chi): an FFT of the momentum axis, one oscillator exponential per
+    branch, the inverse FFT.  Vanishing branches return `states` itself."""
+    if not (np.any(lam) or np.any(mu)):
+        return states
     lam, mu = np.reshape(lam, (-1, 1, 1)), np.reshape(mu, (-1, 1, 1))
     b = oscillator_annihilation(model.osc)
     generators = 1j * (lam * b.conj().T - lam.conj() * b) + mu * np.eye(model.osc.levels)
     blocks = hermitian_function(generators, lambda w: np.exp(-1j * w))
-    per_offset = np.fft.fft(blocks, axis=0, norm="forward")
-    dense = circulant(model.lattice, range(len(lam)), np.moveaxis(per_offset, 0, -1))
-    return dense.transpose(2, 0, 3, 1).reshape(model.dim, model.dim)
+    coeffs = np.fft.fft(states, axis=-2, norm="ortho")[..., None]
+    return np.fft.ifft((blocks @ coeffs)[..., 0], axis=-2, norm="ortho")
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,7 @@ def gamma_exact(state_tilde: np.ndarray, sol: ZeroOrderSolution,
     if state_tilde.shape != model.shape:
         raise ValueError("state incompatible with the model")
     step, tt = _grid_step(sol, t)
-    physical = (sol.u0(step) @ state_tilde.reshape(-1)).reshape(model.shape)
-    return _gamma_from_product_state(model, physical, grid, tt, "exact")
+    return _gamma_from_product_state(model, sol.u0(step, state_tilde), grid, tt, "exact")
 
 
 def gamma_first_approx(sol: ZeroOrderSolution, grid: PositionGrid) -> GammaGrid:

@@ -48,6 +48,13 @@ def static_unit_reference(model: Model, couplings, t0: float, t: float):
     return h, chi
 
 
+def dense_from_action(model: Model, apply) -> np.ndarray:
+    """The matrix of a linear map on states of shape (..., N, levels), column
+    by column from its action on the identity stack."""
+    eye = np.eye(model.dim)
+    return apply(eye.reshape((-1,) + model.shape)).reshape(eye.shape).T
+
+
 def u0_dense_reference(model: Model, h_dict, chi: np.ndarray) -> np.ndarray:
     """exp(Q b^dag - Q^dag b - i chi) assembled from given h and chi via a
     Hermitian eigendecomposition (independent of the dynamics module)."""

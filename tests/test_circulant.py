@@ -1,5 +1,6 @@
 """Randomised reference checks of the circulant builder, its branch
-(Fourier eigenvalue) representation and the coupling type."""
+(Fourier eigenvalue) representation, the coupling type, the action of U0 and
+the residual step."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import make_model
+from conftest import dense_from_action, make_model
 from ecsim.dynamics import (
     STABILITY_LIMIT,
     CouplingSet,
@@ -15,6 +16,7 @@ from ecsim.dynamics import (
     TimeGrid,
     check_stability,
     hamiltonian_full,
+    propagate_residual,
     split_hamiltonian,
     zero_order_solution,
 )
@@ -24,6 +26,7 @@ from ecsim.hilbert import (
     branches,
     circulant,
     displacement,
+    hermitian_function,
     oscillator_annihilation,
     shift_matrix,
 )
@@ -114,8 +117,9 @@ def small_terms(draw, lat):
 
 
 @PINNED
-@given(st.data(), st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6))
-def test_displacement_matches_expm_of_dense_generator(data, sites, cutoff):
+@given(st.data(), st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+def test_displacement_matches_expm_of_dense_generator(data, sites, cutoff, batch, seed):
     model = make_model(sites=sites, cutoff=cutoff)
     lat = model.lattice
     q_offsets, q_vals = data.draw(small_terms(lat))
@@ -128,9 +132,26 @@ def test_displacement_matches_expm_of_dense_generator(data, sites, cutoff):
     b = oscillator_annihilation(model.osc)
     gen = (np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b)
            - 1j * np.kron(chi, np.eye(model.osc.levels)))
-    got = displacement(model, branches(lat, q_offsets, q_vals),
-                       branches(lat, chi_offsets, chi_vals).real)
+    lam, mu = branches(lat, q_offsets, q_vals), branches(lat, chi_offsets, chi_vals).real
+    got = dense_from_action(model, lambda states: displacement(model, lam, mu, states))
     assert np.abs(got - expm(gen)).max() < 1e-12
+    # on a random (batch, N, levels) stack the action equals expm applied to it
+    rng = np.random.default_rng(seed)
+    states = (rng.standard_normal((batch,) + model.shape)
+              + 1j * rng.standard_normal((batch,) + model.shape))
+    want = (states.reshape(batch, -1) @ expm(gen).T).reshape(states.shape)
+    assert np.abs(displacement(model, lam, mu, states) - want).max() < 1e-12
+
+
+@PINNED
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_vanishing_branches_return_states_unchanged(sites, cutoff, seed):
+    model = make_model(sites=sites, cutoff=cutoff)
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((2,) + model.shape) + 1j * rng.standard_normal((2,) + model.shape)
+    got = displacement(model, np.zeros(sites, dtype=complex), np.zeros(sites), states)
+    assert np.array_equal(got, states)
 
 
 @st.composite
@@ -211,3 +232,43 @@ def test_branches_of_h_and_chi_are_alpha_and_phi(mc, kind):
     lam = branches(lat, sol.offsets, sol.h_half[-1])
     assert np.abs(lam[branch] - field.alpha_final).max() < 1e-13
     assert np.abs(sol.mu_half[-1][branch] - field.phi).max() < 1e-13
+
+
+def scaled_solution(mc, kind, grid):
+    """Zero-order solution of a random model with the coupling scaled to
+    max |branch| = 0.2, well inside the truncation and stability guards."""
+    model, couplings = mc
+    assume(couplings.operator_amplitude() > 1e-6)
+    couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
+    return zero_order_solution(model, couplings, ModulatorStrategy(kind=kind), grid,
+                               model.lattice.sites // 2)
+
+
+@PINNED
+@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
+       st.integers(min_value=0, max_value=4), st.booleans())
+def test_u0_adjoint_is_the_conjugate_transpose(mc, kind, step, mid):
+    sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 5))
+    model = sol.model
+    u = dense_from_action(model, lambda states: sol.u0(step, states, mid=mid))
+    u_dag = dense_from_action(model, lambda states: sol.u0(step, states, mid=mid, adjoint=True))
+    assert np.abs(u_dag - u.conj().T).max() < 1e-12
+
+
+@PINNED
+@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]))
+def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
+    grid = TimeGrid(-1.0, 0.0, 12)
+    sol = scaled_solution(mc, kind, grid)
+    model = sol.model
+    res = propagate_residual(sol)
+    for i in range(grid.steps):
+        # reference: the dense conjugated exponential, one eigh at full dimension
+        _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
+        u0m = dense_from_action(model, lambda states: sol.u0(i, states, mid=True))
+        step = hermitian_function(u0m.conj().T @ h1.dense() @ u0m,
+                                  lambda w: np.exp(-1j * grid.dt * w))
+        want = (step @ res.states[i].reshape(-1)).reshape(model.shape)
+        assert np.abs(res.states[i + 1] - want).max() < 1e-12
+    assert abs(np.linalg.norm(res.final) - 1.0) < 1e-12
+    assert np.array_equal(propagate_residual(sol).states, res.states)

@@ -126,13 +126,24 @@ def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, f
     (["properties", "--tolerance", "0"], "--tolerance"),
     (["properties", "--tolerance", "-1"], "--tolerance"),
     (["sweep", "--factors", "1,nan"], "--factors"),
-], ids=["tolerance-nan", "tolerance-zero", "tolerance-negative", "factors-nan"])
+    (["sweep", "--factors", "1,abc"], "--factors"),
+], ids=["tolerance-nan", "tolerance-zero", "tolerance-negative", "factors-nan",
+        "factors-not-a-number"])
 def test_non_positive_flag_is_a_configuration_error(config_path, tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
     assert main(argv + ["--config", config_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert flag in err and "must be finite and positive" in err
     assert not out.exists()  # rejected before any output or computation
+
+
+def test_properties_rejects_small_cutoff_before_any_output(tmp_path, capsys):
+    p = tmp_path / "small_cutoff.ini"
+    p.write_text(SMALL_CONFIG.replace("cutoff = 12", "cutoff = 8"))
+    out = tmp_path / "o"
+    assert main(["properties", "--config", str(p), "--out", str(out)]) == 2
+    assert "cutoff" in capsys.readouterr().err
+    assert not out.exists()  # rejected before resolved_config.ini is written
 
 
 def test_properties_command(config_path, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_model, static_unit_reference, u0_dense_reference
+from conftest import dense_from_action, make_model, static_unit_reference, u0_dense_reference
 from ecsim import oracle
 from ecsim.dynamics import (
     CouplingSet,
@@ -173,7 +173,8 @@ def test_zero_order_initial_values():
     sol = zero_order_solution(model, c, ModulatorStrategy.recoil_phase(), grid, 2)
     assert np.abs(sol.h_half[0]).max() == 0.0
     assert np.abs(sol.chi(0)).max() == 0.0
-    assert np.abs(sol.u0(0) - np.eye(model.dim)).max() < 1e-14
+    u0 = dense_from_action(model, lambda states: sol.u0(0, states))
+    assert np.abs(u0 - np.eye(model.dim)).max() < 1e-14
 
 
 def test_h_and_chi_match_closed_form():
@@ -226,7 +227,8 @@ def test_u0_reference_assembly_matches():
     sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 2)
     h_ref, chi_ref = static_unit_reference(model, c, grid.t0, grid.t_end)
     u_ref = u0_dense_reference(model, h_ref, chi_ref)
-    assert np.abs(sol.u0(grid.steps) - u_ref).max() < 1e-6
+    u0 = dense_from_action(model, lambda states: sol.u0(grid.steps, states))
+    assert np.abs(u0 - u_ref).max() < 1e-6
 
 
 def test_u0_commutator_relations():
