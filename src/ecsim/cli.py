@@ -166,15 +166,12 @@ def cmd_properties(cfg: RunConfig, out_dir: str) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _evolve_one(cfg: RunConfig, strategy: ModulatorStrategy, out_dir: str) -> tuple[float, str]:
-    """Run one strategy; returns (min fidelity vs oracle, series file path)."""
-    model = cfg.model
-    sol = zero_order_solution(model, cfg.couplings, strategy, cfg.grid, cfg.k0)
+def _evolve_one(cfg: RunConfig, strategy: ModulatorStrategy, out_dir: str,
+                idx: np.ndarray, oracle_states: np.ndarray) -> tuple[float, str]:
+    """Run one strategy against the oracle states sampled at steps `idx`;
+    returns (min fidelity vs oracle, series file path)."""
+    sol = zero_order_solution(cfg.model, cfg.couplings, strategy, cfg.grid, cfg.k0)
     res = propagate_residual(sol)
-    psi0 = make_basis_state(model, cfg.k0, 0)
-    stride = max(1, cfg.grid.steps // 200)
-    _, (idx, oracle_states) = oracle.propagate_exact(
-        model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
 
     rows = []
     min_fid = 1.0
@@ -203,9 +200,13 @@ def _evolve_one(cfg: RunConfig, strategy: ModulatorStrategy, out_dir: str) -> tu
 def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -> int:
     _prepare_out(cfg, out_dir)
     kinds = ("static_unit", "recoil_phase") if compare_strategies else (cfg.strategy_kind,)
+    psi0 = make_basis_state(cfg.model, cfg.k0, 0)
+    _, (idx, oracle_states) = oracle.propagate_exact(
+        cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=max(1, cfg.grid.steps // 200))
     ok = True
     for kind in kinds:
-        min_fid, path = _evolve_one(cfg, ModulatorStrategy(kind=kind), out_dir)
+        min_fid, path = _evolve_one(cfg, ModulatorStrategy(kind=kind), out_dir,
+                                    idx, oracle_states)
         err = 1.0 - min_fid
         passed = err < cfg.tolerance("evolve_fidelity")
         ok = ok and passed

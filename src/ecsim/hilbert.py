@@ -206,11 +206,12 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>| / (||a|| ||b||)."""
+    """|<a|b>| / (||a|| ||b||), clamped to 1 so that 1 - fidelity is never a
+    negative round-off residual."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity undefined for zero vectors")
-    return float(abs(np.vdot(a, b)) / (na * nb))
+    return min(1.0, float(abs(np.vdot(a, b)) / (na * nb)))
 
 
 @dataclass(frozen=True)

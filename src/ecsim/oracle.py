@@ -1,14 +1,13 @@
 """Brute-force dense reference implementations used as ground truth.
 
 This module deliberately shares no machinery with the propagation code
-beyond the basis types: interaction-picture operators are produced by dense
-conjugation with the free propagator, and every step unitary is built from
-its own eigendecomposition.  It is allowed to be slow.
+beyond the basis types: the Hamiltonian is assembled entry by entry, the
+free propagator is a diagonal phase on the flattened product basis, and the
+interaction-picture steps come from one dense eigendecomposition of the
+Schroedinger-picture coupling, e^{i H_free t} exp(-i dt H_S) e^{-i H_free t}.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -16,21 +15,22 @@ from .hilbert import Model, ProductOperator
 from .dynamics import CouplingSet, TimeGrid, STABILITY_LIMIT
 
 
+def _free_energies(model: Model) -> np.ndarray:
+    """eps_k + w n on the flattened product basis (index k * levels + n)."""
+    n = np.arange(model.osc.levels)
+    return (model.energies()[:, None] + model.osc.omega * n[None, :]).reshape(-1)
+
+
 def free_hamiltonian_dense(model: Model) -> np.ndarray:
     """H_free = diag(eps_k) x I + I x w b^dag b, diagonal in the product basis."""
-    eps = model.energies()
-    n = np.arange(model.osc.levels)
-    diag = (eps[:, None] + model.osc.omega * n[None, :]).reshape(-1)
-    return np.diag(diag.astype(complex))
+    return np.diag(_free_energies(model).astype(complex))
 
 
 def conjugate_free(model: Model, op, t: float) -> np.ndarray:
     """e^{i H_free t} op e^{-i H_free t} on the flattened space; `op` may be a
     ProductOperator or a dense matrix."""
     dense = op.dense() if isinstance(op, ProductOperator) else np.asarray(op, dtype=complex)
-    eps = model.energies()
-    n = np.arange(model.osc.levels)
-    phase = np.exp(1j * t * (eps[:, None] + model.osc.omega * n[None, :]).reshape(-1))
+    phase = np.exp(1j * t * _free_energies(model))
     return (phase[:, None] * dense) * phase.conj()[None, :]
 
 
@@ -50,59 +50,42 @@ def schrodinger_hamiltonian_dense(model: Model, couplings: CouplingSet) -> np.nd
     return h + h.conj().T
 
 
-class DensePropagator:
-    """Midpoint-exponential stepper for a time-dependent Hermitian H(t).
-
-    Each step unitary exp(-i dt H(t_mid)) comes from a fresh
-    eigendecomposition, so unitarity per step is at machine precision.
-    """
-
-    def __init__(self, model: Model, hamiltonian: Callable[[float], np.ndarray],
-                 grid: TimeGrid):
-        self.model = model
-        self.hamiltonian = hamiltonian
-        self.grid = grid
-        h0 = hamiltonian(grid.midpoint(0))
-        if grid.dt * np.linalg.norm(h0, 2) >= STABILITY_LIMIT:
-            raise ValueError("grid too coarse for the stability guard")
-
-    def step_unitary(self, i: int) -> np.ndarray:
-        h = self.hamiltonian(self.grid.midpoint(i))
-        if not np.any(h):
-            return np.eye(h.shape[0], dtype=complex)
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * self.grid.dt * w)) @ v.conj().T
-
-    def propagate(self, initial: np.ndarray, collect_every: int | None = None):
-        """Propagate the initial state over the whole grid.
-
-        Returns the final state; with `collect_every` also a pair
-        (step indices, states) sampled every that many steps (the initial and
-        final states always included).
-        """
-        psi = np.asarray(initial, dtype=complex).reshape(-1).copy()
-        collected = [(0, psi.reshape(self.model.shape))] if collect_every else None
-        for i in range(self.grid.steps):
-            h = self.hamiltonian(self.grid.midpoint(i))
-            if np.any(h):
-                w, v = np.linalg.eigh(h)
-                psi = (v * np.exp(-1j * self.grid.dt * w)) @ (v.conj().T @ psi)
-            if collect_every and ((i + 1) % collect_every == 0 or i + 1 == self.grid.steps):
-                collected.append((i + 1, psi.reshape(self.model.shape)))
-        final = psi.reshape(self.model.shape)
-        if collect_every:
-            idx = np.array([i for i, _ in collected])
-            states = np.array([s for _, s in collected])
-            return final, (idx, states)
-        return final
-
-
 def propagate_exact(model: Model, couplings: CouplingSet, grid: TimeGrid,
                     initial: np.ndarray, collect_every: int | None = None):
-    """Propagate under the full interaction-picture Hamiltonian."""
+    """Propagate under the full interaction-picture Hamiltonian
+    H_I(t) = e^{i H_free t} H_S e^{-i H_free t} with the midpoint rule.
+
+    H_S is time-independent, so every step exp(-i dt H_I(t_m)) is exactly
+    e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}: one eigendecomposition
+    per call, then one matvec between two diagonal phases per step.  At zero
+    coupling the initial state is returned unchanged.
+
+    Returns the final state; with `collect_every` also a pair
+    (step indices, states) sampled every that many steps (the initial and
+    final states always included).
+    """
     static = schrodinger_hamiltonian_dense(model, couplings)
-    prop = DensePropagator(model, lambda t: conjugate_free(model, static, t), grid)
-    return prop.propagate(initial, collect_every=collect_every)
+    step = None
+    if np.any(static):
+        w, v = np.linalg.eigh(static)
+        if grid.dt * np.abs(w).max() >= STABILITY_LIMIT:
+            raise ValueError("grid too coarse for the stability guard")
+        step = (v * np.exp(-1j * grid.dt * w)) @ v.conj().T
+    energies = _free_energies(model)
+    psi = np.asarray(initial, dtype=complex).reshape(-1).copy()
+    collected = [(0, psi.reshape(model.shape))] if collect_every else None
+    for i in range(grid.steps):
+        if step is not None:
+            phase = np.exp(1j * grid.midpoint(i) * energies)
+            psi = phase * (step @ (phase.conj() * psi))
+        if collect_every and ((i + 1) % collect_every == 0 or i + 1 == grid.steps):
+            collected.append((i + 1, psi.reshape(model.shape)))
+    final = psi.reshape(model.shape)
+    if collect_every:
+        idx = np.array([i for i, _ in collected])
+        states = np.array([s for _, s in collected])
+        return final, (idx, states)
+    return final
 
 
 def richardson_order(model: Model, couplings: CouplingSet, grid: TimeGrid,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from ecsim.hilbert import (
     CoefficientSet,
@@ -12,6 +13,9 @@ from ecsim.hilbert import (
     OscillatorSpec,
     oscillator_annihilation,
 )
+
+# Deterministic hypothesis runs: no example database, derandomised search.
+PINNED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
 def make_model(sites=5, length=None, cutoff=8, omega=1.0, kind="tight_binding",
@@ -64,3 +68,14 @@ def u0_dense_reference(model: Model, h_dict, chi: np.ndarray) -> np.ndarray:
             + np.kron(chi, np.eye(model.osc.levels)))
     w, v = np.linalg.eigh(herm)
     return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def midpoint_propagate(model: Model, hamiltonian, grid, initial: np.ndarray) -> np.ndarray:
+    """Final state of the midpoint rule psi <- exp(-i dt H(t_m)) psi for a dense
+    time-dependent Hermitian H(t), each step unitary from its own
+    eigendecomposition (independent of the oracle's fixed step unitary)."""
+    psi = np.asarray(initial, dtype=complex).reshape(-1)
+    for i in range(grid.steps):
+        w, v = np.linalg.eigh(hamiltonian(grid.midpoint(i)))
+        psi = (v * np.exp(-1j * grid.dt * w)) @ (v.conj().T @ psi)
+    return psi.reshape(model.shape)

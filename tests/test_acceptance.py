@@ -7,7 +7,7 @@ printing a PASS line with the measured values (run with -s to see them).
 import numpy as np
 import pytest
 
-from conftest import make_model, static_unit_reference, u0_dense_reference
+from conftest import make_model, midpoint_propagate, static_unit_reference, u0_dense_reference
 from ecsim import oracle
 from ecsim.cli import main
 from ecsim.dynamics import (
@@ -143,7 +143,7 @@ def test_criterion_4_zero_order_exactness(propagation_setup):
 
     h0_of = lambda t: split_hamiltonian(model, couplings, strat, t, k0)[0].dense()
     psi0 = make_basis_state(model, k0, 0)
-    final_1 = oracle.DensePropagator(model, h0_of, grid).propagate(psi0)
+    final_1 = midpoint_propagate(model, h0_of, grid, psi0)
     fid_err = 1.0 - fidelity(sol.zero_order_state(grid.steps), final_1)
     assert fid_err < 1e-6
 
@@ -151,7 +151,7 @@ def test_criterion_4_zero_order_exactness(propagation_setup):
     h_ref, chi_ref = static_unit_reference(model, couplings, grid.t0, grid.t_end)
     ref = (u0_dense_reference(model, h_ref, chi_ref)
            @ psi0.reshape(-1)).reshape(model.shape)
-    final_2 = oracle.DensePropagator(model, h0_of, grid.refined(2)).propagate(psi0)
+    final_2 = midpoint_propagate(model, h0_of, grid.refined(2), psi0)
     e1 = float(np.linalg.norm(final_1 - ref))
     e2 = float(np.linalg.norm(final_2 - ref))
     order = float(np.log2(e1 / e2))

@@ -4,11 +4,11 @@ the residual step."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import dense_from_action, make_model
+from conftest import PINNED, dense_from_action, make_model
 from ecsim.dynamics import (
     STABILITY_LIMIT,
     CouplingSet,
@@ -31,8 +31,6 @@ from ecsim.hilbert import (
     shift_matrix,
 )
 from ecsim.observables import PositionGrid, alpha_phi
-
-PINNED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 values = st.builds(complex, finite, finite)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import dense_from_action, make_model, static_unit_reference, u0_dense_reference
+from conftest import (
+    dense_from_action,
+    make_model,
+    midpoint_propagate,
+    static_unit_reference,
+    u0_dense_reference,
+)
 from ecsim import oracle
 from ecsim.dynamics import (
     CouplingSet,
@@ -213,8 +219,7 @@ def test_zero_order_state_solves_h0_dynamics():
     sol = zero_order_solution(model, c, strat, grid, k0)
 
     h0_of = lambda t: split_hamiltonian(model, c, strat, t, k0)[0].dense()
-    prop = oracle.DensePropagator(model, h0_of, grid)
-    final = prop.propagate(make_basis_state(model, k0, 0))
+    final = midpoint_propagate(model, h0_of, grid, make_basis_state(model, k0, 0))
     assert fidelity(sol.zero_order_state(grid.steps), final) > 1 - 1e-6
 
 

@@ -10,12 +10,25 @@ from ecsim.hilbert import (
     Lattice,
     ProductOperator,
     build_Q,
+    fidelity,
     ladder_b,
     ladder_b_dag,
     make_basis_state,
     rho,
     shift_matrix,
 )
+
+
+def test_fidelity_never_exceeds_one():
+    # |<a|c a>| / (||a|| ||c a||) is 1 up to round-off, which must not carry it
+    # above 1 and make a 1 - fidelity residual negative
+    rng = np.random.default_rng(7)
+    for _ in range(4000):
+        n = int(rng.integers(1, 50))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        fid = fidelity(a, c * a)
+        assert 1.0 - 1e-14 < fid <= 1.0
 
 
 def test_basis_state_examples():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import PINNED, make_model, midpoint_propagate
 from ecsim import oracle
 from ecsim.dynamics import CouplingSet, TimeGrid, hamiltonian_full
 from ecsim.hilbert import ladder_b, make_basis_state, rho
@@ -55,15 +57,77 @@ def test_step_unitarity_and_norm_drift():
     model = make_model(sites=5, cutoff=8, omega=2.5)
     c = CouplingSet.hermitian_pair(model.lattice, 1, 0.2)
     grid = TimeGrid(t0=-5.0, t_end=0.0, steps=2500)
-    static = oracle.schrodinger_hamiltonian_dense(model, c)
-    prop = oracle.DensePropagator(model, lambda t: oracle.conjugate_free(model, static, t), grid)
+    times = grid.times
     for i in (0, 1250, 2499):
-        u = prop.step_unitary(i)
+        # the step unitary at midpoint i, column by column from a one-step grid
+        one_step = TimeGrid(times[i], times[i + 1], 1)
+        u = np.column_stack([oracle.propagate_exact(model, c, one_step, col).reshape(-1)
+                             for col in np.eye(model.dim)])
         assert np.linalg.norm(u.conj().T @ u - np.eye(model.dim), 2) < 1e-12
 
     psi0 = make_basis_state(model, 2, 0)
-    final = prop.propagate(psi0)
+    final = oracle.propagate_exact(model, c, grid, psi0)
     assert abs(np.linalg.norm(final) - 1.0) < 1e-8
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random model on an odd or even lattice, random (not necessarily
+    Hermitian-paired) couplings, a random initial state and a grid that keeps
+    dt * ||H_S|| well below the stability guard."""
+    sites = draw(st.integers(min_value=2, max_value=6))
+    cutoff = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["tight_binding", "quadratic"]))
+    omega = draw(st.floats(min_value=0.5, max_value=3.0))
+    model = make_model(sites=sites, cutoff=cutoff, omega=omega, kind=kind)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(sites, size=int(rng.integers(1, sites + 1)), replace=False)
+    vals = 0.1 * (rng.standard_normal(offsets.size) + 1j * rng.standard_normal(offsets.size))
+    couplings = CouplingSet.from_dict(model.lattice, dict(zip(offsets.tolist(), vals)),
+                                      hermitian=False)
+    steps = draw(st.integers(min_value=1, max_value=30))
+    t0 = draw(st.floats(min_value=-0.1 * steps, max_value=-0.01))
+    psi0 = rng.standard_normal(model.shape) + 1j * rng.standard_normal(model.shape)
+    return model, couplings, TimeGrid(t0=t0, t_end=0.0, steps=steps), psi0 / np.linalg.norm(psi0)
+
+
+@PINNED
+@given(oracle_cases(), st.integers(min_value=1, max_value=30))
+def test_propagate_exact_matches_per_step_dense_reference(case, stride):
+    # the old definition: every step exp(-i dt H_I(t_m)) from an eigendecomposition
+    # of the dense conjugated H_I(t_m)
+    model, couplings, grid, psi0 = case
+    static = oracle.schrodinger_hamiltonian_dense(model, couplings)
+    h_int = lambda t: oracle.conjugate_free(model, static, t)
+    final = oracle.propagate_exact(model, couplings, grid, psi0)
+    assert np.abs(final - midpoint_propagate(model, h_int, grid, psi0)).max() < 1e-12
+
+    collected_final, (idx, states) = oracle.propagate_exact(
+        model, couplings, grid, psi0, collect_every=stride)
+    assert np.array_equal(collected_final, final)
+    want_idx = sorted(set(range(0, grid.steps + 1, stride)) | {grid.steps})
+    assert idx.tolist() == want_idx
+    assert np.array_equal(states[0], psi0)
+    # the reference trajectory, stepped from one sampled index to the next
+    times, ref = grid.times, psi0
+    for a, b, state in zip(idx[:-1], idx[1:], states[1:]):
+        ref = midpoint_propagate(model, h_int, TimeGrid(times[a], times[b], b - a), ref)
+        assert np.abs(state - ref).max() < 1e-12
+
+
+def test_one_eigendecomposition_per_run(monkeypatch):
+    model = make_model(sites=5, cutoff=6)
+    c = CouplingSet.hermitian_pair(model.lattice, 2, 0.15)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
+    psi0 = make_basis_state(model, 1, 0)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    oracle.propagate_exact(model, c, grid, psi0, collect_every=7)
+    assert calls == [(model.dim, model.dim)]
+    oracle.propagate_exact(model, CouplingSet.zero(model.lattice), grid, psi0)
+    assert len(calls) == 1
 
 
 def test_richardson_convergence_order():
