@@ -8,29 +8,33 @@ the particle with the oscillator:
     |h, k0> = exp(-Q^dag Q / 2) sum_n (Q b^dag)^n / n!  |0, k0)
             = exp(Q b^dag - Q^dag b) |0, k0)
 
-The displacement is sum_x |x><x| x D(alpha(x)), one oscillator displacement
-per eigenbranch of Q, applied to |0,k0) by ``hilbert.displacement`` (U0's too).
-Both constructions are provided, together with numerical checks of the
-annihilation action b|h,k0> = Q|h,k0>, momentum-shift relations, the overlap
-formula for single-mode coefficient sets, a quadrature test of the resolution
-of unity, and the plane-wave contraction sum rule.
+Q is a circulant, so every function of it is read off its Fourier branch
+values lam_j (``hilbert.branches``) and no eigensolver runs on it: the
+series prefactor is the circulant with branch values e^{-|lam_j|^2/2}, the
+displacement is one oscillator displacement D(lam_j) per branch
+(``hilbert.displacement``, U0's too), and the resolution of unity is one
+(levels x levels) quadrature per branch.  Both constructions are provided,
+together with numerical checks of the annihilation action b|h,k0> = Q|h,k0>,
+momentum-shift relations, the overlap formula for single-mode coefficient
+sets, the quadrature test of the resolution of unity, and the plane-wave
+contraction sum rule.  Only numpy is needed at run time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, roots_laguerre
 
 from .hilbert import (
     CoefficientSet,
     Model,
     branches,
+    circulant,
     displacement,
     fidelity,
-    hermitian_function,
     inner,
     make_basis_state,
     oscillator_annihilation,
@@ -45,18 +49,31 @@ class TruncationError(ValueError):
     """Coefficient amplitude too large for the configured Fock cutoff."""
 
 
-def coherent_state_vector(alpha: complex, levels: int) -> np.ndarray:
+def coherent_state_vector(alpha, levels: int) -> np.ndarray:
     """Ordinary (Schroedinger) coherent state amplitudes on levels 0..levels-1:
-    exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
+    exp(-|alpha|^2/2) alpha^n / sqrt(n!), batched over the axes of `alpha`
+    (the levels form a new last axis)."""
+    alpha = np.asarray(alpha)[..., None]
     n = np.arange(levels)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
-    amps = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
+    amps = np.exp(-0.5 * np.abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
     return amps.astype(complex)
 
 
 def coherent_truncation_tail(amplitude_sq: float, cutoff: int) -> float:
-    """Poisson weight beyond the Fock cutoff for mean `amplitude_sq`."""
-    return float(gammainc(cutoff + 1, amplitude_sq))
+    """Poisson weight beyond the Fock cutoff for mean `amplitude_sq`: the terms
+    e^{-a} a^k / k! for k > cutoff, each in log space, summed until they have
+    passed their peak and dropped below round-off of the sum."""
+    a = float(amplitude_sq)
+    if a == 0.0:
+        return 0.0
+    total, k = 0.0, cutoff + 1
+    while True:
+        term = math.exp(k * math.log(a) - a - math.lgamma(k + 1))
+        total += term
+        if k > a and term <= 1e-17 * total:
+            return total
+        k += 1
 
 
 def _check_truncation(model: Model, h: CoefficientSet, tol: float) -> None:
@@ -76,7 +93,11 @@ def _series_state(model: Model, h: CoefficientSet, k0: int, order_cap: int) -> n
 
     Fock amplitudes at levels <= order_cap are exact under truncation: each
     series term lands on a single level and the prefactor acts on the particle
-    factor only.
+    factor only.  The prefactor is the circulant with branch values
+    e^{-|lam_j|^2/2}.  As a function of Q^dag Q its offsets are multiples of
+    the gcd of N and the differences of Q's offsets; the FFT's round-off on
+    the other offsets is dropped, so states on disjoint momentum orbits (a
+    single mode from different k0) stay exactly orthogonal.
     """
     qp = h.particle_matrix()
     bdag = oscillator_annihilation(model.osc).conj().T
@@ -85,8 +106,11 @@ def _series_state(model: Model, h: CoefficientSet, k0: int, order_cap: int) -> n
     for n in range(1, order_cap + 1):
         term = (qp @ term @ bdag.T) / n
         acc += term
-    pref = hermitian_function(qp.conj().T @ qp, lambda w: np.exp(-0.5 * w))
-    return pref @ acc
+    N = model.lattice.sites
+    lam_sq = np.abs(branches(model.lattice, h.offsets, h.values)) ** 2
+    coeffs = np.fft.fft(np.exp(-0.5 * lam_sq), norm="forward")
+    coeffs[np.arange(N) % math.gcd(N, *(q - h.offsets[0] for q in h.offsets)) != 0] = 0.0
+    return circulant(model.lattice, range(N), coeffs) @ acc
 
 
 @dataclass(frozen=True)
@@ -173,8 +197,9 @@ def overlap_single_mode(g: complex, g_prime: complex, k0: int, k0_prime: int) ->
                                   - 2.0 * np.conj(g) * g_prime)))
 
 
-def momentum_shift_check(ecs: EcsState, q: int) -> float:
-    """max(||rho_q|h,k0> - |h,k0-q>||, ||rho_q^dag rho_q|h,k0> - |h,k0>||).
+def momentum_shift_check(ecs: EcsState, q: int) -> tuple[float, float]:
+    """The shift residual ||rho_q|h,k0> - |h,k0-q>|| and the round-trip
+    residual ||rho_q^dag rho_q|h,k0> - |h,k0>||.
 
     Exact on the periodic lattice: rho_q acts on the particle factor only.
     """
@@ -184,9 +209,8 @@ def momentum_shift_check(ecs: EcsState, q: int) -> float:
     k_target = model.lattice.shift_index(ecs.k0, -model.lattice.wrap_offset(q))
     rebuilt = _series_state(model, ecs.h, k_target, model.osc.cutoff) \
         if ecs.construction == "series" else ecs_displacement(model, ecs.h, k_target).state
-    r1 = np.linalg.norm(shifted - rebuilt)
-    r2 = np.linalg.norm(sq.conj().T @ shifted - ecs.state)
-    return float(max(r1, r2))
+    return (float(np.linalg.norm(shifted - rebuilt)),
+            float(np.linalg.norm(sq.conj().T @ shifted - ecs.state)))
 
 
 class SumRuleResult(NamedTuple):
@@ -230,9 +254,14 @@ def _polar_nodes(radial_nodes: int, angular_nodes: int, scale: float):
     """
     if radial_nodes < 1 or angular_nodes < 1:
         raise ValueError("node counts must be positive")
-    u, w = roots_laguerre(radial_nodes)
+    # Weights 1/(u L_n'(u)^2) from the Gauss-Laguerre nodes: they hold the
+    # moments int e^{-u} u^k/k! = 1 to 1e-14, the sum-normalised weights of
+    # `laggauss` only to 1e-13.
+    lag = np.polynomial.laguerre
+    u = lag.laggauss(radial_nodes)[0]
+    slope = lag.lagval(u, lag.lagder(np.eye(radial_nodes + 1)[-1]))
     radii = np.sqrt(u / scale)
-    radial_weights = w * np.exp(u) / (2.0 * scale)
+    radial_weights = np.exp(u) / (u * slope ** 2) / (2.0 * scale)
     angles = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     weights = radial_weights * (2.0 * np.pi / angular_nodes) / np.pi
     return radii, angles, weights
@@ -241,7 +270,6 @@ def _polar_nodes(radial_nodes: int, angular_nodes: int, scale: float):
 class UnityResolutionResult(NamedTuple):
     deviation: float
     reliable_levels: tuple[int, ...]
-    matrix: np.ndarray
 
 
 def unity_resolution_check(model: Model, h: CoefficientSet,
@@ -249,63 +277,38 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
                            tol: float = TRUNCATION_TOL) -> UnityResolutionResult:
     """Quadrature test of sum_k (1/pi) int d^2z  Q |zh,k><zh,k| Q^dag = 1.
 
-    Polar quadrature: Gauss-Laguerre radially (in u = |z|^2 scaled by the
-    smallest nonzero eigenbranch of Q^dag Q, so the slowest Gaussian decay is
-    matched), uniform angularly.  The deviation from the identity is measured
-    on the reliable subspace: Fock levels whose coherent occupancy at the
-    largest quadrature radius stays below `tol`, since states at large |z|
-    spill past the cutoff.  Scaled series states are built internally without
-    the amplitude guard; their amplitudes at retained levels are exact.
+    Summed over k the integrand is block-diagonal on the Fourier branches of
+    Q: on branch j it is |lam_j|^2 |z lam_j><z lam_j|, with the truncated
+    coherent amplitudes (exact at every retained level).  Polar quadrature:
+    Gauss-Laguerre radially (in u = |z|^2 scaled by the smallest nonzero
+    |lam_j|^2, so the slowest Gaussian decay is matched), uniform angularly,
+    accumulated one radius at a time.  The deviation from the identity is the
+    largest over branches on the reliable subspace: Fock levels whose
+    coherent occupancy at the largest quadrature radius stays below `tol`,
+    since states at large |z| spill past the cutoff.
     """
-    qp = h.particle_matrix()
-    lam_sq = np.linalg.eigvalsh(qp.conj().T @ qp)
+    lam = branches(model.lattice, h.offsets, h.values)
+    lam_sq = np.abs(lam) ** 2
     nonzero = lam_sq[lam_sq > 1e-14]
     if nonzero.size == 0:
         raise ValueError("Q vanishes; the resolution of unity has no support")
-    scale = float(nonzero.min())
-    radii, angles, weights = _polar_nodes(radial_nodes, angular_nodes, scale)
+    radii, angles, weights = _polar_nodes(radial_nodes, angular_nodes, float(nonzero.min()))
 
-    N, levels = model.shape
-    dim = model.dim
-    n_arr = np.arange(levels)
-    # Series core: column n of `core` is Q^n |k=0> / sqrt(n!) on the particle
-    # factor; the state at z is exp(-|z|^2 Q^dag Q / 2) . (z^n * core).
-    core = np.zeros((N, levels), dtype=complex)
-    vec = np.zeros(N, dtype=complex)
-    vec[0] = 1.0
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
-    for n in range(levels):
-        core[:, n] = vec * np.exp(-0.5 * log_fact[n])
-        vec = qp @ vec
-    w_eig, v_eig = np.linalg.eigh(qp.conj().T @ qp)
-
-    result = np.zeros((dim, dim), dtype=complex)
-    rolls = [np.arange(N)]
-    for k in range(1, N):
-        rolls.append(np.roll(rolls[0], k))
+    levels = model.osc.levels
+    blocks = np.zeros((lam.size, levels, levels), dtype=complex)
     for r, wgt in zip(radii, weights):
-        pref = (v_eig * np.exp(-0.5 * r ** 2 * w_eig)) @ v_eig.conj().T
-        z = r * np.exp(1j * angles)
-        zpow = z[:, None] ** n_arr[None, :]
-        states = np.einsum("ij,jl,al->ail", pref, core, zpow)  # (angle, N, levels)
-        states = np.einsum("ij,ajl->ail", qp, states)
-        # all N momentum shifts of each state, flattened into rows
-        stacked = states[:, rolls, :].reshape(angular_nodes * N, dim)
-        sw = np.sqrt(wgt)
-        stacked *= sw
-        result += stacked.T @ stacked.conj()
+        amps = coherent_state_vector(lam[:, None] * r * np.exp(1j * angles), levels)
+        blocks += (wgt * lam_sq)[:, None, None] * (amps.swapaxes(-1, -2) @ amps.conj())
 
-    mu_max = float(radii.max() ** 2 * lam_sq.max())
-    poisson = np.exp(-mu_max + n_arr * np.log(max(mu_max, 1e-300)) - log_fact)
-    reliable = tuple(int(n) for n in n_arr[poisson < tol])
+    # Poisson occupancy of each level at the largest quadrature amplitude
+    poisson = np.abs(coherent_state_vector(radii.max() * np.sqrt(lam_sq.max()), levels)) ** 2
+    reliable = tuple(int(n) for n in np.flatnonzero(poisson < tol))
     if not reliable:
-        return UnityResolutionResult(deviation=float("inf"), reliable_levels=(),
-                                     matrix=result)
-    idx = np.array([k * levels + n for k in range(N) for n in reliable])
-    block = result[np.ix_(idx, idx)]
-    deviation = float(np.linalg.norm(block - np.eye(idx.size), 2))
-    return UnityResolutionResult(deviation=deviation, reliable_levels=reliable,
-                                 matrix=result)
+        return UnityResolutionResult(deviation=float("inf"), reliable_levels=())
+    rel = np.array(reliable)
+    block = blocks[:, rel[:, None], rel] - np.eye(rel.size)
+    deviation = float(np.linalg.norm(block, 2, axis=(-2, -1)).max())
+    return UnityResolutionResult(deviation=deviation, reliable_levels=reliable)
 
 
 class MomentIdentityResult(NamedTuple):

@@ -11,9 +11,12 @@ Every particle factor of the zero-order Hamiltonian is a circulant
 sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (offsets
 canonicalised modulo the lattice, finite values) and ``circulant`` its one
 builder, batched over leading axes of the values; ``branches`` gives their
-eigenvalues on the shared Fourier vectors, and ``displacement`` applies
+eigenvalues on the shared Fourier vectors, which is how every function of a
+circulant is built.  ``displacement`` applies
 exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
-to states without forming it, one oscillator exponential per branch.
+to states without forming it: each branch displacement is a phase rotation of
+exp(-i |lam| (b + b^dag)), so one eigendecomposition of the constant
+b + b^dag (the Gauss-Hermite basis) serves every branch and every state.
 
 Natural units, hbar = 1.
 """
@@ -327,28 +330,24 @@ def branches(lattice: Lattice, offsets, values) -> np.ndarray:
     return np.fft.ifft(_offset_diagonals(lattice, offsets, values), norm="forward")
 
 
-def hermitian_function(mat: np.ndarray, fn) -> np.ndarray:
-    """fn(mat) for a Hermitian matrix or a stack of them, with `fn` applied to
-    the eigenvalues; a vanishing input gives exactly fn(0) times the identity."""
-    if not np.any(mat):
-        return np.broadcast_to(np.diag(fn(np.zeros(mat.shape[-1]))), mat.shape).astype(complex)
-    w, v = np.linalg.eigh(mat)
-    return (v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
     """exp(Q b^dag - Q^dag b - i chi) = sum_j f_j f_j^dag x D(lam_j) e^{-i mu_j} on
     states (..., N, levels), for circulants with branch values `lam` (Q) and real
-    `mu` (chi): an FFT of the momentum axis, one oscillator exponential per
-    branch, the inverse FFT.  Vanishing branches return `states` itself."""
+    `mu` (chi).  With lam_j = |lam_j| e^{i theta_j} and R_j = diag(e^{i n phi_j}),
+    phi_j = theta_j + pi/2, the truncated branch generator is exactly
+    lam_j b^dag - lam_j^* b = -i |lam_j| R_j (b + b^dag) R_j^dag, so one
+    eigendecomposition W diag(x) W^T of the real b + b^dag serves every branch:
+    an FFT of the momentum axis, phases and two matmuls with W, the inverse FFT.
+    Vanishing branches return `states` itself."""
     if not (np.any(lam) or np.any(mu)):
         return states
-    lam, mu = np.reshape(lam, (-1, 1, 1)), np.reshape(mu, (-1, 1, 1))
-    b = oscillator_annihilation(model.osc)
-    generators = 1j * (lam * b.conj().T - lam.conj() * b) + mu * np.eye(model.osc.levels)
-    blocks = hermitian_function(generators, lambda w: np.exp(-1j * w))
-    coeffs = np.fft.fft(states, axis=-2, norm="ortho")[..., None]
-    return np.fft.ifft((blocks @ coeffs)[..., 0], axis=-2, norm="ortho")
+    lam, mu = np.reshape(lam, (-1, 1)), np.reshape(mu, (-1, 1))
+    b = oscillator_annihilation(model.osc).real
+    x, w = np.linalg.eigh(b + b.T)
+    rot = np.exp(1j * (np.angle(lam) + np.pi / 2) * np.arange(model.osc.levels))
+    coeffs = (np.fft.fft(states, axis=-2, norm="ortho") * rot.conj()) @ w
+    coeffs = (coeffs * np.exp(-1j * np.abs(lam) * x)) @ w.T
+    return np.fft.ifft(coeffs * rot * np.exp(-1j * mu), axis=-2, norm="ortho")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import settings
 
+from ecsim.ecs import TRUNCATION_TOL, _polar_nodes
 from ecsim.hilbert import (
     CoefficientSet,
     Dispersion,
@@ -59,15 +60,56 @@ def dense_from_action(model: Model, apply) -> np.ndarray:
     return apply(eye.reshape((-1,) + model.shape)).reshape(eye.shape).T
 
 
+def unitary_exponential(herm: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(-i t H) of a dense Hermitian H from its eigendecomposition."""
+    w, v = np.linalg.eigh(herm)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
 def u0_dense_reference(model: Model, h_dict, chi: np.ndarray) -> np.ndarray:
     """exp(Q b^dag - Q^dag b - i chi) assembled from given h and chi via a
     Hermitian eigendecomposition (independent of the dynamics module)."""
     qp = CoefficientSet.from_dict(model.lattice, h_dict).particle_matrix()
     b = oscillator_annihilation(model.osc)
-    herm = (1j * (np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b))
-            + np.kron(chi, np.eye(model.osc.levels)))
-    w, v = np.linalg.eigh(herm)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return unitary_exponential(1j * (np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b))
+                               + np.kron(chi, np.eye(model.osc.levels)))
+
+
+def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = 40,
+                          angular_nodes: int = 64, tol: float = TRUNCATION_TOL):
+    """(deviation, reliable_levels) of the resolution-of-unity quadrature,
+    accumulated as one dim x dim matrix over every momentum shift of the
+    scaled series states, with exp(-|z|^2 Q^dag Q/2) and the quadrature scale
+    from an eigendecomposition of Q^dag Q (independent of the branch blocks)."""
+    qp = h.particle_matrix()
+    lam_sq, v_eig = np.linalg.eigh(qp.conj().T @ qp)
+    radii, angles, weights = _polar_nodes(radial_nodes, angular_nodes,
+                                          float(lam_sq[lam_sq > 1e-14].min()))
+    N, levels = model.shape
+    n_arr = np.arange(levels)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
+    # column n of `core` is Q^n |k=0> / sqrt(n!) on the particle factor
+    core = np.zeros((N, levels), dtype=complex)
+    core[0, 0] = 1.0
+    for n in range(1, levels):
+        core[:, n] = qp @ core[:, n - 1]
+    core *= np.exp(-0.5 * log_fact)
+    rolls = [np.roll(np.arange(N), k) for k in range(N)]
+    result = np.zeros((model.dim, model.dim), dtype=complex)
+    for r, wgt in zip(radii, weights):
+        pref = (v_eig * np.exp(-0.5 * r ** 2 * lam_sq)) @ v_eig.conj().T
+        zpow = (r * np.exp(1j * angles))[:, None] ** n_arr
+        states = qp @ np.einsum("ij,jl,al->ail", pref, core, zpow)  # (angle, N, levels)
+        stacked = np.sqrt(wgt) * states[:, rolls, :].reshape(angular_nodes * N, model.dim)
+        result += stacked.T @ stacked.conj()
+    mu_max = float(radii.max() ** 2 * lam_sq.max())
+    poisson = np.exp(-mu_max + n_arr * np.log(max(mu_max, 1e-300)) - log_fact)
+    reliable = tuple(int(n) for n in n_arr[poisson < tol])
+    if not reliable:
+        return float("inf"), ()
+    idx = np.array([k * levels + n for k in range(N) for n in reliable])
+    block = result[np.ix_(idx, idx)]
+    return float(np.linalg.norm(block - np.eye(idx.size), 2)), reliable
 
 
 def midpoint_propagate(model: Model, hamiltonian, grid, initial: np.ndarray) -> np.ndarray:

@@ -56,14 +56,16 @@ def test_criterion_1_state_algebra():
     assert commutation_res < 1e-13
 
     rng = np.random.default_rng(100)
-    shift_res = 0.0
+    shift_res = roundtrip_res = 0.0
     for h in (CoefficientSet.single_mode(lat, 1, 0.5),
               CoefficientSet.from_dict(lat, {1: 0.2, -2: 0.1j, 3: 0.15})):
         for k0 in (0, 3, 6):
             e = ecs_series(model, h, k0)
             for q in rng.integers(-6, 7, size=4):
-                shift_res = max(shift_res, momentum_shift_check(e, int(q)))
+                shift, roundtrip = momentum_shift_check(e, int(q))
+                shift_res, roundtrip_res = max(shift_res, shift), max(roundtrip_res, roundtrip)
     assert shift_res < 1e-13
+    assert roundtrip_res < 1e-13
 
     e05 = ecs_series(model, CoefficientSet.single_mode(lat, 1, 0.5), 3)
     annihilation_res = check_b_action(e05)
@@ -91,7 +93,8 @@ def test_criterion_1_state_algebra():
                         ecs_series(model, CoefficientSet.single_mode(lat, 2, gps[2]), 4)))
     assert ortho == 0.0
 
-    _report(1, f"commutation={commutation_res:.2e} shifts={shift_res:.2e} annihilation={annihilation_res:.2e} "
+    _report(1, f"commutation={commutation_res:.2e} shifts={shift_res:.2e} "
+               f"roundtrip={roundtrip_res:.2e} annihilation={annihilation_res:.2e} "
                f"equivalence={equivalence:.2e} overlap={overlap_dev:.2e} ortho={ortho:.1e}")
 
 

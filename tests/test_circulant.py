@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import PINNED, dense_from_action, make_model
+from conftest import PINNED, dense_from_action, make_model, unitary_exponential
 from ecsim.dynamics import (
     STABILITY_LIMIT,
     CouplingSet,
@@ -26,7 +26,6 @@ from ecsim.hilbert import (
     branches,
     circulant,
     displacement,
-    hermitian_function,
     oscillator_annihilation,
     shift_matrix,
 )
@@ -264,8 +263,7 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
         # reference: the dense conjugated exponential, one eigh at full dimension
         _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
         u0m = dense_from_action(model, lambda states: sol.u0(i, states, mid=True))
-        step = hermitian_function(u0m.conj().T @ h1.dense() @ u0m,
-                                  lambda w: np.exp(-1j * grid.dt * w))
+        step = unitary_exponential(u0m.conj().T @ h1.dense() @ u0m, grid.dt)
         want = (step @ res.states[i].reshape(-1)).reshape(model.shape)
         assert np.abs(res.states[i + 1] - want).max() < 1e-12
     assert abs(np.linalg.norm(res.final) - 1.0) < 1e-12

@@ -1,10 +1,13 @@
 """Configuration loading and CLI commands."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ecsim
 from ecsim.cli import main
 from ecsim.config import ConfigError, load_config, parse_complex
 
@@ -50,6 +53,17 @@ def config_path(tmp_path):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test dependency only: the package runs on numpy alone."""
+    src = os.path.dirname(os.path.dirname(ecsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, ecsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_complex():

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import gammainc
 
-from conftest import make_model, random_coefficients
+from conftest import PINNED, make_model, random_coefficients, unity_dense_reference
 from ecsim.ecs import (
     TruncationError,
     check_b_action,
     coherent_state_vector,
+    coherent_truncation_tail,
     ecs_displacement,
     ecs_series,
     moment_identity_check,
@@ -19,6 +23,8 @@ from ecsim.ecs import (
 )
 from ecsim.hilbert import (
     CoefficientSet,
+    branches,
+    displacement,
     fidelity,
     make_basis_state,
     oscillator_annihilation,
@@ -165,9 +171,11 @@ def test_momentum_shift_relations():
     rng = np.random.default_rng(4)
     h = random_coefficients(model.lattice, rng, modes=2, scale=0.1)
     e = ecs_series(model, h, 5)
-    assert momentum_shift_check(e, 0) < 1e-15
+    assert max(momentum_shift_check(e, 0)) < 1e-15
     for q in (1, 3, -2, 6):
-        assert momentum_shift_check(e, q) < 1e-13
+        shift, roundtrip = momentum_shift_check(e, q)
+        assert shift < 1e-13
+        assert roundtrip < 1e-13
 
 
 def test_momentum_shift_composition():
@@ -186,6 +194,65 @@ def test_unity_resolution_single_mode():
     res = unity_resolution_check(model, single_mode(model, 1, 1.0))
     assert res.reliable_levels == tuple(range(25))
     assert res.deviation < 1e-6
+
+
+@st.composite
+def unity_cases(draw):
+    """A lattice of odd or even size, a cutoff, a radial node count (few nodes
+    leave the top levels unreliable), and a random circulant Q over every
+    offset; optionally one Fourier branch of Q is projected out, so Q has a
+    vanishing branch."""
+    sites = draw(st.integers(min_value=2, max_value=6))
+    model = make_model(sites=sites, cutoff=draw(st.integers(min_value=4, max_value=10)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    vals = 0.3 * (rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=sites - 1))
+        lam = branches(model.lattice, range(sites), vals)
+        vals = vals - lam[j] * np.exp(-2j * np.pi * j * np.arange(sites) / sites) / sites
+    radial_nodes = draw(st.integers(min_value=3, max_value=40))
+    return model, CoefficientSet(model.lattice, tuple(zip(range(sites), vals))), radial_nodes
+
+
+@PINNED
+@given(unity_cases())
+def test_unity_resolution_matches_dense_reference(case):
+    model, h, radial_nodes = case
+    res = unity_resolution_check(model, h, radial_nodes=radial_nodes)
+    deviation, reliable = unity_dense_reference(model, h, radial_nodes=radial_nodes)
+    assert res.reliable_levels == reliable
+    if reliable:
+        assert abs(res.deviation - deviation) < 1e-12
+    else:
+        assert res.deviation == deviation == float("inf")
+
+
+def test_no_eigensolver_on_a_circulant(monkeypatch):
+    """displacement diagonalises only the constant b + b^dag; the series
+    construction and the unity quadrature diagonalise nothing."""
+    model = make_model(sites=6, cutoff=12)
+    h = CoefficientSet.from_dict(model.lattice, {1: 0.3, -2: 0.2j, 3: 0.1})
+    lam = branches(model.lattice, h.offsets, h.values)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or eigh(a, *args, **kw))
+    displacement(model, lam, lam.real, np.ones((3,) + model.shape, dtype=complex))
+    ecs_series(model, h, 2)
+    unity_resolution_check(model, h)
+    assert calls == [(model.osc.levels, model.osc.levels)]
+
+
+def test_truncation_tail_matches_regularised_gamma():
+    worst = 0.0
+    for a in np.concatenate(([0.0, 1e-6, 1e-3, 0.1], np.linspace(0.5, 30.0, 60))):
+        for cutoff in range(1, 61):
+            tail, want = coherent_truncation_tail(a, cutoff), gammainc(cutoff + 1, a)
+            if want > 1e-300:
+                worst = max(worst, abs(tail - want) / want)
+            else:
+                assert tail <= 1e-300
+    assert worst < 1e-12
 
 
 def test_unity_resolution_rejects_vanishing_q():
