@@ -13,9 +13,13 @@ particle factor (G, A(t), Q(t), Qdot(t), chi(t)) is a circulant built by
 ``hilbert.circulant``; a coupling set is a ``CoefficientSet`` that also
 checks g_{-q} = g_q^*.  chi is kept as its real branch values, so
 U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
-``hilbert.displacement``.  The residual is integrated in the rotated frame
-|t> = U0^dag(t)|t) by midpoint steps U0m^dag exp(-i dt H1) U0m, exp(-i dt H1)
-applied to the state by its Taylor series; no step forms a dense operator.
+``hilbert.displacement``, batched over a stack of steps.  The residual is
+integrated in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
+U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
+the momentum axis, where U0m is diagonal on the branches
+(``hilbert.branch_displacement``) and exp(-i dt H1) is applied by its Taylor
+series; every midpoint quantity is computed before the loop, and a step is
+a handful of small matmuls with no FFT, eigensolver or dense operator.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ from .hilbert import (
     Lattice,
     Model,
     ProductOperator,
+    branch_displacement,
     branches,
     circulant,
     displacement,
     ladder_b,
+    ladder_quadrature,
     make_basis_state,
     oscillator_annihilation,
     require_finite,
@@ -103,10 +109,12 @@ class ModulatorStrategy:
     def recoil_phase(cls) -> "ModulatorStrategy":
         return cls(kind="recoil_phase")
 
-    def factors(self, model: Model, k0: int, offsets, t: float) -> np.ndarray:
-        """f_q(t) for each offset; always unimodular."""
+    def factors(self, model: Model, k0: int, offsets, t) -> np.ndarray:
+        """f_q(t) for each offset, shape t.shape + (len(offsets),) for a time or
+        an array of times; always unimodular."""
+        t = np.asarray(t)[..., None]
         if self.kind == "static_unit":
-            return np.ones(len(offsets), dtype=complex)
+            return np.ones(t.shape[:-1] + (len(offsets),), dtype=complex)
         eps = model.energies()
         lat = model.lattice
         detune = np.array([eps[k0] - eps[lat.shift_index(k0, q)] for q in offsets])
@@ -247,11 +255,13 @@ class ZeroOrderSolution:
         mu = self.mu_half[self.half_index(step, mid)]
         return circulant(self.model.lattice, range(mu.size), np.fft.fft(mu, norm="forward"))
 
-    def u0(self, step: int, states: np.ndarray, mid: bool = False,
+    def u0(self, step, states: np.ndarray, mid: bool = False,
            adjoint: bool = False) -> np.ndarray:
         """U0 (U0^dag, by the negated branches, if `adjoint`) at a grid point
-        or midpoint, applied to states of shape (..., N, levels)."""
-        j, sign = self.half_index(step, mid), (-1.0 if adjoint else 1.0)
+        or midpoint, applied to states of shape (..., N, levels).  `step` may
+        be an array of steps whose shape matches the leading axes of `states`:
+        then each state gets the U0 of its own step, in one call."""
+        j, sign = self.half_index(np.asarray(step), mid), (-1.0 if adjoint else 1.0)
         lam = sign * branches(self.model.lattice, self.offsets, self.h_half[j])
         return displacement(self.model, lam, sign * self.mu_half[j], states)
 
@@ -291,8 +301,8 @@ def zero_order_solution(model: Model, couplings: CouplingSet, strategy: Modulato
     taus = grid.t0 + dt_half * np.arange(n_half)
     omega = model.osc.omega
 
-    hdot = np.array([-1j * g_vals * strategy.factors(model, k0, offsets, tau)
-                     * np.exp(1j * omega * tau) for tau in taus])
+    hdot = (-1j * g_vals * strategy.factors(model, k0, offsets, taus)
+            * np.exp(1j * omega * taus)[:, None])
     h = np.zeros_like(hdot)
     np.cumsum(0.5 * dt_half * (hdot[:-1] + hdot[1:]), axis=0, out=h[1:])
     lam, lamdot = branches(model.lattice, offsets, np.stack([h, hdot]))
@@ -354,38 +364,80 @@ def u0_commutators_check(sol: ZeroOrderSolution, step: int, tol: float = 1e-6,
 
 
 class ResidualResult(NamedTuple):
-    """Trajectory of the rotated-frame state |t> on the grid."""
+    """Rotated-frame states |t> stored at the grid steps `steps` (increasing,
+    the initial and the final step always included)."""
     sol: ZeroOrderSolution
-    states: np.ndarray  # (steps+1, N, levels)
+    steps: np.ndarray   # (samples,)
+    states: np.ndarray  # (samples, N, levels)
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
     def physical_state(self, step: int) -> np.ndarray:
-        """U0(t)|t>, the interaction-picture state."""
-        return self.sol.u0(step, self.states[step])
+        """U0(t)|t>, the interaction-picture state, at a stored step; for all
+        of them in one call, ``sol.u0(steps, states)``.  Raises ValueError
+        for a step that was not stored."""
+        return self.sol.u0(step, self.states[self.steps.tolist().index(step)])
 
 
-def propagate_residual(sol: ZeroOrderSolution) -> ResidualResult:
+def propagate_residual(sol: ZeroOrderSolution, collect_every: int | None = None) -> ResidualResult:
     """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
-    U0m^dag exp(-i dt H1) U0m, skipped where H1 vanishes; returns the trajectory."""
-    grid = sol.grid
-    states = np.empty((grid.steps + 1,) + sol.model.shape, dtype=complex)
-    psi = states[0] = make_basis_state(sol.model, sol.k0, 0)
+    U0m^dag exp(-i dt H1) U0m, skipped where H1 vanishes.
+
+    The state is stepped as phi = F psi, F the unitary DFT of the momentum
+    axis.  There U0m is ``branch_displacement`` at the midpoint branches and
+    H1 phi = e P~ phi b + e^* P~^dag phi b^T, with e = e^{i w t_m},
+    P~ = F P F^dag and P = G o e^{i (eps_r - eps_c) t_m} - A(t_m) the particle
+    factor of H1 in the momentum basis; a step is skipped where P is exactly
+    zero.  exp(-i dt H1) is summed as a Taylor series until a term falls below
+    machine epsilon times the sum.  The midpoint branches, phases and
+    modulator factors are computed before the loop, once per run.
+
+    States are stored every `collect_every` steps (by default only the
+    initial and the final one), step 0 and the last step always included,
+    and only the stored states are transformed back to the momentum basis.
+    A trajectory whose steps are all skipped returns |0,k0) exactly.
+    """
+    model, grid, lat = sol.model, sol.grid, sol.model.lattice
+    if collect_every is not None and collect_every < 1:
+        raise ValueError(f"collect_every must be positive, got {collect_every}")
+    stored = np.append(np.arange(0, grid.steps, collect_every or grid.steps), grid.steps)
+
+    t_mid = grid.t0 + grid.dt * (np.arange(grid.steps) + 0.5)
+    a_vals = sol.couplings.values * sol.strategy.factors(model, sol.k0, sol.offsets, t_mid)
+    lam = branches(lat, sol.offsets, sol.h_half[1::2])
+    mu = sol.mu_half[1::2]
+    osc = np.exp(1j * model.osc.omega * t_mid)
+    eps, g_mat = model.energies(), sol.couplings.particle_matrix()
+    quad = ladder_quadrature(model.osc)
+    b = oscillator_annihilation(model.osc)
+    dft = np.fft.fft(np.eye(lat.sites), axis=0, norm="ortho")
+    dft_dag = dft.conj().T
+    tol = np.finfo(float).eps ** 2
+
+    psi0 = make_basis_state(model, sol.k0, 0)
+    states = np.empty((stored.size,) + model.shape, dtype=complex)
+    states[0] = psi0
+    phi, first, slot = None, stored.size, 1   # phi is None while |t> = |0,k0) exactly
     for i in range(grid.steps):
-        _, h1 = split_hamiltonian(sol.model, sol.couplings, sol.strategy,
-                                  grid.midpoint(i), sol.k0)
-        if any(np.any(p) for p, _ in h1.terms):
-            # exp(-i dt H1) by its Taylor series, up to a term below eps * the sum
-            term = total = sol.u0(i, psi, mid=True)
+        p = g_mat * _phase_diff_matrix(eps, t_mid[i]) - circulant(lat, sol.offsets, a_vals[i])
+        if np.any(p):
+            if phi is None:
+                phi, first = dft @ psi0, slot
+            pe = osc[i] * (dft @ p @ dft_dag)
+            pe_dag = pe.conj().T
+            term = total = branch_displacement(lam[i], mu[i], phi, quad)
             n = 1
-            while np.linalg.norm(term) > np.finfo(float).eps * np.linalg.norm(total):
-                term = h1.apply(term) * (-1j * grid.dt / n)
+            while np.vdot(term, term).real > tol * np.vdot(total, total).real:
+                term = (pe @ term @ b + pe_dag @ term @ b.T) * (-1j * grid.dt / n)
                 total, n = total + term, n + 1
-            psi = sol.u0(i, total, mid=True, adjoint=True)
-        states[i + 1] = psi
-    return ResidualResult(sol=sol, states=states)
+            phi = branch_displacement(-lam[i], -mu[i], total, quad)
+        if i + 1 == stored[slot]:
+            states[slot] = psi0 if phi is None else phi
+            slot += 1
+    states[first:] = np.fft.ifft(states[first:], axis=-2, norm="ortho")
+    return ResidualResult(sol=sol, steps=stored, states=states)
 
 
 class ResidualReport(NamedTuple):
@@ -399,16 +451,17 @@ def residual_magnitude_report(sol: ZeroOrderSolution,
                               residual: ResidualResult | None = None,
                               norm_samples: int = 200) -> ResidualReport:
     """Diagnostics for strategy comparison: deviation of the rotated-frame
-    state from the initial one, the h amplitude, and the first-order bound
+    state from the initial one and the h amplitude at the stored steps of
+    `residual` (by default every step), and the first-order bound
     int ||H1|| dt (spectral norm is conjugation-invariant, so H1 is measured
     directly; sampled on a decimated set of midpoints)."""
     if residual is None:
-        residual = propagate_residual(sol)
+        residual = propagate_residual(sol, collect_every=1)
     grid = sol.grid
     psi0 = residual.states[0]
     deviation = np.linalg.norm(
-        (residual.states - psi0).reshape(grid.steps + 1, -1), axis=1)
-    h_norm = np.linalg.norm(sol.h_half[::2], axis=1)
+        (residual.states - psi0).reshape(residual.steps.size, -1), axis=1)
+    h_norm = np.linalg.norm(sol.h_half[2 * residual.steps], axis=1)
     stride = max(1, grid.steps // norm_samples)
     total = 0.0
     for i in range(0, grid.steps, stride):
@@ -416,5 +469,5 @@ def residual_magnitude_report(sol: ZeroOrderSolution,
         _, h1 = split_hamiltonian(sol.model, sol.couplings, sol.strategy,
                                   grid.midpoint(i), sol.k0)
         total += width * float(np.linalg.norm(h1.dense(), 2))
-    return ResidualReport(times=grid.times, deviation=deviation, h_norm=h_norm,
+    return ResidualReport(times=grid.times[residual.steps], deviation=deviation, h_norm=h_norm,
                           integrated_h1_norm=total)

@@ -16,7 +16,9 @@ circulant is built.  ``displacement`` applies
 exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
 to states without forming it: each branch displacement is a phase rotation of
 exp(-i |lam| (b + b^dag)), so one eigendecomposition of the constant
-b + b^dag (the Gauss-Hermite basis) serves every branch and every state.
+b + b^dag (the Gauss-Hermite basis, ``ladder_quadrature``) serves every
+branch and every state.  ``branch_displacement`` is that action on states
+already in the branch basis, batched over leading axes of the branches.
 
 Natural units, hbar = 1.
 """
@@ -330,6 +332,35 @@ def branches(lattice: Lattice, offsets, values) -> np.ndarray:
     return np.fft.ifft(_offset_diagonals(lattice, offsets, values), norm="forward")
 
 
+def ladder_quadrature(osc: OscillatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(x, W) with b + b^dag = W diag(x) W^T for the truncated ladder, from one
+    eigh: x / sqrt(2) are the roots of the Hermite polynomial H_levels and W
+    holds the normalised Hermite values at them.  The real W is returned as
+    complex, so products with complex states do not cast it per call."""
+    b = oscillator_annihilation(osc).real
+    x, w = np.linalg.eigh(b + b.T)
+    return x, w.astype(complex)
+
+
+def branch_displacement(lam, mu, states: np.ndarray,
+                        quadrature: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The displacement of ``displacement`` on states already in the branch
+    basis (momentum axis Fourier transformed): on branch j it applies
+    e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag.  `lam` and `mu` have
+    shape (..., N) and broadcast against `states` (..., N, levels), so one call
+    applies a different displacement to each state of a stack."""
+    x, w = quadrature
+    lam, mu = np.asarray(lam)[..., None], np.asarray(mu)[..., None]
+    rot = np.exp(1j * (np.angle(lam) + np.pi / 2) * np.arange(x.size))
+    coeffs = (states * rot.conj()) @ w
+    phase = -1j * np.abs(lam) * x
+    coeffs *= np.exp(phase, out=phase)
+    coeffs = coeffs @ w.T
+    coeffs *= rot
+    coeffs *= np.exp(-1j * mu)
+    return coeffs
+
+
 def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
     """exp(Q b^dag - Q^dag b - i chi) = sum_j f_j f_j^dag x D(lam_j) e^{-i mu_j} on
     states (..., N, levels), for circulants with branch values `lam` (Q) and real
@@ -337,17 +368,14 @@ def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
     phi_j = theta_j + pi/2, the truncated branch generator is exactly
     lam_j b^dag - lam_j^* b = -i |lam_j| R_j (b + b^dag) R_j^dag, so one
     eigendecomposition W diag(x) W^T of the real b + b^dag serves every branch:
-    an FFT of the momentum axis, phases and two matmuls with W, the inverse FFT.
-    Vanishing branches return `states` itself."""
+    an FFT of the momentum axis, ``branch_displacement``, the inverse FFT.
+    `lam` and `mu` may carry leading axes (..., N) matching those of `states`,
+    one set of branches per state.  Vanishing branches return `states` itself."""
     if not (np.any(lam) or np.any(mu)):
         return states
-    lam, mu = np.reshape(lam, (-1, 1)), np.reshape(mu, (-1, 1))
-    b = oscillator_annihilation(model.osc).real
-    x, w = np.linalg.eigh(b + b.T)
-    rot = np.exp(1j * (np.angle(lam) + np.pi / 2) * np.arange(model.osc.levels))
-    coeffs = (np.fft.fft(states, axis=-2, norm="ortho") * rot.conj()) @ w
-    coeffs = (coeffs * np.exp(-1j * np.abs(lam) * x)) @ w.T
-    return np.fft.ifft(coeffs * rot * np.exp(-1j * mu), axis=-2, norm="ortho")
+    coeffs = branch_displacement(lam, mu, np.fft.fft(states, axis=-2, norm="ortho"),
+                                 ladder_quadrature(model.osc))
+    return np.fft.ifft(coeffs, axis=-2, norm="ortho")
 
 
 @dataclass(frozen=True)

@@ -253,12 +253,32 @@ def test_u0_adjoint_is_the_conjugate_transpose(mc, kind, step, mid):
 
 
 @PINNED
+@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
+       st.sampled_from([(1,), (4,), (2, 3)]), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_u0_matches_per_step_calls(mc, kind, lead, mid, adjoint, seed):
+    """sol.u0 with an array of steps applies each step's U0 to its own state."""
+    grid = TimeGrid(-1.0, 0.0, 5)
+    sol = scaled_solution(mc, kind, grid)
+    model = sol.model
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, grid.steps + (0 if mid else 1), size=lead)
+    stack = rng.standard_normal(lead + model.shape) + 1j * rng.standard_normal(lead + model.shape)
+    stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
+    got = sol.u0(steps, stack, mid=mid, adjoint=adjoint)
+    assert got.shape == stack.shape
+    for index in np.ndindex(*lead):
+        want = sol.u0(int(steps[index]), stack[index], mid=mid, adjoint=adjoint)
+        assert np.abs(got[index] - want).max() < 1e-14
+
+
+@PINNED
 @given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]))
 def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
     grid = TimeGrid(-1.0, 0.0, 12)
     sol = scaled_solution(mc, kind, grid)
     model = sol.model
-    res = propagate_residual(sol)
+    res = propagate_residual(sol, collect_every=1)
     for i in range(grid.steps):
         # reference: the dense conjugated exponential, one eigh at full dimension
         _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
@@ -267,4 +287,4 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
         want = (step @ res.states[i].reshape(-1)).reshape(model.shape)
         assert np.abs(res.states[i + 1] - want).max() < 1e-12
     assert abs(np.linalg.norm(res.final) - 1.0) < 1e-12
-    assert np.array_equal(propagate_residual(sol).states, res.states)
+    assert np.array_equal(propagate_residual(sol, collect_every=1).states, res.states)

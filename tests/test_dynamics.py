@@ -143,6 +143,22 @@ def test_modulated_family_commutes():
     assert worst < 1e-13
 
 
+def test_modulator_broadcasts_over_times():
+    """One broadcast over an array of times equals the per-time calls bit for
+    bit, and so does the zero-order solution's hdot."""
+    model = make_model(sites=7, kind="quadratic", omega=2.3)
+    c = pair(model, 2, 0.1 + 0.05j)
+    grid = TimeGrid(t0=-3.7, t_end=0.0, steps=40)
+    taus = grid.t0 + grid.dt / 2 * np.arange(2 * grid.steps + 1)
+    for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
+        per_time = np.array([strat.factors(model, 3, c.offsets, tau) for tau in taus])
+        assert np.array_equal(strat.factors(model, 3, c.offsets, taus), per_time)
+        sol = zero_order_solution(model, c, strat, grid, 3)
+        hdot = np.array([-1j * c.values * strat.factors(model, 3, c.offsets, tau)
+                         * np.exp(1j * model.osc.omega * tau) for tau in taus])
+        assert np.array_equal(sol.hdot_half, hdot)
+
+
 def test_strategy_unimodularity():
     model = make_model(sites=5)
     for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
@@ -279,6 +295,53 @@ def test_residual_trivial_cases():
     res = propagate_residual(sol)
     dev = np.linalg.norm(res.final - res.states[0])
     assert dev < 1e-10
+
+
+def test_residual_stepper_runs_one_eigh_and_no_fft_per_step(monkeypatch):
+    """One (levels, levels) eigendecomposition per run, and a number of FFT
+    calls that does not grow with the number of active steps."""
+    model = make_model(sites=5, cutoff=8, omega=2.5)
+    c = pair(model, 1, 0.2)
+    levels = model.osc.levels
+    eigh, eighs = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: eighs.append(np.shape(a)) or eigh(a, *args, **kw))
+    ffts = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "hfft", "ihfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *args, _fn=fn, _name=name, **kw: ffts.append(_name)
+                            or _fn(*args, **kw))
+    counts = []
+    for steps in (10, 40):
+        sol = zero_order_solution(model, c, ModulatorStrategy.recoil_phase(),
+                                  TimeGrid(t0=-0.5, t_end=0.0, steps=steps), 2)
+        eighs.clear()
+        ffts.clear()
+        res = propagate_residual(sol)
+        assert eighs == [(levels, levels)]
+        assert np.linalg.norm(res.final - res.states[0]) > 1e-6  # every step is active
+        counts.append(len(ffts))
+    assert counts[0] == counts[1]
+
+
+def test_collect_every_samples_the_full_trajectory():
+    model = make_model(sites=6, cutoff=8, omega=2.5, kind="quadratic")
+    c = pair(model, 1, 0.2 + 0.1j)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=23)
+    sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 1)
+    full = propagate_residual(sol, collect_every=1)
+    assert np.array_equal(full.steps, np.arange(grid.steps + 1))
+    for every, want in ((None, [0, 23]), (5, [0, 5, 10, 15, 20, 23]), (23, [0, 23]),
+                        (40, [0, 23]), (1, list(range(24)))):
+        res = propagate_residual(sol, collect_every=every)
+        assert np.array_equal(res.steps, want)
+        assert np.array_equal(res.states, full.states[want])
+        assert np.array_equal(res.physical_state(23), full.physical_state(23))
+    with pytest.raises(ValueError):
+        propagate_residual(sol, collect_every=5).physical_state(7)
+    with pytest.raises(ValueError):
+        propagate_residual(sol, collect_every=0)
 
 
 def test_residual_resums_full_dynamics():

@@ -165,7 +165,7 @@ def test_gamma_exact_at_interior_time():
     model = make_model(sites=5, cutoff=10, omega=2.0)
     c = CouplingSet.hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=200)
-    res = propagate_residual(sol)
+    res = propagate_residual(sol, collect_every=1)
     pos = PositionGrid.uniform(model.lattice)
     t_mid = sol.grid.times[100]
     g = gamma_exact(res.states[100], sol, pos, t=t_mid)
