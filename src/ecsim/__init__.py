@@ -9,19 +9,12 @@ from .hilbert import (
     Lattice,
     Model,
     OscillatorSpec,
-    ProductOperator,
     branches,
-    build_Q,
     circulant,
     displacement,
     fidelity,
-    inner,
-    ladder_b,
-    ladder_b_dag,
     make_basis_state,
-    rho,
     shift_matrix,
-    state_norm,
 )
 from .ecs import (
     EcsState,
@@ -42,12 +35,7 @@ from .dynamics import (
     ModulatorStrategy,
     TimeGrid,
     ZeroOrderSolution,
-    commutator_rho_t,
-    hamiltonian_full,
     propagate_residual,
-    residual_magnitude_report,
-    split_hamiltonian,
-    u0_commutators_check,
     zero_order_solution,
 )
 from .observables import (
@@ -58,7 +46,6 @@ from .observables import (
     gamma_closed_form,
     gamma_exact,
     gamma_first_approx,
-    intermediate_state_check,
 )
 
 __version__ = "0.1.0"

@@ -271,6 +271,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     factors = [require_positive("--factors", f) for f in factors]
     if len(factors) < 2 or any(factors[i] <= factors[i + 1] for i in range(len(factors) - 1)):
         raise ConfigError("--factors must hold at least two strictly decreasing values")
+    if not np.any(cfg.couplings.values):
+        raise ConfigError("sweep needs a nonzero coupling in [couplings]: at zero coupling "
+                          "the gap vanishes at every scale and has no order")
     _prepare_out(cfg, out_dir)
     model = cfg.model
     pos = cfg.positions()

@@ -19,7 +19,8 @@ U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
 the momentum axis, where U0m is diagonal on the branches
 (``hilbert.branch_displacement``) and exp(-i dt H1) is applied by its Taylor
 series; every midpoint quantity is computed before the loop, and a step is
-a handful of small matmuls with no FFT, eigensolver or dense operator.
+a handful of small matmuls with no FFT, eigensolver or dense operator.  No
+operator on the product space is formed anywhere in this module.
 """
 
 from __future__ import annotations
@@ -33,17 +34,14 @@ from .hilbert import (
     CoefficientSet,
     Lattice,
     Model,
-    ProductOperator,
     branch_displacement,
     branches,
     circulant,
     displacement,
-    ladder_b,
     ladder_quadrature,
     make_basis_state,
     oscillator_annihilation,
     require_finite,
-    shift_matrix,
 )
 
 STABILITY_LIMIT = 0.5
@@ -147,67 +145,10 @@ class TimeGrid:
     def midpoint(self, i: int) -> float:
         return self.t0 + self.dt * (i + 0.5)
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t0, self.t_end, self.steps * factor)
-
 
 def _phase_diff_matrix(energies: np.ndarray, t: float) -> np.ndarray:
     """exp(i (eps_i - eps_j) t); exactly ones for flat dispersion."""
     return np.exp(1j * t * (energies[:, None] - energies[None, :]))
-
-
-def rho_t_matrix(model: Model, q: int, t: float) -> np.ndarray:
-    """Interaction-picture rho_q(t) on the particle factor: the shift matrix
-    dressed with phases exp(i (eps_k - eps_{k+q}) t)."""
-    return shift_matrix(model.lattice, q) * _phase_diff_matrix(model.energies(), t)
-
-
-def hamiltonian_full(model: Model, couplings: CouplingSet, t: float = 0.0,
-                     picture: str = "schrodinger") -> ProductOperator:
-    """Full interaction Hamiltonian, Schroedinger or interaction picture."""
-    if picture not in ("schrodinger", "interaction"):
-        raise ValueError(f"unknown picture {picture!r}")
-    gp = couplings.particle_matrix()
-    b = oscillator_annihilation(model.osc)
-    if picture == "interaction":
-        gp = gp * _phase_diff_matrix(model.energies(), t)
-        osc_phase = np.exp(1j * model.osc.omega * t)
-    else:
-        osc_phase = 1.0
-    return ProductOperator(((gp, osc_phase * b.conj().T),
-                            (gp.conj().T, np.conj(osc_phase) * b)))
-
-
-def commutator_rho_t(model: Model, q: int, q_prime: int, t: float, t_prime: float) -> np.ndarray:
-    """[rho_q(t), rho_q'(t')] on the particle factor, computed directly from
-    the dense interaction-picture operators."""
-    r1 = rho_t_matrix(model, q, t)
-    r2 = rho_t_matrix(model, q_prime, t_prime)
-    return r1 @ r2 - r2 @ r1
-
-
-def modulated_particle_matrix(model: Model, couplings: CouplingSet,
-                              strategy: ModulatorStrategy, k0: int, t: float) -> np.ndarray:
-    """A(t) = sum_q g_q f_q(t) rho_q; a circulant for every strategy, so
-    values at different times commute."""
-    f = strategy.factors(model, k0, couplings.offsets, t)
-    return circulant(model.lattice, couplings.offsets, couplings.values * f)
-
-
-def split_hamiltonian(model: Model, couplings: CouplingSet, strategy: ModulatorStrategy,
-                      t: float, k0: int) -> tuple[ProductOperator, ProductOperator]:
-    """(H0, H1) with H0 = b^dag e^{iwt} A(t) + h.c. and H1 the remainder of
-    the interaction-picture Hamiltonian.  H0 + H1 reproduces the full
-    operator entrywise."""
-    b = oscillator_annihilation(model.osc)
-    osc_phase = np.exp(1j * model.osc.omega * t)
-    a_mat = modulated_particle_matrix(model, couplings, strategy, k0, t)
-    gp_t = couplings.particle_matrix() * _phase_diff_matrix(model.energies(), t)
-    h0 = ProductOperator(((a_mat, osc_phase * b.conj().T),
-                          (a_mat.conj().T, np.conj(osc_phase) * b)))
-    h1 = ProductOperator(((gp_t - a_mat, osc_phase * b.conj().T),
-                          ((gp_t - a_mat).conj().T, np.conj(osc_phase) * b)))
-    return h0, h1
 
 
 def check_stability(model: Model, couplings: CouplingSet, grid: TimeGrid) -> None:
@@ -225,8 +166,8 @@ class ZeroOrderSolution:
     """h_q(t), chi(t) and U0(t) accumulated on a half-step grid.
 
     Arrays are indexed by half-steps j = 0..2*steps (time t0 + j*dt/2); grid
-    points are the even entries.  chi is stored by its real branch values;
-    chi and U0 matrices are assembled on demand.
+    points are the even entries.  chi is stored by its real branch values,
+    so it is Hermitian by construction; U0 is only ever applied to states.
     """
 
     model: Model
@@ -245,16 +186,6 @@ class ZeroOrderSolution:
     def half_index(self, step: int, mid: bool = False) -> int:
         return 2 * step + (1 if mid else 0)
 
-    def q_matrix(self, step: int, mid: bool = False) -> np.ndarray:
-        return circulant(self.model.lattice, self.offsets,
-                         self.h_half[self.half_index(step, mid)])
-
-    def chi(self, step: int, mid: bool = False) -> np.ndarray:
-        """sum_j mu_j f_j f_j^dag: the circulant with offset-w coefficient
-        (1/N) sum_j e^{-2 pi i j w/N} mu_j."""
-        mu = self.mu_half[self.half_index(step, mid)]
-        return circulant(self.model.lattice, range(mu.size), np.fft.fft(mu, norm="forward"))
-
     def u0(self, step, states: np.ndarray, mid: bool = False,
            adjoint: bool = False) -> np.ndarray:
         """U0 (U0^dag, by the negated branches, if `adjoint`) at a grid point
@@ -265,22 +196,9 @@ class ZeroOrderSolution:
         lam = sign * branches(self.model.lattice, self.offsets, self.h_half[j])
         return displacement(self.model, lam, sign * self.mu_half[j], states)
 
-    def u0_matrix(self, step: int) -> np.ndarray:
-        """Dense U0 at a grid point, column by column from its action (diagnostics)."""
-        eye = np.eye(self.model.dim)
-        return self.u0(step, eye.reshape((-1,) + self.model.shape)).reshape(eye.shape).T
-
     def zero_order_state(self, step: int) -> np.ndarray:
         """U0(t)|0,k0), the exact solution of the H0 dynamics."""
         return self.u0(step, make_basis_state(self.model, self.k0, 0))
-
-    def unitarity_error(self, step: int) -> float:
-        u = self.u0_matrix(step)
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
-
-    def chi_hermiticity_error(self, step: int) -> float:
-        c = self.chi(step)
-        return float(np.linalg.norm(c - c.conj().T, 2))
 
 
 def zero_order_solution(model: Model, couplings: CouplingSet, strategy: ModulatorStrategy,
@@ -320,49 +238,6 @@ def zero_order_solution(model: Model, couplings: CouplingSet, strategy: Modulato
                              grid=grid, k0=k0, h_half=h, hdot_half=hdot, mu_half=mu)
 
 
-def u0_commutators_check(sol: ZeroOrderSolution, step: int, tol: float = 1e-6,
-                         keep_levels: int | None = None) -> float:
-    """Max residual of the four ladder/evolution commutation relations
-    [b, U0] = U0 Q, [b, U0^dag] = -U0^dag Q, [b^dag, U0] = U0 Q^dag,
-    [b^dag, U0^dag] = -U0^dag Q^dag.
-
-    The relations are exact at infinite cutoff; truncating the generator
-    leaves a boundary layer below the top Fock level whose magnitude at
-    distance d from the cutoff falls off like (||Q|| sqrt(levels))^d / d!.
-    The residual is therefore measured on levels <= `keep_levels`, chosen by
-    default as the largest subspace where that bound stays below tol/10.
-    """
-    model = sol.model
-    u = sol.u0_matrix(step)
-    qp = sol.q_matrix(step)
-    levels = model.osc.levels
-    b = ladder_b(model).dense()
-    q_full = ProductOperator.single(qp, np.eye(levels)).dense()
-    if keep_levels is None:
-        scale = np.linalg.norm(qp, 2) * np.sqrt(levels)
-        bound, depth = 1.0, 0
-        while bound >= 0.1 * tol:
-            depth += 1
-            bound *= scale / depth
-        keep_levels = model.osc.cutoff - depth
-    if keep_levels < 0:
-        raise ValueError("amplitude too large for a reliable subspace at this cutoff")
-    mask = np.zeros(levels)
-    mask[:keep_levels + 1] = 1.0
-    proj = ProductOperator.single(np.eye(model.lattice.sites), np.diag(mask)).dense()
-
-    ud = u.conj().T
-    bd = b.conj().T
-    qd = q_full.conj().T
-    residuals = [
-        (b @ u - u @ b) - u @ q_full,
-        (b @ ud - ud @ b) + ud @ q_full,
-        (bd @ u - u @ bd) - u @ qd,
-        (bd @ ud - ud @ bd) + ud @ qd,
-    ]
-    return float(max(np.linalg.norm(proj @ r @ proj, 2) for r in residuals))
-
-
 class ResidualResult(NamedTuple):
     """Rotated-frame states |t> stored at the grid steps `steps` (increasing,
     the initial and the final step always included)."""
@@ -373,13 +248,6 @@ class ResidualResult(NamedTuple):
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def physical_state(self, step: int) -> np.ndarray:
-        """U0(t)|t>, the interaction-picture state, at a stored step; for all
-        of them in one call, ``sol.u0(steps, states)``.  Raises ValueError
-        for a step that was not stored."""
-        return self.sol.u0(step, self.states[self.steps.tolist().index(step)])
-
 
 def propagate_residual(sol: ZeroOrderSolution, collect_every: int | None = None) -> ResidualResult:
     """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
@@ -439,35 +307,3 @@ def propagate_residual(sol: ZeroOrderSolution, collect_every: int | None = None)
     states[first:] = np.fft.ifft(states[first:], axis=-2, norm="ortho")
     return ResidualResult(sol=sol, steps=stored, states=states)
 
-
-class ResidualReport(NamedTuple):
-    times: np.ndarray
-    deviation: np.ndarray       # || |t> - |0,k0) || over time
-    h_norm: np.ndarray          # l2 norm of h_q(t) over time
-    integrated_h1_norm: float   # int ||H1(t')|| dt', first-order bound
-
-
-def residual_magnitude_report(sol: ZeroOrderSolution,
-                              residual: ResidualResult | None = None,
-                              norm_samples: int = 200) -> ResidualReport:
-    """Diagnostics for strategy comparison: deviation of the rotated-frame
-    state from the initial one and the h amplitude at the stored steps of
-    `residual` (by default every step), and the first-order bound
-    int ||H1|| dt (spectral norm is conjugation-invariant, so H1 is measured
-    directly; sampled on a decimated set of midpoints)."""
-    if residual is None:
-        residual = propagate_residual(sol, collect_every=1)
-    grid = sol.grid
-    psi0 = residual.states[0]
-    deviation = np.linalg.norm(
-        (residual.states - psi0).reshape(residual.steps.size, -1), axis=1)
-    h_norm = np.linalg.norm(sol.h_half[2 * residual.steps], axis=1)
-    stride = max(1, grid.steps // norm_samples)
-    total = 0.0
-    for i in range(0, grid.steps, stride):
-        width = min(stride, grid.steps - i) * grid.dt
-        _, h1 = split_hamiltonian(sol.model, sol.couplings, sol.strategy,
-                                  grid.midpoint(i), sol.k0)
-        total += width * float(np.linalg.norm(h1.dense(), 2))
-    return ResidualReport(times=grid.times[residual.steps], deviation=deviation, h_norm=h_norm,
-                          integrated_h1_norm=total)

@@ -35,11 +35,9 @@ from .hilbert import (
     circulant,
     displacement,
     fidelity,
-    inner,
     make_basis_state,
     oscillator_annihilation,
     shift_matrix,
-    state_norm,
 )
 
 TRUNCATION_TOL = 1e-10
@@ -128,11 +126,11 @@ class EcsState:
 
     @property
     def norm(self) -> float:
-        return state_norm(self.state)
+        return float(np.linalg.norm(self.state))
 
 
 def _finish(model, h, k0, construction, state, tol) -> EcsState:
-    norm = state_norm(state)
+    norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > 100.0 * tol:
         raise TruncationError(
             f"constructed state norm {norm} deviates from 1 beyond tolerance")
@@ -185,7 +183,7 @@ def overlap(ecs1: EcsState, ecs2: EcsState) -> complex:
     """<ecs1|ecs2> on a common model."""
     if ecs1.model.shape != ecs2.model.shape:
         raise ValueError("states live on different spaces")
-    return inner(ecs1.state, ecs2.state)
+    return complex(np.vdot(ecs1.state, ecs2.state))
 
 
 def overlap_single_mode(g: complex, g_prime: complex, k0: int, k0_prime: int) -> complex:

@@ -3,9 +3,9 @@
 A single spinless particle lives on a periodic momentum lattice (``Lattice``),
 a harmonic oscillator on a truncated Fock ladder (``OscillatorSpec``).  States
 are complex arrays of shape ``(sites, cutoff + 1)`` indexed by
-(momentum index, Fock level); operators are sums of tensor products of a
-particle matrix and an oscillator matrix (``ProductOperator``, whose
-``dense`` is the one place the Kronecker flattening order is fixed).
+(momentum index, Fock level).  This module forms no operator on the product
+space: a particle matrix acts on the momentum axis, an oscillator matrix on
+the Fock axis.
 
 Every particle factor of the zero-order Hamiltonian is a circulant
 sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (offsets
@@ -199,17 +199,6 @@ def make_basis_state(model: Model, k0_index: int, n: int) -> np.ndarray:
     return state
 
 
-def state_norm(state: np.ndarray) -> float:
-    return float(np.linalg.norm(state))
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> with the first argument conjugated."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>| / (||a|| ||b||), clamped to 1 so that 1 - fidelity is never a
     negative round-off residual."""
@@ -217,59 +206,6 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity undefined for zero vectors")
     return min(1.0, float(abs(np.vdot(a, b)) / (na * nb)))
-
-
-@dataclass(frozen=True)
-class ProductOperator:
-    """Sum of tensor products (particle matrix) x (oscillator matrix).
-
-    Application to a state of shape (N, levels) is
-    ``sum_i P_i @ state @ O_i.T``.  All stored matrices are read-only.
-    """
-
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self):
-        frozen = []
-        for p, o in self.terms:
-            p = np.asarray(p, dtype=complex)
-            o = np.asarray(o, dtype=complex)
-            if p.ndim != 2 or p.shape[0] != p.shape[1]:
-                raise ValueError("particle factor must be a square matrix")
-            if o.ndim != 2 or o.shape[0] != o.shape[1]:
-                raise ValueError("oscillator factor must be a square matrix")
-            p = p.copy()
-            o = o.copy()
-            p.flags.writeable = False
-            o.flags.writeable = False
-            frozen.append((p, o))
-        object.__setattr__(self, "terms", tuple(frozen))
-
-    @classmethod
-    def single(cls, particle: np.ndarray, oscillator: np.ndarray) -> "ProductOperator":
-        return cls(terms=((particle, oscillator),))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        p, o = self.terms[0]
-        return (p.shape[0], o.shape[0])
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        if state.shape != self.shape:
-            raise ValueError(f"state shape {state.shape} incompatible with operator {self.shape}")
-        out = np.zeros_like(state, dtype=complex)
-        for p, o in self.terms:
-            out += p @ state @ o.T
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Explicit matrix on the flattened product space (kron ordering
-        matches C-order flattening of (N, levels) states)."""
-        N, levels = self.shape
-        out = np.zeros((N * levels, N * levels), dtype=complex)
-        for p, o in self.terms:
-            out += np.kron(p, o)
-        return out
 
 
 def shift_matrix(lattice: Lattice, q: int) -> np.ndarray:
@@ -284,27 +220,9 @@ def shift_matrix(lattice: Lattice, q: int) -> np.ndarray:
     return mat
 
 
-def rho(model: Model, q: int) -> ProductOperator:
-    """Density Fourier component rho_q in the one-particle sector; identity
-    on the oscillator factor."""
-    return ProductOperator.single(shift_matrix(model.lattice, q), np.eye(model.osc.levels))
-
-
 def oscillator_annihilation(osc: OscillatorSpec) -> np.ndarray:
     """Truncated annihilation matrix: b|n> = sqrt(n)|n-1>."""
     return np.diag(np.sqrt(np.arange(1, osc.levels)), 1).astype(complex)
-
-
-def ladder_b(model: Model) -> ProductOperator:
-    """Annihilation operator, identity on the particle factor."""
-    return ProductOperator.single(np.eye(model.lattice.sites),
-                                  oscillator_annihilation(model.osc))
-
-
-def ladder_b_dag(model: Model) -> ProductOperator:
-    """Creation operator; b^dag|cutoff> = 0 under truncation."""
-    return ProductOperator.single(np.eye(model.lattice.sites),
-                                  oscillator_annihilation(model.osc).conj().T)
 
 
 def _offset_diagonals(lattice: Lattice, offsets, values) -> np.ndarray:
@@ -409,10 +327,6 @@ class CoefficientSet:
     def single_mode(cls, lattice: Lattice, q0: int, amplitude: complex) -> "CoefficientSet":
         return cls(lattice, ((int(q0), complex(amplitude)),))
 
-    @classmethod
-    def zero(cls, lattice: Lattice) -> "CoefficientSet":
-        return cls(lattice, ())
-
     def get(self, q: int) -> complex:
         qc = self.lattice.wrap_offset(q)
         for qq, v in self.items:
@@ -436,10 +350,6 @@ class CoefficientSet:
     def l1_amplitude(self) -> float:
         return float(sum(abs(v) for _, v in self.items))
 
-    @property
-    def l2_amplitude(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for _, v in self.items)))
-
     def particle_matrix(self) -> np.ndarray:
         """The circulant sum_q h_q shift(q), so any two such matrices (and
         their adjoints) commute."""
@@ -450,7 +360,3 @@ class CoefficientSet:
         eigenbranches, max_j |lam_j| = ||Q||_2 (Q is normal)."""
         return float(np.abs(branches(self.lattice, self.offsets, self.values)).max())
 
-
-def build_Q(model: Model, h: CoefficientSet) -> ProductOperator:
-    """Q = sum_q h_q rho_q, acting on the particle factor only."""
-    return ProductOperator.single(h.particle_matrix(), np.eye(model.osc.levels))

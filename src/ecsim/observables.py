@@ -19,13 +19,11 @@ the plane-wave contraction identity the closed form rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import ZeroOrderSolution
-from .ecs import coherent_state_vector
-from .hilbert import Lattice, Model, fidelity
+from .hilbert import Lattice, Model
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,6 @@ class PositionGrid:
     def size(self) -> int:
         return int(self.points.size)
 
-    def is_commensurate(self, lattice: Lattice) -> bool:
-        ratio = self.points / lattice.spacing
-        return bool(np.allclose(ratio, np.round(ratio), atol=1e-9))
-
 
 @dataclass(frozen=True)
 class GammaGrid:
@@ -82,11 +76,6 @@ class GammaGrid:
 
     def hermiticity_error(self) -> float:
         return float(np.abs(self.values - self.values.conj().T).max())
-
-    def diagonal_error(self) -> float:
-        """Deviation of the diagonal from real non-negative values."""
-        d = np.diag(self.values)
-        return float(max(np.abs(d.imag).max(), np.maximum(-d.real, 0.0).max()))
 
     def trace_mean(self) -> float:
         """Ring average of the diagonal; equals the particle number 1 for the
@@ -162,36 +151,18 @@ class AlphaField:
         return float(self.phi.max() - self.phi.min())
 
 
-def alpha_values(sol: ZeroOrderSolution, points: np.ndarray,
-                 half_index: int | None = None,
-                 h_values: np.ndarray | None = None) -> np.ndarray:
-    """alpha(x, t) = sum_q h_q(t) e^{-iqx} at raw positions (no grid
-    validation); periodic in x with the ring length."""
-    if h_values is None:
-        h_values = sol.h_half[half_index]
+def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
+    """Evaluate alpha(x, t) = sum_q h_q(t) e^{-iqx} on the grid at all stored
+    times and accumulate Phi(x) = int_{t0}^{0} Im[alphadot*(x,t') alpha(x,t')] dt'
+    by trapezoid on the half grid, with alphadot analytic."""
+    _require_t_end_zero(sol)
     qvals = np.array([sol.model.lattice.offset_momentum(q) for q in sol.offsets])
-    phases = np.exp(-1j * np.outer(np.asarray(points, dtype=float), qvals))
-    return phases @ h_values
-
-
-def _alpha_phi_at(sol: ZeroOrderSolution, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha on the half grid, Phi) at raw positions: alpha from the stored
-    h_q(t), Phi by trapezoid of Im[alphadot* alpha] with alphadot analytic."""
-    qvals = np.array([sol.model.lattice.offset_momentum(q) for q in sol.offsets])
-    phases = np.exp(-1j * np.outer(np.asarray(points, dtype=float), qvals))  # (nx, nq)
-    alpha_half = sol.h_half @ phases.T                                       # (n_half, nx)
+    phases = np.exp(-1j * np.outer(grid.points, qvals))   # (nx, nq)
+    alpha_half = sol.h_half @ phases.T                    # (n_half, nx)
     alphadot_half = sol.hdot_half @ phases.T
     integrand = np.imag(alphadot_half.conj() * alpha_half)
     dt_half = sol.grid.dt / 2.0
     phi = 0.5 * dt_half * (integrand[0] + integrand[-1]) + dt_half * integrand[1:-1].sum(axis=0)
-    return alpha_half, phi
-
-
-def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
-    """Evaluate alpha on the grid at all stored times and accumulate
-    Phi(x) = int_{t0}^{0} Im[alphadot*(x,t') alpha(x,t')] dt'."""
-    _require_t_end_zero(sol)
-    alpha_half, phi = _alpha_phi_at(sol, grid.points)
     return AlphaField(model=sol.model, grid=grid, times=sol.grid.times,
                       alpha=alpha_half[::2], phi=phi)
 
@@ -209,28 +180,3 @@ def gamma_closed_form(field: AlphaField, k0: int, grid: PositionGrid) -> GammaGr
                          - 2.0 * a0.conj()[:, None] * a0[None, :]))
     return GammaGrid(values=np.exp(exponent), grid=grid, method="closed_form")
 
-
-class IntermediateStateCheck(NamedTuple):
-    fidelity: float
-    contracted: np.ndarray
-    analytic: np.ndarray
-
-
-def intermediate_state_check(sol: ZeroOrderSolution, x_prime: float) -> IntermediateStateCheck:
-    """Compare psi(x',0) U0(0)|0,k0) with
-    e^{i k0 x' - i Phi(x')} |alpha(x',0)) in the oscillator sector."""
-    _require_t_end_zero(sol)
-    model = sol.model
-    step = sol.grid.steps
-    physical = sol.zero_order_state(step)
-    row = _wave_contraction_matrix(model, np.array([float(x_prime)]), 0.0)
-    contracted = (row @ physical)[0]
-
-    alpha_half, phi_arr = _alpha_phi_at(sol, np.array([float(x_prime)]))
-    alpha0 = complex(alpha_half[-1, 0])
-    phi = float(phi_arr[0])
-    k0_val = model.lattice.momenta[sol.k0]
-    analytic = np.exp(1j * k0_val * x_prime - 1j * phi) \
-        * coherent_state_vector(alpha0, model.osc.levels)
-    return IntermediateStateCheck(fidelity=fidelity(contracted, analytic),
-                                  contracted=contracted, analytic=analytic)

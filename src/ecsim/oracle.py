@@ -1,4 +1,4 @@
-"""Brute-force dense reference implementations used as ground truth.
+"""Brute-force dense reference propagation, the ground truth of `evolve`.
 
 This module deliberately shares no machinery with the propagation code
 beyond the basis types: the Hamiltonian is assembled entry by entry, the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import Model, ProductOperator
+from .hilbert import Model
 from .dynamics import CouplingSet, TimeGrid, STABILITY_LIMIT
 
 
@@ -24,14 +24,6 @@ def _free_energies(model: Model) -> np.ndarray:
 def free_hamiltonian_dense(model: Model) -> np.ndarray:
     """H_free = diag(eps_k) x I + I x w b^dag b, diagonal in the product basis."""
     return np.diag(_free_energies(model).astype(complex))
-
-
-def conjugate_free(model: Model, op, t: float) -> np.ndarray:
-    """e^{i H_free t} op e^{-i H_free t} on the flattened space; `op` may be a
-    ProductOperator or a dense matrix."""
-    dense = op.dense() if isinstance(op, ProductOperator) else np.asarray(op, dtype=complex)
-    phase = np.exp(1j * t * _free_energies(model))
-    return (phase[:, None] * dense) * phase.conj()[None, :]
 
 
 def schrodinger_hamiltonian_dense(model: Model, couplings: CouplingSet) -> np.ndarray:
@@ -87,15 +79,3 @@ def propagate_exact(model: Model, couplings: CouplingSet, grid: TimeGrid,
         return final, (idx, states)
     return final
 
-
-def richardson_order(model: Model, couplings: CouplingSet, grid: TimeGrid,
-                     initial: np.ndarray, refinements: int = 2) -> tuple[list[float], list[float]]:
-    """Observed convergence order from successive dt-halvings of the exact
-    propagation: returns (orders, difference norms)."""
-    grids = [grid]
-    for _ in range(refinements):
-        grids.append(grids[-1].refined(2))
-    finals = [propagate_exact(model, couplings, g, initial).reshape(-1) for g in grids]
-    diffs = [float(np.linalg.norm(finals[i] - finals[i + 1])) for i in range(refinements)]
-    orders = [float(np.log2(diffs[i] / diffs[i + 1])) for i in range(refinements - 1)]
-    return orders, diffs

@@ -7,7 +7,14 @@ printing a PASS line with the measured values (run with -s to see them).
 import numpy as np
 import pytest
 
-from conftest import make_model, midpoint_propagate, static_unit_reference, u0_dense_reference
+from conftest import (
+    exact_interaction_state,
+    make_model,
+    midpoint_propagate,
+    static_unit_reference,
+    u0_dense_reference,
+    zero_order_hamiltonian,
+)
 from ecsim import oracle
 from ecsim.cli import main
 from ecsim.dynamics import (
@@ -15,7 +22,6 @@ from ecsim.dynamics import (
     ModulatorStrategy,
     TimeGrid,
     propagate_residual,
-    split_hamiltonian,
     zero_order_solution,
 )
 from ecsim.ecs import (
@@ -144,7 +150,7 @@ def test_criterion_4_zero_order_exactness(propagation_setup):
     strat = ModulatorStrategy.static_unit()
     sol = zero_order_solution(model, couplings, strat, grid, k0)
 
-    h0_of = lambda t: split_hamiltonian(model, couplings, strat, t, k0)[0].dense()
+    h0_of = lambda t: zero_order_hamiltonian(model, couplings, strat, t, k0)
     psi0 = make_basis_state(model, k0, 0)
     final_1 = midpoint_propagate(model, h0_of, grid, psi0)
     fid_err = 1.0 - fidelity(sol.zero_order_state(grid.steps), final_1)
@@ -154,7 +160,8 @@ def test_criterion_4_zero_order_exactness(propagation_setup):
     h_ref, chi_ref = static_unit_reference(model, couplings, grid.t0, grid.t_end)
     ref = (u0_dense_reference(model, h_ref, chi_ref)
            @ psi0.reshape(-1)).reshape(model.shape)
-    final_2 = midpoint_propagate(model, h0_of, grid.refined(2), psi0)
+    final_2 = midpoint_propagate(model, h0_of, TimeGrid(grid.t0, grid.t_end, 2 * grid.steps),
+                                 psi0)
     e1 = float(np.linalg.norm(final_1 - ref))
     e2 = float(np.linalg.norm(final_2 - ref))
     order = float(np.log2(e1 / e2))
@@ -164,17 +171,24 @@ def test_criterion_4_zero_order_exactness(propagation_setup):
 
 
 def test_criterion_5_full_dynamics_equivalence(propagation_setup):
-    """Residual resummation: U0(t)|t> vs the full-Hamiltonian oracle,
-    plus the exact-split case where the rotated state must not move."""
+    """Residual resummation: U0(t)|t> vs the full-Hamiltonian oracle, both
+    amplitude by amplitude against the step-free exact state, plus the
+    exact-split case where the rotated state must not move."""
     model, couplings, grid = propagation_setup
     k0 = 2
     sol = zero_order_solution(model, couplings, ModulatorStrategy.recoil_phase(),
                               grid, k0)
     res = propagate_residual(sol)
     psi0 = make_basis_state(model, k0, 0)
+    split = sol.u0(grid.steps, res.final)
     exact = oracle.propagate_exact(model, couplings, grid, psi0)
-    fid_err = 1.0 - fidelity(res.physical_state(grid.steps), exact)
+    fid_err = 1.0 - fidelity(split, exact)
     assert fid_err < 1e-6
+    reference = exact_interaction_state(model, couplings, grid, psi0)
+    split_err = float(np.abs(split - reference).max())
+    oracle_err = float(np.abs(exact - reference).max())
+    assert split_err < 1e-6
+    assert oracle_err < 1e-6
 
     flat = make_model(sites=5, cutoff=12, omega=2.5, kind="flat")
     c_flat = CouplingSet.hermitian_pair(flat.lattice, 1, 0.12)
@@ -184,7 +198,8 @@ def test_criterion_5_full_dynamics_equivalence(propagation_setup):
     drift = float(np.abs(res_flat.states - res_flat.states[0]).max())
     assert drift < 1e-10
 
-    _report(5, f"fidelity_error={fid_err:.2e} exact-split drift={drift:.2e}")
+    _report(5, f"fidelity_error={fid_err:.2e} amplitude errors vs step-free exact: "
+               f"split={split_err:.2e} oracle={oracle_err:.2e} exact-split drift={drift:.2e}")
 
 
 def test_criterion_6_density_matrix_consistency():

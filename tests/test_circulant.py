@@ -8,17 +8,26 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import PINNED, dense_from_action, make_model, unitary_exponential
+from conftest import (
+    PINNED,
+    coupled_models,
+    dense_from_action,
+    fourier_vectors,
+    interaction_hamiltonian,
+    kron,
+    make_model,
+    scaled_solution,
+    split_hamiltonian,
+    unitary_exponential,
+    values,
+)
 from ecsim.dynamics import (
     STABILITY_LIMIT,
     CouplingSet,
     ModulatorStrategy,
     TimeGrid,
     check_stability,
-    hamiltonian_full,
     propagate_residual,
-    split_hamiltonian,
-    zero_order_solution,
 )
 from ecsim.hilbert import (
     CoefficientSet,
@@ -30,10 +39,6 @@ from ecsim.hilbert import (
     shift_matrix,
 )
 from ecsim.observables import PositionGrid, alpha_phi
-
-finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-values = st.builds(complex, finite, finite)
-
 
 def loop_reference(lattice, offsets, vals):
     """The explicit sum_q v_q shift(q), one matrix at a time."""
@@ -82,12 +87,6 @@ def test_circulant_batched_leading_axes(case, rows, cols, seed):
             assert np.array_equal(got[i, j], loop_reference(lat, offsets, batch[i, j]))
 
 
-def fourier_vectors(sites):
-    """Column j is f_j[n] = e^{2 pi i j n/N} / sqrt(N)."""
-    n = np.arange(sites)
-    return np.exp(2j * np.pi * np.outer(n, n) / sites) / np.sqrt(sites)
-
-
 @PINNED
 @given(lattice_terms(), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=2**32 - 1))
@@ -127,8 +126,8 @@ def test_displacement_matches_expm_of_dense_generator(data, sites, cutoff, batch
     qp = circulant(lat, q_offsets, q_vals)
     chi = circulant(lat, chi_offsets, chi_vals)
     b = oscillator_annihilation(model.osc)
-    gen = (np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b)
-           - 1j * np.kron(chi, np.eye(model.osc.levels)))
+    gen = (kron(qp, b.conj().T) - kron(qp.conj().T, b)
+           - 1j * kron(chi, np.eye(model.osc.levels)))
     lam, mu = branches(lat, q_offsets, q_vals), branches(lat, chi_offsets, chi_vals).real
     got = dense_from_action(model, lambda states: displacement(model, lam, mu, states))
     assert np.abs(got - expm(gen)).max() < 1e-12
@@ -151,26 +150,6 @@ def test_vanishing_branches_return_states_unchanged(sites, cutoff, seed):
     assert np.array_equal(got, states)
 
 
-@st.composite
-def coupled_models(draw):
-    sites = draw(st.integers(min_value=2, max_value=8))
-    kind = draw(st.sampled_from(["tight_binding", "quadratic", "flat"]))
-    model = make_model(sites=sites, cutoff=draw(st.integers(min_value=1, max_value=4)),
-                       omega=draw(st.floats(min_value=0.3, max_value=3.0)), kind=kind)
-    lat = model.lattice
-    pairs = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=sites - 1), values),
-                          min_size=1, max_size=3))
-    g: dict[int, complex] = {}
-    for q, v in pairs:
-        q, qm = lat.wrap_offset(q), lat.wrap_offset(-q)
-        if q == qm:
-            g[q] = g.get(q, 0.0) + v.real
-        else:
-            g[q] = g.get(q, 0.0) + v
-            g[qm] = g.get(qm, 0.0) + v.conjugate()
-    return model, CouplingSet.from_dict(lat, g)
-
-
 @PINNED
 @given(coupled_models(), st.floats(min_value=-4.0, max_value=4.0),
        st.sampled_from(["static_unit", "recoil_phase"]))
@@ -178,8 +157,8 @@ def test_split_sums_to_full_hamiltonian(mc, t, kind):
     model, couplings = mc
     k0 = model.lattice.sites // 2
     h0, h1 = split_hamiltonian(model, couplings, ModulatorStrategy(kind=kind), t, k0)
-    full = hamiltonian_full(model, couplings, t, "interaction").dense()
-    assert np.abs(h0.dense() + h1.dense() - full).max() < 1e-13 * max(1.0, np.abs(full).max())
+    full = interaction_hamiltonian(model, couplings, t)
+    assert np.abs(h0 + h1 - full).max() < 1e-13 * max(1.0, np.abs(full).max())
 
 
 @PINNED
@@ -206,7 +185,7 @@ def test_operator_amplitude_is_the_spectral_norm(case):
 @given(coupled_models())
 def test_stability_guard_matches_the_dense_hamiltonian_norm(mc):
     model, couplings = mc
-    hnorm = np.linalg.norm(hamiltonian_full(model, couplings).dense(), 2)
+    hnorm = np.linalg.norm(interaction_hamiltonian(model, couplings), 2)
     assume(hnorm > 1e-6)
     dt = STABILITY_LIMIT / hnorm
     check_stability(model, couplings, TimeGrid(-dt * (1 - 1e-9), 0.0, 1))
@@ -217,28 +196,13 @@ def test_stability_guard_matches_the_dense_hamiltonian_norm(mc):
 @PINNED
 @given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]))
 def test_branches_of_h_and_chi_are_alpha_and_phi(mc, kind):
-    model, couplings = mc
-    lat = model.lattice
-    assume(couplings.operator_amplitude() > 1e-6)
-    couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
-    grid = TimeGrid(-1.0, 0.0, 20)
-    sol = zero_order_solution(model, couplings, ModulatorStrategy(kind=kind), grid,
-                              lat.sites // 2)
+    sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 20))
+    lat = sol.model.lattice
     field = alpha_phi(sol, PositionGrid.uniform(lat))  # x_m = m * spacing
     branch = -np.arange(lat.sites) % lat.sites        # f_{-m} peaks at x_m
     lam = branches(lat, sol.offsets, sol.h_half[-1])
     assert np.abs(lam[branch] - field.alpha_final).max() < 1e-13
     assert np.abs(sol.mu_half[-1][branch] - field.phi).max() < 1e-13
-
-
-def scaled_solution(mc, kind, grid):
-    """Zero-order solution of a random model with the coupling scaled to
-    max |branch| = 0.2, well inside the truncation and stability guards."""
-    model, couplings = mc
-    assume(couplings.operator_amplitude() > 1e-6)
-    couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
-    return zero_order_solution(model, couplings, ModulatorStrategy(kind=kind), grid,
-                               model.lattice.sites // 2)
 
 
 @PINNED
@@ -283,7 +247,7 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
         # reference: the dense conjugated exponential, one eigh at full dimension
         _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
         u0m = dense_from_action(model, lambda states: sol.u0(i, states, mid=True))
-        step = unitary_exponential(u0m.conj().T @ h1.dense() @ u0m, grid.dt)
+        step = unitary_exponential(u0m.conj().T @ h1 @ u0m, grid.dt)
         want = (step @ res.states[i].reshape(-1)).reshape(model.shape)
         assert np.abs(res.states[i + 1] - want).max() < 1e-12
     assert abs(np.linalg.norm(res.final) - 1.0) < 1e-12

@@ -253,6 +253,15 @@ def test_sweep_command(tmp_path):
     assert "order_check = PASS" in summary
 
 
+def test_sweep_rejects_zero_couplings(tmp_path, capsys):
+    p = tmp_path / "free.ini"
+    p.write_text(SMALL_CONFIG.replace("1 = 0.12, 0.0\n-1 = 0.12, 0.0", ""))
+    out = tmp_path / "sw0"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert "[couplings]" in capsys.readouterr().err
+    assert not out.exists()  # rejected before resolved_config.ini is written
+
+
 def test_strategy_override(config_path, tmp_path):
     out = tmp_path / "ovr"
     assert main(["evolve", "--config", config_path, "--out", str(out),

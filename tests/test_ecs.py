@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from conftest import PINNED, make_model, random_coefficients, unity_dense_reference
+from conftest import PINNED, kron, make_model, random_coefficients, unity_dense_reference
 from ecsim.ecs import (
     TruncationError,
     check_b_action,
@@ -38,7 +38,7 @@ def single_mode(model, q0, g):
 
 def test_empty_coefficients_leave_basis_state():
     model = make_model(sites=5, cutoff=6)
-    h = CoefficientSet.zero(model.lattice)
+    h = CoefficientSet(model.lattice)
     basis = make_basis_state(model, 2, 0)
     assert np.allclose(ecs_series(model, h, 2).state, basis, atol=1e-15)
     assert np.allclose(ecs_displacement(model, h, 2).state, basis, atol=1e-15)
@@ -52,8 +52,7 @@ def test_single_mode_populations_are_poisson():
     e = ecs_series(model, single_mode(model, 1, g), 3)
 
     dim = model.dim
-    step = np.kron(shift_matrix(model.lattice, 1),
-                   oscillator_annihilation(model.osc).conj().T)
+    step = kron(shift_matrix(model.lattice, 1), oscillator_annihilation(model.osc).conj().T)
     psi = make_basis_state(model, 3, 0).reshape(-1)
     acc = np.zeros(dim, dtype=complex)
     term = psi.copy()
@@ -89,7 +88,7 @@ def test_displacement_generator_antihermitian():
     model = make_model(sites=4, cutoff=6)
     qp = single_mode(model, 1, 0.4 + 0.1j).particle_matrix()
     b = oscillator_annihilation(model.osc)
-    gen = np.kron(qp, b.conj().T) - np.kron(qp.conj().T, b)
+    gen = kron(qp, b.conj().T) - kron(qp.conj().T, b)
     assert np.linalg.norm(gen + gen.conj().T, 2) == 0.0
 
 
@@ -109,7 +108,7 @@ def test_amplitude_guard_rejects_small_cutoff():
 
 def test_b_action():
     model = make_model(sites=5, cutoff=20)
-    zero = ecs_series(model, CoefficientSet.zero(model.lattice), 0)
+    zero = ecs_series(model, CoefficientSet(model.lattice), 0)
     assert check_b_action(zero) == 0.0
 
     e = ecs_series(model, single_mode(model, 1, 0.4), 0)
@@ -258,7 +257,7 @@ def test_truncation_tail_matches_regularised_gamma():
 def test_unity_resolution_rejects_vanishing_q():
     model = make_model(sites=3, cutoff=8)
     with pytest.raises(ValueError):
-        unity_resolution_check(model, CoefficientSet.zero(model.lattice))
+        unity_resolution_check(model, CoefficientSet(model.lattice))
 
 
 def test_moment_identity():
@@ -275,7 +274,7 @@ def test_moment_identity():
 
 def test_sum_rule_trivial_and_single_mode():
     model = make_model(sites=5, cutoff=10)
-    zero = ecs_series(model, CoefficientSet.zero(model.lattice), 3)
+    zero = ecs_series(model, CoefficientSet(model.lattice), 3)
     res = sum_rule(zero, 2.0)
     k0_val = model.lattice.momenta[3]
     want = np.exp(2j * k0_val) * coherent_state_vector(0.0, model.osc.levels)

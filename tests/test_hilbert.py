@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import make_model, random_coefficients
+from conftest import kron, make_model, random_coefficients
 from ecsim.hilbert import (
     CoefficientSet,
     Dispersion,
     Lattice,
-    ProductOperator,
-    build_Q,
     fidelity,
-    ladder_b,
-    ladder_b_dag,
     make_basis_state,
-    rho,
+    oscillator_annihilation,
     shift_matrix,
 )
 
@@ -60,18 +56,11 @@ def test_basis_state_range_errors():
         make_basis_state(model, -1, 0)
 
 
-def test_rho_zero_is_identity():
-    model = make_model(sites=5)
-    p, o = rho(model, 0).terms[0]
-    assert np.array_equal(p, np.eye(5))
-    assert np.array_equal(o, np.eye(model.osc.levels))
-
-
 def test_rho_shifts_momentum_label():
     model = make_model(sites=5, cutoff=3)
     for q in range(-5, 6):
         for k0 in range(5):
-            got = rho(model, q).apply(make_basis_state(model, k0, 2))
+            got = shift_matrix(model.lattice, q) @ make_basis_state(model, k0, 2)
             want = make_basis_state(model, (k0 - q) % 5, 2)
             assert np.array_equal(got, want)
 
@@ -79,7 +68,7 @@ def test_rho_shifts_momentum_label():
 def test_rho_unitary_entrywise():
     model = make_model(sites=5)
     for q in range(5):
-        r = rho(model, q).dense()
+        r = kron(shift_matrix(model.lattice, q), np.eye(model.osc.levels))
         assert np.allclose(r.conj().T @ r, np.eye(model.dim), atol=1e-15)
 
 
@@ -99,8 +88,8 @@ def test_rho_commutators_vanish(sites):
 
 def test_ladder_operators():
     model = make_model(sites=3, cutoff=5)
-    b = ladder_b(model).dense()
-    bd = ladder_b_dag(model).dense()
+    b = kron(np.eye(model.lattice.sites), oscillator_annihilation(model.osc))
+    bd = b.conj().T
     M = model.osc.cutoff
 
     assert not np.any(b @ make_basis_state(model, 0, 0).reshape(-1))
@@ -119,13 +108,12 @@ def test_ladder_operators():
 
 
 def test_build_q_zero_and_single_mode():
-    model = make_model(sites=5, cutoff=4)
-    zero = build_Q(model, CoefficientSet.zero(model.lattice))
-    assert not np.any(zero.dense())
+    lat = Lattice(sites=5, length=5.0)
+    assert not np.any(CoefficientSet(lat).particle_matrix())
 
     g = 0.37 - 0.2j
-    single = build_Q(model, CoefficientSet.single_mode(model.lattice, 2, g))
-    assert np.allclose(single.dense(), g * rho(model, 2).dense(), atol=1e-15)
+    single = CoefficientSet.single_mode(lat, 2, g).particle_matrix()
+    assert np.allclose(single, g * shift_matrix(lat, 2), atol=1e-15)
 
 
 def test_q_family_commutes():
@@ -138,20 +126,6 @@ def test_q_family_commutes():
         b = h2.particle_matrix()
         assert np.linalg.norm(a @ b - b @ a, 2) < 1e-13
         assert np.linalg.norm(a @ b.conj().T - b.conj().T @ a, 2) < 1e-13
-
-
-def test_product_operator_apply_matches_dense():
-    rng = np.random.default_rng(5)
-    model = make_model(sites=4, cutoff=3)
-    N, L = model.shape
-    terms = tuple((rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)),
-                   rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L)))
-                  for _ in range(3))
-    op = ProductOperator(terms)
-    state = rng.standard_normal(model.shape) + 1j * rng.standard_normal(model.shape)
-    direct = op.apply(state).reshape(-1)
-    dense = op.dense() @ state.reshape(-1)
-    assert np.allclose(direct, dense, atol=1e-13)
 
 
 def test_dispersion_values():
@@ -199,4 +173,3 @@ def test_coefficient_set_canonicalization():
     assert np.isclose(h.scaled(2.0).get(-1), 4.0)
     single = CoefficientSet.single_mode(lat, 1, 0.3 + 0.4j)
     assert np.isclose(single.operator_amplitude(), 0.5)
-    assert np.isclose(single.l2_amplitude, 0.5)
