@@ -22,6 +22,7 @@ from . import oracle
 from .config import ConfigError, RunConfig, load_config, require_positive, resolved_config_text
 from .dynamics import (
     ModulatorStrategy,
+    ResidualResult,
     propagate_residual,
     zero_order_solution,
 )
@@ -160,12 +161,11 @@ def cmd_properties(cfg: RunConfig, out_dir: str) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _evolve_one(cfg: RunConfig, strategy: ModulatorStrategy, out_dir: str,
-                stride: int, oracle_states: np.ndarray) -> tuple[float, str]:
-    """Run one strategy against the oracle states sampled every `stride`
-    steps; returns (min fidelity vs oracle, series file path)."""
-    sol = zero_order_solution(cfg.model, cfg.couplings, strategy, cfg.grid, cfg.k0)
-    res = propagate_residual(sol, collect_every=stride)
+def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
+                oracle_states: np.ndarray) -> tuple[float, str]:
+    """Compare one strategy's propagation with the oracle states sampled at
+    the same steps; returns (min fidelity vs oracle, series file path)."""
+    sol, strategy = res.sol, res.sol.strategy
     physical = sol.u0(res.steps, res.states)
 
     rows = []
@@ -198,10 +198,11 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -
     stride = max(1, cfg.grid.steps // 200)
     _, (_, oracle_states) = oracle.propagate_exact(
         cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
+    sols = [zero_order_solution(cfg.model, cfg.couplings, ModulatorStrategy(kind=kind),
+                                cfg.grid, cfg.k0) for kind in kinds]
     ok = True
-    for kind in kinds:
-        min_fid, path = _evolve_one(cfg, ModulatorStrategy(kind=kind), out_dir,
-                                    stride, oracle_states)
+    for kind, res in zip(kinds, propagate_residual(*sols, collect_every=stride)):
+        min_fid, path = _evolve_one(cfg, res, out_dir, oracle_states)
         err = 1.0 - min_fid
         passed = err < cfg.tolerance("evolve_fidelity")
         ok = ok and passed
@@ -227,7 +228,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
     _prepare_out(cfg, out_dir)
     model = cfg.model
     sol = zero_order_solution(model, cfg.couplings, cfg.strategy(), cfg.grid, cfg.k0)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
     pos = cfg.positions()
 
     ge = gamma_exact(res.final, sol, pos)
@@ -274,20 +275,17 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     if not np.any(cfg.couplings.values):
         raise ConfigError("sweep needs a nonzero coupling in [couplings]: at zero coupling "
                           "the gap vanishes at every scale and has no order")
+    sols = [zero_order_solution(cfg.model, cfg.couplings.scaled(f), cfg.strategy(), cfg.grid,
+                                cfg.k0) for f in factors]
+    results = propagate_residual(*sols)
+    if all(res.exact_split for res in results):
+        raise ConfigError("sweep needs a residual: H1 vanishes at every step (flat dispersion "
+                          "or couplings only at q = 0), so the split is exact and every gap "
+                          "is round-off")
     _prepare_out(cfg, out_dir)
-    model = cfg.model
     pos = cfg.positions()
-    strategy = cfg.strategy()
-
-    def gap_for(factor: float) -> float:
-        couplings = cfg.couplings.scaled(factor)
-        sol = zero_order_solution(model, couplings, strategy, cfg.grid, cfg.k0)
-        res = propagate_residual(sol)
-        ge = gamma_exact(res.final, sol, pos)
-        gc = gamma_closed_form(alpha_phi(sol, pos), cfg.k0, pos)
-        return ge.max_deviation(gc)
-
-    gaps = [gap_for(f) for f in factors]
+    gaps = [gamma_exact(res.final, res.sol, pos).max_deviation(
+                gamma_closed_form(alpha_phi(res.sol, pos), cfg.k0, pos)) for res in results]
 
     orders = [float(np.log(gaps[i] / gaps[i + 1]) / np.log(factors[i] / factors[i + 1]))
               for i in range(len(gaps) - 1)]

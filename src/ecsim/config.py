@@ -1,8 +1,9 @@
 """Run configuration: flat key = value sections, loaded from INI-style text.
 
 Complex values are written as "re,im" pairs.  Every run writes its resolved
-configuration next to its outputs, so a run is reproducible from its output
-directory alone.
+configuration next to its outputs, floats in their shortest exact form and
+the tolerance scale included, so rerunning from that file alone reproduces
+the run's outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -89,8 +90,13 @@ def parse_complex(text: str) -> complex:
     raise ConfigError(f"cannot parse complex value {text!r}; expected 're,im'")
 
 
+def format_float(value: float) -> str:
+    """The shortest text that parses back to exactly `value`."""
+    return repr(float(value))
+
+
 def format_complex(value: complex) -> str:
-    return f"{value.real:.12e}, {value.imag:.12e}"
+    return f"{format_float(value.real)}, {format_float(value.imag)}"
 
 
 @dataclass(frozen=True)
@@ -210,6 +216,8 @@ def load_config(path: str, strategy_override: str | None = None,
                 "stays commensurate with the lattice")
 
         seed = seed_override if seed_override is not None else int(get("run", "seed"))
+        tolerance_scale *= require_positive("[run] tolerance_scale",
+                                            _get(cp, "run", "tolerance_scale", "1.0"))
 
         tolerances: dict[str, float] = {}
         if cp.has_section("tolerances"):
@@ -234,27 +242,27 @@ def resolved_config_text(cfg: RunConfig) -> str:
     d = cfg.model.dispersion
     cp["model"] = {
         "sites": str(cfg.model.lattice.sites),
-        "length": f"{cfg.model.lattice.length:.12e}",
+        "length": format_float(cfg.model.lattice.length),
         "dispersion": d.kind,
         "cutoff": str(cfg.model.osc.cutoff),
-        "omega": f"{cfg.model.osc.omega:.12e}",
+        "omega": format_float(cfg.model.osc.omega),
     }
     if d.kind == "quadratic":
-        cp["model"]["mass"] = f"{d.mass:.12e}"
+        cp["model"]["mass"] = format_float(d.mass)
     elif d.kind == "tight_binding":
-        cp["model"]["hopping"] = f"{d.hopping:.12e}"
+        cp["model"]["hopping"] = format_float(d.hopping)
     else:
-        cp["model"]["value"] = f"{d.value:.12e}"
+        cp["model"]["value"] = format_float(d.value)
     cp["couplings"] = {str(q): format_complex(v) for q, v in cfg.couplings.items}
     cp["initial"] = {"k0": str(cfg.k0_quantum)}
-    cp["time"] = {"t0": f"{cfg.grid.t0:.12e}", "t_end": f"{cfg.grid.t_end:.12e}",
+    cp["time"] = {"t0": format_float(cfg.grid.t0), "t_end": format_float(cfg.grid.t_end),
                   "steps": str(cfg.grid.steps)}
     cp["strategy"] = {"kind": cfg.strategy_kind}
     cp["positions"] = {"count": str(cfg.position_count)}
     cp["run"] = {"seed": str(cfg.seed),
-                 "tolerance_scale": f"{cfg.tolerance_scale:.12e}"}
+                 "tolerance_scale": format_float(cfg.tolerance_scale)}
     if cfg.tolerances:
-        cp["tolerances"] = {k: f"{v:.12e}" for k, v in sorted(cfg.tolerances.items())}
+        cp["tolerances"] = {k: format_float(v) for k, v in sorted(cfg.tolerances.items())}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

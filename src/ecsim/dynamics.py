@@ -17,10 +17,13 @@ U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
 integrated in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
 U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
 the momentum axis, where U0m is diagonal on the branches
-(``hilbert.branch_displacement``) and exp(-i dt H1) is applied by its Taylor
-series; every midpoint quantity is computed before the loop, and a step is
-a handful of small matmuls with no FFT, eigensolver or dense operator.  No
-operator on the product space is formed anywhere in this module.
+(``hilbert.branch_displacement``; U0m^dag reuses U0m's phases) and
+exp(-i dt H1) is applied by its Taylor series, two matmuls per term; every
+midpoint quantity is computed before the loop, and a step is a handful of
+small matmuls with no FFT, eigensolver or dense operator.  One loop steps a
+stack of solutions that share model, grid and offsets (a coupling sweep's
+scales, or both strategies).  No operator on the product space is formed
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .hilbert import (
     Lattice,
     Model,
     branch_displacement,
+    branch_phases,
     branches,
     circulant,
     displacement,
@@ -240,70 +244,100 @@ def zero_order_solution(model: Model, couplings: CouplingSet, strategy: Modulato
 
 class ResidualResult(NamedTuple):
     """Rotated-frame states |t> stored at the grid steps `steps` (increasing,
-    the initial and the final step always included)."""
+    the initial and the final step always included).  `exact_split` is True
+    when H1 vanished at every midpoint, so every step was skipped and every
+    state is |0,k0) exactly."""
     sol: ZeroOrderSolution
     steps: np.ndarray   # (samples,)
     states: np.ndarray  # (samples, N, levels)
+    exact_split: bool
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-def propagate_residual(sol: ZeroOrderSolution, collect_every: int | None = None) -> ResidualResult:
-    """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
-    U0m^dag exp(-i dt H1) U0m, skipped where H1 vanishes.
 
-    The state is stepped as phi = F psi, F the unitary DFT of the momentum
-    axis.  There U0m is ``branch_displacement`` at the midpoint branches and
-    H1 phi = e P~ phi b + e^* P~^dag phi b^T, with e = e^{i w t_m},
-    P~ = F P F^dag and P = G o e^{i (eps_r - eps_c) t_m} - A(t_m) the particle
-    factor of H1 in the momentum basis; a step is skipped where P is exactly
-    zero.  exp(-i dt H1) is summed as a Taylor series until a term falls below
-    machine epsilon times the sum.  The midpoint branches, phases and
-    modulator factors are computed before the loop, once per run.
+def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
+                       collect_every: int | None = None) -> tuple[ResidualResult, ...]:
+    """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
+    U0m^dag exp(-i dt H1) U0m, skipped where H1 vanishes, for the stack of
+    solutions `sol, *more` in one loop over the grid; one result per solution,
+    in order.  The solutions must share model, grid, k0 and coupling offsets
+    (their coupling values and strategies may differ), else ValueError.
+
+    The states are stepped as phi = F psi, F the unitary DFT of the momentum
+    axis.  There U0m is ``branch_displacement`` at the midpoint branches, and
+    U0m^dag reuses U0m's ``branch_phases``.  H1 phi = e P~ phi b + e^* P~^dag
+    phi b^T, with e = e^{i w t_m}, P~ = F P F^dag and
+    P = G o e^{i (eps_r - eps_c) t_m} - A(t_m) the particle factor of H1 in the
+    momentum basis, so a Taylor term of exp(-i dt H1) is two matmuls:
+    Z = term [b | b^T], viewed as (2N, levels) rows, then [P~ | P~^dag] Z
+    with the columns interleaved to match.  The series is summed until every
+    member's term falls below machine epsilon times its own sum.  A member
+    whose P is exactly zero at a step skips that step.  The midpoint branches
+    and modulator factors are computed before the loop, once per run.
 
     States are stored every `collect_every` steps (by default only the
     initial and the final one), step 0 and the last step always included,
     and only the stored states are transformed back to the momentum basis.
     A trajectory whose steps are all skipped returns |0,k0) exactly.
     """
-    model, grid, lat = sol.model, sol.grid, sol.model.lattice
+    sols = (sol, *more)
+    model, grid, k0, offsets = sol.model, sol.grid, sol.k0, sol.offsets
+    for other in more:
+        if (other.model, other.grid, other.k0, other.offsets) != (model, grid, k0, offsets):
+            raise ValueError("stacked solutions must share model, grid, k0 and coupling offsets")
     if collect_every is not None and collect_every < 1:
         raise ValueError(f"collect_every must be positive, got {collect_every}")
     stored = np.append(np.arange(0, grid.steps, collect_every or grid.steps), grid.steps)
 
+    lat, (N, levels), M = model.lattice, model.shape, len(sols)
     t_mid = grid.t0 + grid.dt * (np.arange(grid.steps) + 0.5)
-    a_vals = sol.couplings.values * sol.strategy.factors(model, sol.k0, sol.offsets, t_mid)
-    lam = branches(lat, sol.offsets, sol.h_half[1::2])
-    mu = sol.mu_half[1::2]
+    a_vals = np.stack([s.couplings.values * s.strategy.factors(model, k0, offsets, t_mid)
+                       for s in sols], axis=1)                       # (steps, M, offsets)
+    lam = branches(lat, offsets, np.stack([s.h_half[1::2] for s in sols], axis=1))
+    mu = np.stack([s.mu_half[1::2] for s in sols], axis=1)           # (steps, M, N)
     osc = np.exp(1j * model.osc.omega * t_mid)
-    eps, g_mat = model.energies(), sol.couplings.particle_matrix()
-    quad = ladder_quadrature(model.osc)
+    eps = model.energies()
+    g_mat = np.stack([s.couplings.particle_matrix() for s in sols])
+    x, w = ladder_quadrature(model.osc)
     b = oscillator_annihilation(model.osc)
-    dft = np.fft.fft(np.eye(lat.sites), axis=0, norm="ortho")
+    b_pair = -1j * grid.dt * np.concatenate([b, b.T], axis=1)      # (levels, 2 levels)
+    dft = np.fft.fft(np.eye(N), axis=0, norm="ortho")
     dft_dag = dft.conj().T
     tol = np.finfo(float).eps ** 2
 
-    psi0 = make_basis_state(model, sol.k0, 0)
-    states = np.empty((stored.size,) + model.shape, dtype=complex)
-    states[0] = psi0
-    phi, first, slot = None, stored.size, 1   # phi is None while |t> = |0,k0) exactly
+    psi0 = make_basis_state(model, k0, 0)
+    phi = np.repeat((dft @ psi0)[None], M, axis=0)
+    states = np.empty((M, stored.size, N, levels), dtype=complex)
+    states[:, 0] = phi
+    moved = np.zeros((M, stored.size), dtype=bool)  # a member has stepped by a stored slot
+    stepped = np.zeros(M, dtype=bool)
+    slot = 1
     for i in range(grid.steps):
-        p = g_mat * _phase_diff_matrix(eps, t_mid[i]) - circulant(lat, sol.offsets, a_vals[i])
-        if np.any(p):
-            if phi is None:
-                phi, first = dft @ psi0, slot
+        p = g_mat * _phase_diff_matrix(eps, t_mid[i]) - circulant(lat, offsets, a_vals[i])
+        live = p.any(axis=(-2, -1))
+        if live.any():
+            stepped |= live
             pe = osc[i] * (dft @ p @ dft_dag)
-            pe_dag = pe.conj().T
-            term = total = branch_displacement(lam[i], mu[i], phi, quad)
+            # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
+            pe_pair = np.stack([pe, pe.conj().swapaxes(-2, -1)], axis=-1).reshape(M, N, 2 * N)
+            phases = branch_phases(lam[i], mu[i], x)
+            term = branch_displacement(phi, phases, w)
+            total = term.copy()
             n = 1
-            while np.vdot(term, term).real > tol * np.vdot(total, total).real:
-                term = (pe @ term @ b + pe_dag @ term @ b.T) * (-1j * grid.dt / n)
-                total, n = total + term, n + 1
-            phi = branch_displacement(-lam[i], -mu[i], total, quad)
+            while any(np.vdot(u, u).real > tol * np.vdot(v, v).real for u, v in zip(term, total)):
+                np.matmul(pe_pair, (term @ b_pair).reshape(M, 2 * N, levels), out=term)
+                term *= 1 / n
+                total += term
+                n += 1
+            phi = np.where(live[:, None, None],
+                           branch_displacement(total, phases, w, adjoint=True), phi)
         if i + 1 == stored[slot]:
-            states[slot] = psi0 if phi is None else phi
+            states[:, slot] = phi
+            moved[:, slot] = stepped
             slot += 1
-    states[first:] = np.fft.ifft(states[first:], axis=-2, norm="ortho")
-    return ResidualResult(sol=sol, steps=stored, states=states)
+    states = np.where(moved[..., None, None], np.fft.ifft(states, axis=-2, norm="ortho"), psi0)
+    return tuple(ResidualResult(sol=s, steps=stored, states=member, exact_split=not m[-1])
+                 for s, member, m in zip(sols, states, moved))
 

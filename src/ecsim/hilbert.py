@@ -17,8 +17,9 @@ exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
 to states without forming it: each branch displacement is a phase rotation of
 exp(-i |lam| (b + b^dag)), so one eigendecomposition of the constant
 b + b^dag (the Gauss-Hermite basis, ``ladder_quadrature``) serves every
-branch and every state.  ``branch_displacement`` is that action on states
-already in the branch basis, batched over leading axes of the branches.
+branch and every state.  ``branch_displacement`` is that action (or its
+adjoint) on states already in the branch basis, from the diagonal factors of
+``branch_phases``, batched over leading axes of the branches.
 
 Natural units, hbar = 1.
 """
@@ -260,22 +261,36 @@ def ladder_quadrature(osc: OscillatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return x, w.astype(complex)
 
 
-def branch_displacement(lam, mu, states: np.ndarray,
-                        quadrature: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The displacement of ``displacement`` on states already in the branch
-    basis (momentum axis Fourier transformed): on branch j it applies
-    e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag.  `lam` and `mu` have
-    shape (..., N) and broadcast against `states` (..., N, levels), so one call
-    applies a different displacement to each state of a stack."""
-    x, w = quadrature
+def branch_phases(lam, mu, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal factors of the branch displacement
+    e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag: the rotation
+    R_j = e^{i n (theta_j + pi/2)}, the Hermite phases e^{-i |lam_j| x} and
+    e^{-i mu_j}, for `lam` and `mu` of shape (..., N) and the nodes `x` of
+    ``ladder_quadrature``.  The adjoint has the same R_j and the conjugate
+    phases, so one set serves both."""
     lam, mu = np.asarray(lam)[..., None], np.asarray(mu)[..., None]
     rot = np.exp(1j * (np.angle(lam) + np.pi / 2) * np.arange(x.size))
-    coeffs = (states * rot.conj()) @ w
     phase = -1j * np.abs(lam) * x
-    coeffs *= np.exp(phase, out=phase)
+    return rot, np.exp(phase, out=phase), np.exp(-1j * mu)
+
+
+def branch_displacement(states: np.ndarray, phases, w: np.ndarray,
+                        adjoint: bool = False) -> np.ndarray:
+    """The displacement of ``displacement`` (its adjoint if `adjoint`) on
+    states already in the branch basis (momentum axis Fourier transformed):
+    on branch j it applies e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag
+    with the factors `phases` of ``branch_phases`` and the Hermite values `w`
+    of ``ladder_quadrature``.  The phases broadcast against `states`
+    (..., N, levels), so one call applies a different displacement to each
+    state of a stack."""
+    rot, herm, emu = phases
+    if adjoint:
+        herm, emu = herm.conj(), emu.conj()
+    coeffs = (states * rot.conj()) @ w
+    coeffs *= herm
     coeffs = coeffs @ w.T
     coeffs *= rot
-    coeffs *= np.exp(-1j * mu)
+    coeffs *= emu
     return coeffs
 
 
@@ -291,8 +306,9 @@ def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
     one set of branches per state.  Vanishing branches return `states` itself."""
     if not (np.any(lam) or np.any(mu)):
         return states
-    coeffs = branch_displacement(lam, mu, np.fft.fft(states, axis=-2, norm="ortho"),
-                                 ladder_quadrature(model.osc))
+    x, w = ladder_quadrature(model.osc)
+    coeffs = branch_displacement(np.fft.fft(states, axis=-2, norm="ortho"),
+                                 branch_phases(lam, mu, x), w)
     return np.fft.ifft(coeffs, axis=-2, norm="ortho")
 
 

@@ -178,7 +178,7 @@ def test_criterion_5_full_dynamics_equivalence(propagation_setup):
     k0 = 2
     sol = zero_order_solution(model, couplings, ModulatorStrategy.recoil_phase(),
                               grid, k0)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
     psi0 = make_basis_state(model, k0, 0)
     split = sol.u0(grid.steps, res.final)
     exact = oracle.propagate_exact(model, couplings, grid, psi0)
@@ -194,7 +194,7 @@ def test_criterion_5_full_dynamics_equivalence(propagation_setup):
     c_flat = CouplingSet.hermitian_pair(flat.lattice, 1, 0.12)
     sol_flat = zero_order_solution(flat, c_flat, ModulatorStrategy.static_unit(),
                                    grid, k0)
-    res_flat = propagate_residual(sol_flat, collect_every=1)
+    res_flat, = propagate_residual(sol_flat, collect_every=1)
     drift = float(np.abs(res_flat.states - res_flat.states[0]).max())
     assert drift < 1e-10
 
@@ -251,7 +251,7 @@ def test_criterion_7_perturbative_gap_scaling():
     for factor in (1.0, 0.5, 0.25, 0.125):
         couplings = base.scaled(factor)
         sol = zero_order_solution(model, couplings, strat, grid, 2)
-        res = propagate_residual(sol)
+        res, = propagate_residual(sol)
         ge = gamma_exact(res.final, sol, pos)
         gc = gamma_closed_form(alpha_phi(sol, pos), 2, pos)
         gaps.append(ge.max_deviation(gc))

@@ -28,6 +28,7 @@ from ecsim.dynamics import (
     TimeGrid,
     check_stability,
     propagate_residual,
+    zero_order_solution,
 )
 from ecsim.hilbert import (
     CoefficientSet,
@@ -242,7 +243,7 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
     grid = TimeGrid(-1.0, 0.0, 12)
     sol = scaled_solution(mc, kind, grid)
     model = sol.model
-    res = propagate_residual(sol, collect_every=1)
+    res, = propagate_residual(sol, collect_every=1)
     for i in range(grid.steps):
         # reference: the dense conjugated exponential, one eigh at full dimension
         _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
@@ -251,4 +252,25 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
         want = (step @ res.states[i].reshape(-1)).reshape(model.shape)
         assert np.abs(res.states[i + 1] - want).max() < 1e-12
     assert abs(np.linalg.norm(res.final) - 1.0) < 1e-12
-    assert np.array_equal(propagate_residual(sol, collect_every=1).states, res.states)
+    assert np.array_equal(propagate_residual(sol, collect_every=1)[0].states, res.states)
+
+
+@PINNED
+@given(coupled_models(),
+       st.permutations([(kind, f) for kind in ("static_unit", "recoil_phase")
+                        for f in (1.0, 0.5, 0.25)]),
+       st.integers(min_value=1, max_value=5))
+def test_stacked_residual_matches_single_runs(mc, members, every):
+    """One stacked run over both strategies and three coupling scales (odd and
+    even lattices alike) gives every member's single run at every sample."""
+    grid = TimeGrid(-1.0, 0.0, 12)
+    base = scaled_solution(mc, "static_unit", grid)
+    sols = [zero_order_solution(base.model, base.couplings.scaled(f), ModulatorStrategy(kind=kind),
+                                grid, base.k0) for kind, f in members]
+    stacked = propagate_residual(*sols, collect_every=every)
+    assert len(stacked) == len(sols)
+    for sol, res in zip(sols, stacked):
+        alone, = propagate_residual(sol, collect_every=every)
+        assert res.sol is sol and res.exact_split == alone.exact_split
+        assert np.array_equal(res.steps, alone.steps)
+        assert np.abs(res.states - alone.states).max() < 1e-14

@@ -122,8 +122,9 @@ def test_truncation_rule_rejected_before_computation(tmp_path):
     ("\n1 = 0.12, 0.0", "\n1 = nan, 0.0", "CouplingSet value at offset 1"),
     ("seed = 3\n", "seed = 3\n\n[tolerances]\nevolve_fidelity = nan\n",
      "[tolerances] evolve_fidelity"),
+    ("seed = 3\n", "seed = 3\ntolerance_scale = nan\n", "[run] tolerance_scale"),
 ], ids=["omega-nan", "omega-inf", "hopping-nan", "length-inf", "t0-nan", "coupling-nan",
-        "tolerance-nan"])
+        "tolerance-nan", "tolerance-scale-nan"])
 def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, field):
     assert SMALL_CONFIG.count(old) == 1
     p = tmp_path / "non_finite.ini"
@@ -260,6 +261,50 @@ def test_sweep_rejects_zero_couplings(tmp_path, capsys):
     assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
     assert "[couplings]" in capsys.readouterr().err
     assert not out.exists()  # rejected before resolved_config.ini is written
+
+
+@pytest.mark.parametrize("old,new", [
+    ("dispersion = tight_binding", "dispersion = flat"),
+    ("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0", "\n0 = 0.15, 0.0"),
+], ids=["flat-dispersion", "couplings-only-at-q0"])
+def test_sweep_rejects_an_exact_split(tmp_path, capsys, old, new):
+    """Where H1 vanishes at every step every gap is round-off and has no order:
+    a configuration error before any output, not a failed order check."""
+    assert SMALL_CONFIG.count(old) == 1
+    p = tmp_path / "exact.ini"
+    p.write_text(SMALL_CONFIG.replace(old, new))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert "split is exact" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["properties"], ["evolve", "--compare-strategies"],
+                                  ["gamma"], ["sweep", "--factors", "1,0.5"]],
+                         ids=["properties", "evolve", "gamma", "sweep"])
+def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
+    """A run's resolved_config.ini alone reproduces its outputs and its
+    report: floats round-trip exactly and the --tolerance scale is kept."""
+    rng = np.random.default_rng(17)
+    g = complex(*(0.1 + 0.05 * rng.random(2)))
+    t0 = -1.5 - rng.random()
+    assert float(f"{g.real:.12e}") != g.real and float(f"{t0:.12e}") != t0
+    text = SMALL_CONFIG.replace("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0",
+                                f"\n1 = {g.real!r}, {g.imag!r}\n-1 = {g.real!r}, {-g.imag!r}")
+    p = tmp_path / "run.ini"
+    p.write_text(text.replace("t0 = -1.5", f"t0 = {t0!r}").replace("steps = 250", "steps = 150"))
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = main(argv + ["--config", str(p), "--out", str(first), "--tolerance", "3"])
+    report = capsys.readouterr().out
+    resolved = str(first / "resolved_config.ini")
+    assert load_config(resolved).tolerance_scale == 3.0
+    assert load_config(resolved, tolerance_scale=2.0).tolerance_scale == 6.0
+    assert main(argv + ["--config", resolved, "--out", str(again)]) == code
+    assert capsys.readouterr().out == report
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(again))
+    for name in names:
+        assert read(first / name) == read(again / name), name
 
 
 def test_strategy_override(config_path, tmp_path):

@@ -16,7 +16,7 @@ from conftest import (
     u0_dense_reference,
     zero_order_hamiltonian,
 )
-from ecsim import oracle
+from ecsim import dynamics, oracle
 from ecsim.dynamics import (
     CouplingSet,
     ModulatorStrategy,
@@ -231,20 +231,23 @@ def test_residual_trivial_cases():
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=100)
     zero = CouplingSet(model.lattice)
     sol = zero_order_solution(model, zero, ModulatorStrategy.static_unit(), grid, 2)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
     assert np.array_equal(res.final, res.states[0])
 
     flat = make_model(sites=5, cutoff=8, kind="flat")
     c = CouplingSet.hermitian_pair(flat.lattice, 1, 0.25)
     sol = zero_order_solution(flat, c, ModulatorStrategy.static_unit(), grid, 2)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
     dev = np.linalg.norm(res.final - res.states[0])
     assert dev < 1e-10
 
 
 def test_residual_stepper_runs_one_eigh_and_no_fft_per_step(monkeypatch):
-    """One (levels, levels) eigendecomposition per run, and a number of FFT
-    calls that does not grow with the number of active steps."""
+    """One (levels, levels) eigendecomposition per run, a number of FFT calls
+    that does not grow with the number of active steps, and a number of
+    complex exponentials per active step that does not grow with the stack
+    size, none of them inside a branch displacement (U0m^dag reuses the
+    phases of U0m)."""
     model = make_model(sites=5, cutoff=8, omega=2.5)
     c = pair(model, 1, 0.2)
     levels = model.osc.levels
@@ -257,17 +260,83 @@ def test_residual_stepper_runs_one_eigh_and_no_fft_per_step(monkeypatch):
         monkeypatch.setattr(np.fft, name,
                             lambda *args, _fn=fn, _name=name, **kw: ffts.append(_name)
                             or _fn(*args, **kw))
-    counts = []
-    for steps in (10, 40):
-        sol = zero_order_solution(model, c, ModulatorStrategy.recoil_phase(),
-                                  TimeGrid(t0=-0.5, t_end=0.0, steps=steps), 2)
-        eighs.clear()
-        ffts.clear()
-        res = propagate_residual(sol)
-        assert eighs == [(levels, levels)]
-        assert np.linalg.norm(res.final - res.states[0]) > 1e-6  # every step is active
-        counts.append(len(ffts))
-    assert counts[0] == counts[1]
+    exp, exps, displaced = np.exp, [], []
+    monkeypatch.setattr(np, "exp", lambda *args, **kw: exps.append(1) or exp(*args, **kw))
+    branch_displacement = dynamics.branch_displacement
+
+    def counted(*args, **kw):
+        before = len(exps)
+        out = branch_displacement(*args, **kw)
+        displaced.append(len(exps) - before)
+        return out
+
+    monkeypatch.setattr(dynamics, "branch_displacement", counted)
+    exps_per_step = []
+    for size in (1, 2, 3):
+        counts = []
+        for steps in (10, 40):
+            grid = TimeGrid(t0=-0.5, t_end=0.0, steps=steps)
+            sols = [zero_order_solution(model, c.scaled(f), ModulatorStrategy.recoil_phase(),
+                                        grid, 2) for f in (1.0, 0.5, 0.25)[:size]]
+            eighs.clear()
+            ffts.clear()
+            exps.clear()
+            displaced.clear()
+            results = propagate_residual(*sols)
+            assert eighs == [(levels, levels)]
+            for res in results:
+                assert np.linalg.norm(res.final - res.states[0]) > 1e-6  # every step is active
+            assert len(displaced) == 2 * steps and not any(displaced)
+            counts.append((len(ffts), len(exps)))
+        assert counts[0][0] == counts[1][0]
+        exps_per_step.append((counts[1][1] - counts[0][1]) / 30)
+    assert exps_per_step[0] == exps_per_step[1] == exps_per_step[2]
+
+
+@pytest.mark.parametrize("sites", [5, 6])
+def test_stacked_member_scaled_by_zero_stays_at_the_initial_state(sites):
+    model = make_model(sites=sites, cutoff=8, omega=2.5)
+    c = pair(model, 1, 0.2 + 0.05j)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=30)
+    sols = [zero_order_solution(model, c.scaled(f), strat, grid, 2)
+            for f, strat in ((1.0, ModulatorStrategy.recoil_phase()),
+                             (0.0, ModulatorStrategy.static_unit()),
+                             (0.5, ModulatorStrategy.static_unit()))]
+    stacked = propagate_residual(*sols, collect_every=7)
+    zero = stacked[1]
+    assert zero.exact_split
+    assert np.array_equal(zero.steps, [0, 7, 14, 21, 28, 30])
+    psi0 = make_basis_state(model, 2, 0)
+    assert all(np.array_equal(state, psi0) for state in zero.states)
+    for sol, res in ((sols[0], stacked[0]), (sols[2], stacked[2])):
+        alone, = propagate_residual(sol, collect_every=7)
+        assert res.sol is sol and not res.exact_split
+        assert np.abs(res.states - alone.states).max() < 1e-14
+
+
+def test_stacked_solutions_must_share_model_grid_k0_and_offsets():
+    model = make_model(sites=5, cutoff=8, omega=2.5)
+    c = pair(model, 1, 0.2)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=10)
+    static = ModulatorStrategy.static_unit()
+    sol = zero_order_solution(model, c, static, grid, 2)
+    mismatched = [
+        zero_order_solution(make_model(sites=5, cutoff=8, omega=2.0), c, static, grid, 2),
+        zero_order_solution(model, c, static, TimeGrid(t0=-1.0, t_end=0.0, steps=11), 2),
+        zero_order_solution(model, c, static, grid, 1),
+        zero_order_solution(model, pair(model, 2, 0.2), static, grid, 2),
+    ]
+    for other in mismatched:
+        with pytest.raises(ValueError):
+            propagate_residual(sol, other)
+        with pytest.raises(ValueError):
+            propagate_residual(other, sol)
+    # equal but distinct model, grid and couplings stack
+    twin_model = make_model(sites=5, cutoff=8, omega=2.5)
+    twin = zero_order_solution(twin_model, pair(twin_model, 1, 0.1),
+                               ModulatorStrategy.recoil_phase(),
+                               TimeGrid(t0=-1.0, t_end=0.0, steps=10), 2)
+    assert len(propagate_residual(sol, twin)) == 2
 
 
 def test_collect_every_samples_the_full_trajectory():
@@ -275,11 +344,11 @@ def test_collect_every_samples_the_full_trajectory():
     c = pair(model, 1, 0.2 + 0.1j)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=23)
     sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 1)
-    full = propagate_residual(sol, collect_every=1)
+    full, = propagate_residual(sol, collect_every=1)
     assert np.array_equal(full.steps, np.arange(grid.steps + 1))
     for every, want in ((None, [0, 23]), (5, [0, 5, 10, 15, 20, 23]), (23, [0, 23]),
                         (40, [0, 23]), (1, list(range(24)))):
-        res = propagate_residual(sol, collect_every=every)
+        res, = propagate_residual(sol, collect_every=every)
         assert np.array_equal(res.steps, want)
         assert np.array_equal(res.states, full.states[want])
     with pytest.raises(ValueError):
@@ -297,7 +366,7 @@ def test_residual_resums_full_dynamics():
     finals = {}
     for strat in (ModulatorStrategy.recoil_phase(), ModulatorStrategy.static_unit()):
         sol = zero_order_solution(model, c, strat, grid, k0)
-        res = propagate_residual(sol)
+        res, = propagate_residual(sol)
         phys = sol.u0(grid.steps, res.final)
         assert abs(np.linalg.norm(phys) - 1.0) < 1e-8
         assert fidelity(phys, exact) > 1 - 1e-6

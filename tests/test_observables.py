@@ -72,7 +72,7 @@ def test_free_particle_gamma_is_plane_wave():
     zero = CouplingSet(model.lattice)
     sol = solved(model, zero, steps=50)
     pos = PositionGrid.uniform(model.lattice)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
 
     k0_val = model.lattice.momenta[sol.k0]
     x = pos.points
@@ -187,7 +187,7 @@ def test_gamma_exact_at_interior_time():
     model = make_model(sites=5, cutoff=10, omega=2.0)
     c = CouplingSet.hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=200)
-    res = propagate_residual(sol, collect_every=1)
+    res, = propagate_residual(sol, collect_every=1)
     pos = PositionGrid.uniform(model.lattice)
     t_mid = sol.grid.times[100]
     g = gamma_exact(res.states[100], sol, pos, t=t_mid)
@@ -232,7 +232,7 @@ def test_exact_first_gap_bounded_by_residual():
     model = make_model(sites=5, cutoff=12, omega=2.5)
     c = CouplingSet.hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=400, t0=-1.5)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
     pos = PositionGrid.uniform(model.lattice)
     gap = gamma_exact(res.final, sol, pos).max_deviation(gamma_first_approx(sol, pos))
     dev = float(np.linalg.norm(res.final - res.states[0]))
@@ -247,7 +247,7 @@ def test_single_mode_gamma_translation_invariance():
     model = make_model(sites=7, cutoff=16, omega=2.5)
     c = CouplingSet.from_dict(model.lattice, {1: 0.25}, hermitian=False)
     sol = solved(model, c, steps=300, t0=-1.5)
-    res = propagate_residual(sol)
+    res, = propagate_residual(sol)
     pos = PositionGrid.uniform(model.lattice)
     for g in (gamma_exact(res.final, sol, pos),
               gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)):
@@ -266,7 +266,7 @@ def test_gamma_invariants_over_random_models(mc, kind):
     unit trace, and under flat dispersion (H1 = 0) exact equals first."""
     sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 20))
     pos = PositionGrid.uniform(sol.model.lattice)
-    ge = gamma_exact(propagate_residual(sol).final, sol, pos)
+    ge = gamma_exact(propagate_residual(sol)[0].final, sol, pos)
     gf = gamma_first_approx(sol, pos)
     gc = gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)
     for g in (ge, gf, gc):
