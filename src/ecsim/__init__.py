@@ -31,7 +31,6 @@ from .ecs import (
     unity_resolution_check,
 )
 from .dynamics import (
-    CouplingSet,
     ModulatorStrategy,
     TimeGrid,
     ZeroOrderSolution,

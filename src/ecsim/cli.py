@@ -39,7 +39,13 @@ from .ecs import (
     unity_resolution_check,
 )
 from .hilbert import CoefficientSet, fidelity, make_basis_state, shift_matrix
-from .observables import alpha_phi, gamma_closed_form, gamma_exact, gamma_first_approx
+from .observables import (
+    alpha_phi,
+    gamma_closed_form,
+    gamma_exact,
+    gamma_first_approx,
+    require_t_end_zero,
+)
 
 FLOAT_FMT = "%.12e"
 
@@ -192,14 +198,14 @@ def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -> int:
-    _prepare_out(cfg, out_dir)
     kinds = ("static_unit", "recoil_phase") if compare_strategies else (cfg.strategy_kind,)
+    sols = [zero_order_solution(cfg.model, cfg.couplings, ModulatorStrategy(kind=kind),
+                                cfg.grid, cfg.k0) for kind in kinds]
+    _prepare_out(cfg, out_dir)
     psi0 = make_basis_state(cfg.model, cfg.k0, 0)
     stride = max(1, cfg.grid.steps // 200)
     _, (_, oracle_states) = oracle.propagate_exact(
         cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
-    sols = [zero_order_solution(cfg.model, cfg.couplings, ModulatorStrategy(kind=kind),
-                                cfg.grid, cfg.k0) for kind in kinds]
     ok = True
     for kind, res in zip(kinds, propagate_residual(*sols, collect_every=stride)):
         min_fid, path = _evolve_one(cfg, res, out_dir, oracle_states)
@@ -223,11 +229,9 @@ def _write_gamma(path: str, gamma, meta: list[str]) -> None:
 
 
 def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
-    if abs(cfg.grid.t_end) > 1e-12 or cfg.grid.t0 >= 0:
-        raise ConfigError("gamma requires t_end = 0 and t0 < 0")
+    require_t_end_zero(cfg.grid)
+    sol = zero_order_solution(cfg.model, cfg.couplings, cfg.strategy(), cfg.grid, cfg.k0)
     _prepare_out(cfg, out_dir)
-    model = cfg.model
-    sol = zero_order_solution(model, cfg.couplings, cfg.strategy(), cfg.grid, cfg.k0)
     res, = propagate_residual(sol)
     pos = cfg.positions()
 
@@ -267,8 +271,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
-    if abs(cfg.grid.t_end) > 1e-12 or cfg.grid.t0 >= 0:
-        raise ConfigError("sweep requires t_end = 0 and t0 < 0")
+    require_t_end_zero(cfg.grid)
     factors = [require_positive("--factors", f) for f in factors]
     if len(factors) < 2 or any(factors[i] <= factors[i + 1] for i in range(len(factors) - 1)):
         raise ConfigError("--factors must hold at least two strictly decreasing values")

@@ -10,8 +10,9 @@ unimodular modulator f_q(t)) and a residual H1.  H0 generates the evolution
 
 assembled here from half-step trapezoid quadrature of h and chi.  Every
 particle factor (G, A(t), Q(t), Qdot(t), chi(t)) is a circulant built by
-``hilbert.circulant``; a coupling set is a ``CoefficientSet`` that also
-checks g_{-q} = g_q^*.  chi is kept as its real branch values, so
+``hilbert.circulant``; the coupling G is a plain ``CoefficientSet``, whose
+pairing g_{-q} = g_q^* is checked where couplings are read
+(``config.load_config``).  chi is kept as its real branch values, so
 U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
 ``hilbert.displacement``, batched over a stack of steps.  The residual is
 integrated in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
@@ -35,7 +36,6 @@ import numpy as np
 
 from .hilbert import (
     CoefficientSet,
-    Lattice,
     Model,
     branch_displacement,
     branch_phases,
@@ -52,43 +52,6 @@ STABILITY_LIMIT = 0.5
 
 
 @dataclass(frozen=True)
-class CouplingSet(CoefficientSet):
-    """Coupling function q -> g_q of the particle-oscillator interaction: a
-    coefficient set whose circulant is G = sum_q g_q rho_q.
-
-    The physical constraint g_{-q} = g_q^* is validated by default; the
-    closed-form density-matrix results for a strictly single-mode coupling
-    with q0 != 0 require constructing with hermitian=False (the Hamiltonian
-    itself stays Hermitian either way).
-    """
-
-    hermitian: bool = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.hermitian:
-            for q, v in self.items:
-                partner = self.get(-q)
-                if abs(np.conj(v) - partner) > 1e-12 * max(1.0, abs(v)):
-                    raise ValueError(
-                        f"coupling constraint g_-q = g_q* violated at q={q}: "
-                        f"g_q={v}, g_-q={partner}")
-
-    @classmethod
-    def from_dict(cls, lattice: Lattice, values, hermitian: bool = True) -> "CouplingSet":
-        return cls(lattice, tuple(values.items()), hermitian=hermitian)
-
-    @classmethod
-    def hermitian_pair(cls, lattice: Lattice, q0: int, g: complex) -> "CouplingSet":
-        """{q0: g, -q0: g*}; for q0 = 0 the coupling must be real."""
-        if lattice.wrap_offset(q0) == lattice.wrap_offset(-q0):
-            if abs(g.imag if isinstance(g, complex) else 0.0) > 1e-15:
-                raise ValueError("self-paired offset requires a real coupling")
-            return cls(lattice, ((q0, complex(g).real),))
-        return cls(lattice, ((q0, complex(g)), (-q0, np.conj(complex(g)))))
-
-
-@dataclass(frozen=True)
 class ModulatorStrategy:
     """Unimodular family f_q(t) replacing the operator phases inside H0.
 
@@ -102,14 +65,6 @@ class ModulatorStrategy:
     def __post_init__(self):
         if self.kind not in ("static_unit", "recoil_phase"):
             raise ValueError(f"unknown modulator kind {self.kind!r}")
-
-    @classmethod
-    def static_unit(cls) -> "ModulatorStrategy":
-        return cls(kind="static_unit")
-
-    @classmethod
-    def recoil_phase(cls) -> "ModulatorStrategy":
-        return cls(kind="recoil_phase")
 
     def factors(self, model: Model, k0: int, offsets, t) -> np.ndarray:
         """f_q(t) for each offset, shape t.shape + (len(offsets),) for a time or
@@ -155,7 +110,7 @@ def _phase_diff_matrix(energies: np.ndarray, t: float) -> np.ndarray:
     return np.exp(1j * t * (energies[:, None] - energies[None, :]))
 
 
-def check_stability(model: Model, couplings: CouplingSet, grid: TimeGrid) -> None:
+def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> None:
     """Reject grids with dt ||H|| beyond the stability guard.  On branch j,
     H = g_j b^dag + g_j^* b is unitarily equal to |g_j| (b + b^dag)."""
     b = oscillator_annihilation(model.osc)
@@ -175,7 +130,7 @@ class ZeroOrderSolution:
     """
 
     model: Model
-    couplings: CouplingSet
+    couplings: CoefficientSet
     strategy: ModulatorStrategy
     grid: TimeGrid
     k0: int
@@ -187,25 +142,20 @@ class ZeroOrderSolution:
     def offsets(self) -> tuple[int, ...]:
         return self.couplings.offsets
 
-    def half_index(self, step: int, mid: bool = False) -> int:
-        return 2 * step + (1 if mid else 0)
-
-    def u0(self, step, states: np.ndarray, mid: bool = False,
-           adjoint: bool = False) -> np.ndarray:
-        """U0 (U0^dag, by the negated branches, if `adjoint`) at a grid point
-        or midpoint, applied to states of shape (..., N, levels).  `step` may
-        be an array of steps whose shape matches the leading axes of `states`:
-        then each state gets the U0 of its own step, in one call."""
-        j, sign = self.half_index(np.asarray(step), mid), (-1.0 if adjoint else 1.0)
-        lam = sign * branches(self.model.lattice, self.offsets, self.h_half[j])
-        return displacement(self.model, lam, sign * self.mu_half[j], states)
+    def u0(self, step, states: np.ndarray) -> np.ndarray:
+        """U0 at a grid step, applied to states of shape (..., N, levels).
+        `step` may be an array of steps whose shape matches the leading axes
+        of `states`: then each state gets the U0 of its own step, in one call."""
+        j = 2 * np.asarray(step)
+        lam = branches(self.model.lattice, self.offsets, self.h_half[j])
+        return displacement(self.model, lam, self.mu_half[j], states)
 
     def zero_order_state(self, step: int) -> np.ndarray:
         """U0(t)|0,k0), the exact solution of the H0 dynamics."""
         return self.u0(step, make_basis_state(self.model, self.k0, 0))
 
 
-def zero_order_solution(model: Model, couplings: CouplingSet, strategy: ModulatorStrategy,
+def zero_order_solution(model: Model, couplings: CoefficientSet, strategy: ModulatorStrategy,
                         grid: TimeGrid, k0: int) -> ZeroOrderSolution:
     """Accumulate h_q(t) and chi(t) by composite trapezoid on a half-step grid.
 

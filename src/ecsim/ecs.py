@@ -37,10 +37,16 @@ from .hilbert import (
     fidelity,
     make_basis_state,
     oscillator_annihilation,
+    plane_waves,
     shift_matrix,
 )
 
 TRUNCATION_TOL = 1e-10
+# Polar quadrature of the resolution-of-unity and moment checks (radial nodes
+# by default), and the highest order n, m of the moment integral.
+RADIAL_NODES = 40
+ANGULAR_NODES = 64
+MOMENT_MAX_ORDER = 4
 
 
 class TruncationError(ValueError):
@@ -86,12 +92,12 @@ def _check_truncation(model: Model, h: CoefficientSet, tol: float) -> None:
             f"coherent tail beyond the cutoff is {tail:.3g} >= tolerance {tol:.3g}")
 
 
-def _series_state(model: Model, h: CoefficientSet, k0: int, order_cap: int) -> np.ndarray:
-    """exp(-Q^dag Q/2) sum_{n<=order_cap} (Q b^dag)^n/n! |0,k0), no amplitude guard.
+def _series_state(model: Model, h: CoefficientSet, k0: int) -> np.ndarray:
+    """exp(-Q^dag Q/2) sum_{n<=cutoff} (Q b^dag)^n/n! |0,k0), no amplitude guard.
 
-    Fock amplitudes at levels <= order_cap are exact under truncation: each
-    series term lands on a single level and the prefactor acts on the particle
-    factor only.  The prefactor is the circulant with branch values
+    Every retained Fock amplitude is exact under truncation: each series term
+    lands on a single level and the prefactor acts on the particle factor
+    only.  The prefactor is the circulant with branch values
     e^{-|lam_j|^2/2}.  As a function of Q^dag Q its offsets are multiples of
     the gcd of N and the differences of Q's offsets; the FFT's round-off on
     the other offsets is dropped, so states on disjoint momentum orbits (a
@@ -101,7 +107,7 @@ def _series_state(model: Model, h: CoefficientSet, k0: int, order_cap: int) -> n
     bdag = oscillator_annihilation(model.osc).conj().T
     term = make_basis_state(model, k0, 0)
     acc = term.copy()
-    for n in range(1, order_cap + 1):
+    for n in range(1, model.osc.levels):
         term = (qp @ term @ bdag.T) / n
         acc += term
     N = model.lattice.sites
@@ -138,36 +144,24 @@ def _finish(model, h, k0, construction, state, tol) -> EcsState:
 
 
 def ecs_series(model: Model, h: CoefficientSet, k0: int,
-               order_cap: int | None = None, tol: float = TRUNCATION_TOL) -> EcsState:
-    """Series construction of the extended coherent state.
-
-    `order_cap` bounds the displacement series (default: the Fock cutoff);
-    values above the cutoff would spill past truncation and are rejected.
-    The normalization prefactor is applied after the series; its placement
-    is immaterial because all particle factors involved commute.
+               tol: float = TRUNCATION_TOL) -> EcsState:
+    """Series construction of the extended coherent state, summed to the Fock
+    cutoff; `tol` bounds the coherent tail beyond it.  The normalization
+    prefactor is applied after the series; its placement is immaterial
+    because all particle factors involved commute.
     """
-    if order_cap is None:
-        order_cap = model.osc.cutoff
-    if order_cap > model.osc.cutoff:
-        raise ValueError(
-            f"order_cap {order_cap} exceeds Fock cutoff {model.osc.cutoff}")
-    if not 0 <= int(k0) < model.lattice.sites:
-        raise ValueError(f"momentum index {k0} out of range")
     _check_truncation(model, h, tol)
-    state = _series_state(model, h, k0, order_cap)
+    state = _series_state(model, h, k0)
     return _finish(model, h, k0, "series", state, tol)
 
 
-def ecs_displacement(model: Model, h: CoefficientSet, k0: int,
-                     tol: float = TRUNCATION_TOL) -> EcsState:
+def ecs_displacement(model: Model, h: CoefficientSet, k0: int) -> EcsState:
     """Displacement construction exp(Q b^dag - Q^dag b)|0,k0), one oscillator
     displacement D(lam_j) per eigenbranch of Q."""
-    if not 0 <= int(k0) < model.lattice.sites:
-        raise ValueError(f"momentum index {k0} out of range")
-    _check_truncation(model, h, tol)
+    _check_truncation(model, h, TRUNCATION_TOL)
     state = displacement(model, branches(model.lattice, h.offsets, h.values), 0.0,
                          make_basis_state(model, k0, 0))
-    return _finish(model, h, k0, "displacement", state, tol)
+    return _finish(model, h, k0, "displacement", state, TRUNCATION_TOL)
 
 
 def check_b_action(ecs: EcsState) -> float:
@@ -205,7 +199,7 @@ def momentum_shift_check(ecs: EcsState, q: int) -> tuple[float, float]:
     sq = shift_matrix(model.lattice, q)
     shifted = sq @ ecs.state
     k_target = model.lattice.shift_index(ecs.k0, -model.lattice.wrap_offset(q))
-    rebuilt = _series_state(model, ecs.h, k_target, model.osc.cutoff) \
+    rebuilt = _series_state(model, ecs.h, k_target) \
         if ecs.construction == "series" else ecs_displacement(model, ecs.h, k_target).state
     return (float(np.linalg.norm(shifted - rebuilt)),
             float(np.linalg.norm(sq.conj().T @ shifted - ecs.state)))
@@ -218,13 +212,6 @@ class SumRuleResult(NamedTuple):
     fidelity: float
 
 
-def contract_to_oscillator(model: Model, state: np.ndarray, s: float, t: float = 0.0) -> np.ndarray:
-    """Apply sum_k exp(i s k - i eps_k t) a_k: the one-particle sector collapses
-    to the particle vacuum and an oscillator-space vector remains."""
-    phases = np.exp(1j * s * model.lattice.momenta - 1j * model.energies() * t)
-    return phases @ state
-
-
 def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
     """Contract the state with sum_k e^{isk} a_k and compare against the
     coherent state e^{i s k0} |alpha), alpha = sum_q h_q e^{-isq}.
@@ -234,7 +221,7 @@ def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
     makes the canonical-representative phases disagree.
     """
     model = ecs.model
-    contracted = contract_to_oscillator(model, ecs.state, s)
+    contracted = plane_waves(model, s, 0.0) @ ecs.state
     alpha = sum(v * np.exp(-1j * s * model.lattice.offset_momentum(q))
                 for q, v in ecs.h.items)
     alpha = complex(alpha)
@@ -244,14 +231,15 @@ def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
                          fidelity=fidelity(contracted, analytic))
 
 
-def _polar_nodes(radial_nodes: int, angular_nodes: int, scale: float):
+def _polar_nodes(radial_nodes: int, scale: float):
     """Quadrature for (1/pi) * int d^2 z, with the radial direction mapped to
-    Gauss-Laguerre nodes in u = |z|^2 * scale.  Returns (radii, angles,
-    weights) where weights absorb the 1/pi and the Laguerre weight
-    compensation e^{+u} (the integrand must supply its own Gaussian decay).
+    Gauss-Laguerre nodes in u = |z|^2 * scale and ANGULAR_NODES uniform
+    angles.  Returns (radii, angles, weights) where weights absorb the 1/pi
+    and the Laguerre weight compensation e^{+u} (the integrand must supply its
+    own Gaussian decay).
     """
-    if radial_nodes < 1 or angular_nodes < 1:
-        raise ValueError("node counts must be positive")
+    if radial_nodes < 1:
+        raise ValueError("radial_nodes must be positive")
     # Weights 1/(u L_n'(u)^2) from the Gauss-Laguerre nodes: they hold the
     # moments int e^{-u} u^k/k! = 1 to 1e-14, the sum-normalised weights of
     # `laggauss` only to 1e-13.
@@ -260,8 +248,8 @@ def _polar_nodes(radial_nodes: int, angular_nodes: int, scale: float):
     slope = lag.lagval(u, lag.lagder(np.eye(radial_nodes + 1)[-1]))
     radii = np.sqrt(u / scale)
     radial_weights = np.exp(u) / (u * slope ** 2) / (2.0 * scale)
-    angles = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-    weights = radial_weights * (2.0 * np.pi / angular_nodes) / np.pi
+    angles = 2.0 * np.pi * np.arange(ANGULAR_NODES) / ANGULAR_NODES
+    weights = radial_weights * (2.0 * np.pi / ANGULAR_NODES) / np.pi
     return radii, angles, weights
 
 
@@ -271,8 +259,7 @@ class UnityResolutionResult(NamedTuple):
 
 
 def unity_resolution_check(model: Model, h: CoefficientSet,
-                           radial_nodes: int = 40, angular_nodes: int = 64,
-                           tol: float = TRUNCATION_TOL) -> UnityResolutionResult:
+                           radial_nodes: int = RADIAL_NODES) -> UnityResolutionResult:
     """Quadrature test of sum_k (1/pi) int d^2z  Q |zh,k><zh,k| Q^dag = 1.
 
     Summed over k the integrand is block-diagonal on the Fourier branches of
@@ -282,15 +269,15 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     |lam_j|^2, so the slowest Gaussian decay is matched), uniform angularly,
     accumulated one radius at a time.  The deviation from the identity is the
     largest over branches on the reliable subspace: Fock levels whose
-    coherent occupancy at the largest quadrature radius stays below `tol`,
-    since states at large |z| spill past the cutoff.
+    coherent occupancy at the largest quadrature radius stays below
+    TRUNCATION_TOL, since states at large |z| spill past the cutoff.
     """
     lam = branches(model.lattice, h.offsets, h.values)
     lam_sq = np.abs(lam) ** 2
     nonzero = lam_sq[lam_sq > 1e-14]
     if nonzero.size == 0:
         raise ValueError("Q vanishes; the resolution of unity has no support")
-    radii, angles, weights = _polar_nodes(radial_nodes, angular_nodes, float(nonzero.min()))
+    radii, angles, weights = _polar_nodes(radial_nodes, float(nonzero.min()))
 
     levels = model.osc.levels
     blocks = np.zeros((lam.size, levels, levels), dtype=complex)
@@ -300,7 +287,7 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
 
     # Poisson occupancy of each level at the largest quadrature amplitude
     poisson = np.abs(coherent_state_vector(radii.max() * np.sqrt(lam_sq.max()), levels)) ** 2
-    reliable = tuple(int(n) for n in np.flatnonzero(poisson < tol))
+    reliable = tuple(int(n) for n in np.flatnonzero(poisson < TRUNCATION_TOL))
     if not reliable:
         return UnityResolutionResult(deviation=float("inf"), reliable_levels=())
     rel = np.array(reliable)
@@ -316,21 +303,19 @@ class MomentIdentityResult(NamedTuple):
     max_offdiagonal: float
 
 
-def moment_identity_check(c: complex, max_order: int = 4,
-                          radial_nodes: int = 40,
-                          angular_nodes: int = 64) -> MomentIdentityResult:
+def moment_identity_check(c: complex) -> MomentIdentityResult:
     """Quadrature check of the scalar Gaussian moment integral
 
         int d^2z (z*)^n z^m exp(-|z|^2 |c|^2) c^{m+1} (c*)^{n+1} = pi n! delta_nm
 
-    for n, m = 0..max_order, using the same polar quadrature as the
+    for n, m = 0..MOMENT_MAX_ORDER, using the same polar quadrature as the
     resolution-of-unity test."""
     if abs(c) == 0.0:
         raise ValueError("c must be nonzero")
     scale = abs(c) ** 2
-    radii, angles, weights = _polar_nodes(radial_nodes, angular_nodes, scale)
-    orders = np.arange(max_order + 1)
-    values = np.zeros((max_order + 1, max_order + 1), dtype=complex)
+    radii, angles, weights = _polar_nodes(RADIAL_NODES, scale)
+    orders = np.arange(MOMENT_MAX_ORDER + 1)
+    values = np.zeros((orders.size, orders.size), dtype=complex)
     for r, wgt in zip(radii, weights):
         z = r * np.exp(1j * angles)
         zp = z[:, None] ** orders[None, :]
@@ -338,11 +323,11 @@ def moment_identity_check(c: complex, max_order: int = 4,
         # values[n, m] += pi * wgt * sum_angles (z*)^n z^m * gauss * c^{m+1} c*^{n+1}
         values += np.pi * wgt * gauss * np.einsum("an,am->nm", zp.conj(), zp)
     values *= np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, max_order + 1))))
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, MOMENT_MAX_ORDER + 1))))
     target = np.pi * np.diag(fact)
     diff = values - target
     diag_err = float(np.abs(np.diag(diff)).max())
-    off = np.abs(diff - np.diag(np.diag(diff))).max() if max_order > 0 else 0.0
+    off = np.abs(diff - np.diag(np.diag(diff))).max()
     return MomentIdentityResult(values=values, target=target,
                                 max_diagonal_error=diag_err,
                                 max_offdiagonal=float(off))

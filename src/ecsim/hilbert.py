@@ -20,13 +20,15 @@ b + b^dag (the Gauss-Hermite basis, ``ladder_quadrature``) serves every
 branch and every state.  ``branch_displacement`` is that action (or its
 adjoint) on states already in the branch basis, from the diagonal factors of
 ``branch_phases``, batched over leading axes of the branches.
+``plane_waves`` is the one plane-wave contraction of the particle axis,
+shared by the sum rule and the density matrices.
 
 Natural units, hbar = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -209,6 +211,14 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, float(abs(np.vdot(a, b)) / (na * nb)))
 
 
+def plane_waves(model: Model, points, t: float) -> np.ndarray:
+    """Rows sum_k e^{i k x - i eps_k t} a_k, one per position x of `points` (a
+    scalar position gives one row of shape (N,)): applied to a state they
+    contract the particle to its vacuum and leave an oscillator vector."""
+    return np.exp(1j * np.multiply.outer(points, model.lattice.momenta)
+                  - 1j * model.energies() * t)
+
+
 def shift_matrix(lattice: Lattice, q: int) -> np.ndarray:
     """Particle matrix of the density Fourier component rho_q: the unitary
     shift taking momentum component k+q to k, i.e. |p> -> |p-q> (indices
@@ -329,8 +339,7 @@ class CoefficientSet:
         for q, v in self.items:
             v = complex(v)
             if not np.isfinite(v):
-                raise ValueError(
-                    f"{type(self).__name__} value at offset {q} must be finite, got {v}")
+                raise ValueError(f"CoefficientSet value at offset {q} must be finite, got {v}")
             qc = self.lattice.wrap_offset(q)
             merged[qc] = merged.get(qc, 0.0) + v
         object.__setattr__(self, "items", tuple(sorted(merged.items())))
@@ -351,8 +360,8 @@ class CoefficientSet:
         return 0.0
 
     def scaled(self, factor: complex) -> "CoefficientSet":
-        """All values times `factor`; keeps the type and its other fields."""
-        return replace(self, items=tuple((q, factor * v) for q, v in self.items))
+        """All values times `factor`."""
+        return CoefficientSet(self.lattice, tuple((q, factor * v) for q, v in self.items))
 
     @property
     def offsets(self) -> tuple[int, ...]:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ZeroOrderSolution
-from .hilbert import Lattice, Model
+from .dynamics import TimeGrid, ZeroOrderSolution
+from .hilbert import Lattice, Model, plane_waves
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class GammaGrid:
 
     values: np.ndarray
     grid: PositionGrid
-    method: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -86,17 +85,10 @@ class GammaGrid:
         return float(np.abs(self.values - other.values).max())
 
 
-def _wave_contraction_matrix(model: Model, points: np.ndarray, t: float) -> np.ndarray:
-    """Rows apply sum_k e^{i k x - i eps_k t} a_k for each position x."""
-    k = model.lattice.momenta
-    eps = model.energies()
-    return np.exp(1j * np.outer(points, k) - 1j * eps * t)
-
-
 def _gamma_from_product_state(model: Model, state: np.ndarray,
-                              grid: PositionGrid, t: float, method: str) -> GammaGrid:
-    psi = _wave_contraction_matrix(model, grid.points, t) @ state  # (nx, levels)
-    return GammaGrid(values=psi.conj() @ psi.T, grid=grid, method=method)
+                              grid: PositionGrid, t: float) -> GammaGrid:
+    psi = plane_waves(model, grid.points, t) @ state  # (nx, levels)
+    return GammaGrid(values=psi.conj() @ psi.T, grid=grid)
 
 
 def _grid_step(sol: ZeroOrderSolution, t: float | None) -> tuple[int, float]:
@@ -115,31 +107,30 @@ def gamma_exact(state_tilde: np.ndarray, sol: ZeroOrderSolution,
     if state_tilde.shape != model.shape:
         raise ValueError("state incompatible with the model")
     step, tt = _grid_step(sol, t)
-    return _gamma_from_product_state(model, sol.u0(step, state_tilde), grid, tt, "exact")
+    return _gamma_from_product_state(model, sol.u0(step, state_tilde), grid, tt)
 
 
 def gamma_first_approx(sol: ZeroOrderSolution, grid: PositionGrid) -> GammaGrid:
     """First approximation: the rotated-frame state frozen to |0, k0).
     Requires a solution ending at t = 0 (started at t0 < 0)."""
-    _require_t_end_zero(sol)
+    require_t_end_zero(sol.grid)
     step, tt = _grid_step(sol, None)
-    return _gamma_from_product_state(sol.model, sol.zero_order_state(step), grid, tt,
-                                     "first_approx")
+    return _gamma_from_product_state(sol.model, sol.zero_order_state(step), grid, tt)
 
 
-def _require_t_end_zero(sol: ZeroOrderSolution) -> None:
-    if abs(sol.grid.t_end) > 1e-12 or sol.grid.t0 >= 0:
-        raise ValueError("density-matrix approximations are defined at t = 0 "
-                         "with the interaction switched on at t0 < 0")
+def require_t_end_zero(grid: TimeGrid) -> None:
+    """Reject a grid that does not end at t = 0 after starting at t0 < 0."""
+    if abs(grid.t_end) > 1e-12 or grid.t0 >= 0:
+        raise ValueError("density matrices are compared at t = 0 after the interaction "
+                         "switches on at t0 < 0: set t_end = 0 and t0 < 0")
 
 
 @dataclass(frozen=True)
 class AlphaField:
-    """alpha(x, t) on the stored grid times and the accumulated phase Phi(x)."""
+    """alpha(x, t) on the time grid and the accumulated phase Phi(x)."""
 
     model: Model
     grid: PositionGrid
-    times: np.ndarray
     alpha: np.ndarray   # (n_times, n_points)
     phi: np.ndarray     # (n_points,)
 
@@ -155,7 +146,7 @@ def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
     """Evaluate alpha(x, t) = sum_q h_q(t) e^{-iqx} on the grid at all stored
     times and accumulate Phi(x) = int_{t0}^{0} Im[alphadot*(x,t') alpha(x,t')] dt'
     by trapezoid on the half grid, with alphadot analytic."""
-    _require_t_end_zero(sol)
+    require_t_end_zero(sol.grid)
     qvals = np.array([sol.model.lattice.offset_momentum(q) for q in sol.offsets])
     phases = np.exp(-1j * np.outer(grid.points, qvals))   # (nx, nq)
     alpha_half = sol.h_half @ phases.T                    # (n_half, nx)
@@ -163,8 +154,7 @@ def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
     integrand = np.imag(alphadot_half.conj() * alpha_half)
     dt_half = sol.grid.dt / 2.0
     phi = 0.5 * dt_half * (integrand[0] + integrand[-1]) + dt_half * integrand[1:-1].sum(axis=0)
-    return AlphaField(model=sol.model, grid=grid, times=sol.grid.times,
-                      alpha=alpha_half[::2], phi=phi)
+    return AlphaField(model=sol.model, grid=grid, alpha=alpha_half[::2], phi=phi)
 
 
 def gamma_closed_form(field: AlphaField, k0: int, grid: PositionGrid) -> GammaGrid:
@@ -178,5 +168,5 @@ def gamma_closed_form(field: AlphaField, k0: int, grid: PositionGrid) -> GammaGr
                 + 1j * (field.phi[:, None] - field.phi[None, :])
                 - 0.5 * (np.abs(a0[:, None]) ** 2 + np.abs(a0[None, :]) ** 2
                          - 2.0 * a0.conj()[:, None] * a0[None, :]))
-    return GammaGrid(values=np.exp(exponent), grid=grid, method="closed_form")
+    return GammaGrid(values=np.exp(exponent), grid=grid)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import Model
-from .dynamics import CouplingSet, TimeGrid, STABILITY_LIMIT
+from .hilbert import CoefficientSet, Model
+from .dynamics import TimeGrid, STABILITY_LIMIT
 
 
 def _free_energies(model: Model) -> np.ndarray:
@@ -26,7 +26,7 @@ def free_hamiltonian_dense(model: Model) -> np.ndarray:
     return np.diag(_free_energies(model).astype(complex))
 
 
-def schrodinger_hamiltonian_dense(model: Model, couplings: CouplingSet) -> np.ndarray:
+def schrodinger_hamiltonian_dense(model: Model, couplings: CoefficientSet) -> np.ndarray:
     """b^dag sum_q g_q rho_q + h.c. assembled entry by entry from the action
     of a_k^dag a_{k+q} and the ladder matrix elements."""
     N, levels = model.shape
@@ -42,7 +42,7 @@ def schrodinger_hamiltonian_dense(model: Model, couplings: CouplingSet) -> np.nd
     return h + h.conj().T
 
 
-def propagate_exact(model: Model, couplings: CouplingSet, grid: TimeGrid,
+def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
                     initial: np.ndarray, collect_every: int | None = None):
     """Propagate under the full interaction-picture Hamiltonian
     H_I(t) = e^{i H_free t} H_S e^{-i H_free t} with the midpoint rule.

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from ecsim.dynamics import CouplingSet, ModulatorStrategy, TimeGrid, zero_order_solution
-from ecsim.ecs import TRUNCATION_TOL, _polar_nodes
+from ecsim.dynamics import ModulatorStrategy, TimeGrid, zero_order_solution
+from ecsim.ecs import RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
 from ecsim.hilbert import (
     CoefficientSet,
     Dispersion,
@@ -37,6 +37,15 @@ def make_model(sites=5, length=None, cutoff=8, omega=1.0, kind="tight_binding",
     return Model(lat, disp, OscillatorSpec(cutoff=cutoff, omega=omega))
 
 
+def hermitian_pair(lattice: Lattice, q0: int, g: complex) -> CoefficientSet:
+    """The coupling {q0: g, -q0: g*}; for q0 = 0 the coupling must be real."""
+    if lattice.wrap_offset(q0) == lattice.wrap_offset(-q0):
+        if abs(g.imag if isinstance(g, complex) else 0.0) > 1e-15:
+            raise ValueError("self-paired offset requires a real coupling")
+        return CoefficientSet(lattice, ((q0, complex(g).real),))
+    return CoefficientSet(lattice, ((q0, complex(g)), (-q0, np.conj(complex(g)))))
+
+
 def random_coefficients(lattice: Lattice, rng: np.random.Generator,
                         modes: int = 3, scale: float = 0.15) -> CoefficientSet:
     offsets = rng.choice(np.arange(lattice.sites), size=modes, replace=False)
@@ -64,7 +73,7 @@ def coupled_models(draw):
         else:
             g[q] = g.get(q, 0.0) + v
             g[qm] = g.get(qm, 0.0) + v.conjugate()
-    return model, CouplingSet.from_dict(lat, g)
+    return model, CoefficientSet.from_dict(lat, g)
 
 
 def scaled_solution(mc, kind, grid):
@@ -152,7 +161,7 @@ def ladder_commutator_residual(sol, step: int, keep_levels: int | None = None) -
     model = sol.model
     N, levels = model.shape
     u = dense_from_action(model, lambda states: sol.u0(step, states))
-    qp = circulant(model.lattice, sol.offsets, sol.h_half[sol.half_index(step)])
+    qp = circulant(model.lattice, sol.offsets, sol.h_half[2 * step])
     b = kron(np.eye(N), oscillator_annihilation(model.osc))
     q_full = kron(qp, np.eye(levels))
     if keep_levels is None:
@@ -231,16 +240,14 @@ def u0_dense_reference(model: Model, h_dict, chi: np.ndarray) -> np.ndarray:
                                + kron(chi, np.eye(model.osc.levels)))
 
 
-def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = 40,
-                          angular_nodes: int = 64, tol: float = TRUNCATION_TOL):
+def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = RADIAL_NODES):
     """(deviation, reliable_levels) of the resolution-of-unity quadrature,
     accumulated as one dim x dim matrix over every momentum shift of the
     scaled series states, with exp(-|z|^2 Q^dag Q/2) and the quadrature scale
     from an eigendecomposition of Q^dag Q (independent of the branch blocks)."""
     qp = h.particle_matrix()
     lam_sq, v_eig = np.linalg.eigh(qp.conj().T @ qp)
-    radii, angles, weights = _polar_nodes(radial_nodes, angular_nodes,
-                                          float(lam_sq[lam_sq > 1e-14].min()))
+    radii, angles, weights = _polar_nodes(radial_nodes, float(lam_sq[lam_sq > 1e-14].min()))
     N, levels = model.shape
     n_arr = np.arange(levels)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
@@ -256,11 +263,11 @@ def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = 4
         pref = (v_eig * np.exp(-0.5 * r ** 2 * lam_sq)) @ v_eig.conj().T
         zpow = (r * np.exp(1j * angles))[:, None] ** n_arr
         states = qp @ np.einsum("ij,jl,al->ail", pref, core, zpow)  # (angle, N, levels)
-        stacked = np.sqrt(wgt) * states[:, rolls, :].reshape(angular_nodes * N, model.dim)
+        stacked = np.sqrt(wgt) * states[:, rolls, :].reshape(angles.size * N, model.dim)
         result += stacked.T @ stacked.conj()
     mu_max = float(radii.max() ** 2 * lam_sq.max())
     poisson = np.exp(-mu_max + n_arr * np.log(max(mu_max, 1e-300)) - log_fact)
-    reliable = tuple(int(n) for n in n_arr[poisson < tol])
+    reliable = tuple(int(n) for n in n_arr[poisson < TRUNCATION_TOL])
     if not reliable:
         return float("inf"), ()
     idx = np.array([k * levels + n for k in range(N) for n in reliable])

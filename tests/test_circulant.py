@@ -1,5 +1,5 @@
 """Randomised reference checks of the circulant builder, its branch
-(Fourier eigenvalue) representation, the coupling type, the action of U0 and
+(Fourier eigenvalue) representation, the scaling of a coefficient set, the action of U0 and
 the residual step."""
 
 import numpy as np
@@ -23,7 +23,6 @@ from conftest import (
 )
 from ecsim.dynamics import (
     STABILITY_LIMIT,
-    CouplingSet,
     ModulatorStrategy,
     TimeGrid,
     check_stability,
@@ -33,9 +32,12 @@ from ecsim.dynamics import (
 from ecsim.hilbert import (
     CoefficientSet,
     Lattice,
+    branch_displacement,
+    branch_phases,
     branches,
     circulant,
     displacement,
+    ladder_quadrature,
     oscillator_annihilation,
     shift_matrix,
 )
@@ -163,14 +165,12 @@ def test_split_sums_to_full_hamiltonian(mc, t, kind):
 
 
 @PINNED
-@given(coupled_models(), st.floats(min_value=0.1, max_value=3.0), st.booleans())
-def test_scaled_coupling_keeps_type_and_flag(mc, factor, hermitian):
-    model, couplings = mc
-    c = CouplingSet(model.lattice, couplings.items, hermitian=hermitian)
-    s = c.scaled(factor)
-    assert type(s) is CouplingSet and s.hermitian is hermitian
-    assert s.items == tuple((q, factor * v) for q, v in c.items)
-    assert type(CoefficientSet(model.lattice, c.items).scaled(factor)) is CoefficientSet
+@given(coupled_models(), st.floats(min_value=0.1, max_value=3.0))
+def test_scaled_coupling_keeps_type_and_offsets(mc, factor):
+    _, couplings = mc
+    s = couplings.scaled(factor)
+    assert type(s) is CoefficientSet and s.lattice == couplings.lattice
+    assert s.items == tuple((q, factor * v) for q, v in couplings.items)
 
 
 @PINNED
@@ -210,30 +210,36 @@ def test_branches_of_h_and_chi_are_alpha_and_phi(mc, kind):
 @given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
        st.integers(min_value=0, max_value=4), st.booleans())
 def test_u0_adjoint_is_the_conjugate_transpose(mc, kind, step, mid):
+    """The branch displacement with adjoint=True, as the residual stepper
+    applies U0m^dag, is the conjugate transpose of U0 at grid points and
+    midpoints alike."""
     sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 5))
     model = sol.model
-    u = dense_from_action(model, lambda states: sol.u0(step, states, mid=mid))
-    u_dag = dense_from_action(model, lambda states: sol.u0(step, states, mid=mid, adjoint=True))
+    j = 2 * step + mid
+    x, w = ladder_quadrature(model.osc)
+    phases = branch_phases(branches(model.lattice, sol.offsets, sol.h_half[j]), sol.mu_half[j], x)
+    u = dense_from_action(model, lambda states: branch_displacement(states, phases, w))
+    u_dag = dense_from_action(
+        model, lambda states: branch_displacement(states, phases, w, adjoint=True))
     assert np.abs(u_dag - u.conj().T).max() < 1e-12
 
 
 @PINNED
 @given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
-       st.sampled_from([(1,), (4,), (2, 3)]), st.booleans(), st.booleans(),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_batched_u0_matches_per_step_calls(mc, kind, lead, mid, adjoint, seed):
+       st.sampled_from([(1,), (4,), (2, 3)]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_u0_matches_per_step_calls(mc, kind, lead, seed):
     """sol.u0 with an array of steps applies each step's U0 to its own state."""
     grid = TimeGrid(-1.0, 0.0, 5)
     sol = scaled_solution(mc, kind, grid)
     model = sol.model
     rng = np.random.default_rng(seed)
-    steps = rng.integers(0, grid.steps + (0 if mid else 1), size=lead)
+    steps = rng.integers(0, grid.steps + 1, size=lead)
     stack = rng.standard_normal(lead + model.shape) + 1j * rng.standard_normal(lead + model.shape)
     stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
-    got = sol.u0(steps, stack, mid=mid, adjoint=adjoint)
+    got = sol.u0(steps, stack)
     assert got.shape == stack.shape
     for index in np.ndindex(*lead):
-        want = sol.u0(int(steps[index]), stack[index], mid=mid, adjoint=adjoint)
+        want = sol.u0(int(steps[index]), stack[index])
         assert np.abs(got[index] - want).max() < 1e-14
 
 
@@ -247,7 +253,9 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
     for i in range(grid.steps):
         # reference: the dense conjugated exponential, one eigh at full dimension
         _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
-        u0m = dense_from_action(model, lambda states: sol.u0(i, states, mid=True))
+        lam_m = branches(model.lattice, sol.offsets, sol.h_half[2 * i + 1])
+        u0m = dense_from_action(
+            model, lambda states: displacement(model, lam_m, sol.mu_half[2 * i + 1], states))
         step = unitary_exponential(u0m.conj().T @ h1 @ u0m, grid.dt)
         want = (step @ res.states[i].reshape(-1)).reshape(model.shape)
         assert np.abs(res.states[i + 1] - want).max() < 1e-12

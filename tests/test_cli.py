@@ -105,6 +105,26 @@ def test_config_errors(tmp_path, config_path):
         load_config(str(bad3))
 
 
+def test_non_hermitian_couplings_are_a_configuration_error(tmp_path, capsys):
+    p = tmp_path / "unpaired.ini"
+    p.write_text(SMALL_CONFIG.replace("-1 = 0.12, 0.0", "-1 = 0.12, 0.05"))
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[couplings]" in err and "offset -1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["closed_diag", "gamma_hermiticity"])
+def test_unknown_tolerance_key_is_a_configuration_error(tmp_path, capsys, key):
+    p = tmp_path / "unknown_key.ini"
+    p.write_text(SMALL_CONFIG + f"\n[tolerances]\n{key} = 1e-30\n")
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_truncation_rule_rejected_before_computation(tmp_path):
     text = SMALL_CONFIG.replace("cutoff = 12", "cutoff = 2")
     text = text.replace("1 = 0.12, 0.0", "1 = 1.0, 0.0").replace("-1 = 1.0, 0.0", "-1 = 1.0, 0.0")
@@ -119,7 +139,7 @@ def test_truncation_rule_rejected_before_computation(tmp_path):
     ("hopping = 1.0", "hopping = nan", "hopping"),
     ("length = 5.0", "length = inf", "length"),
     ("t0 = -1.5", "t0 = nan", "t0"),
-    ("\n1 = 0.12, 0.0", "\n1 = nan, 0.0", "CouplingSet value at offset 1"),
+    ("\n1 = 0.12, 0.0", "\n1 = nan, 0.0", "CoefficientSet value at offset 1"),
     ("seed = 3\n", "seed = 3\n\n[tolerances]\nevolve_fidelity = nan\n",
      "[tolerances] evolve_fidelity"),
     ("seed = 3\n", "seed = 3\ntolerance_scale = nan\n", "[run] tolerance_scale"),
@@ -238,6 +258,27 @@ def test_gamma_requires_t_end_zero(tmp_path):
     p = tmp_path / "late.ini"
     p.write_text(text)
     assert main(["gamma", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_sweep_requires_t_end_zero(tmp_path, capsys):
+    p = tmp_path / "late.ini"
+    p.write_text(SMALL_CONFIG.replace("t_end = 0.0", "t_end = 0.5"))
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert "t_end = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "gamma"])
+def test_rejected_grid_leaves_no_output(tmp_path, capsys, command):
+    """A grid too coarse for the stability guard exits 2 before
+    resolved_config.ini is written."""
+    p = tmp_path / "coarse.ini"
+    p.write_text(SMALL_CONFIG.replace("steps = 250", "steps = 2"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert "stability guard" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_command(tmp_path):

@@ -7,6 +7,7 @@ from conftest import (
     conjugate_free,
     dense_from_action,
     fourier_vectors,
+    hermitian_pair,
     interaction_hamiltonian,
     ladder_commutator_residual,
     make_model,
@@ -18,37 +19,39 @@ from conftest import (
 )
 from ecsim import dynamics, oracle
 from ecsim.dynamics import (
-    CouplingSet,
     ModulatorStrategy,
     TimeGrid,
     propagate_residual,
     zero_order_solution,
 )
-from ecsim.hilbert import circulant, fidelity, make_basis_state
+from ecsim.hilbert import CoefficientSet, circulant, fidelity, make_basis_state
 
 
 def pair(model, q0, g):
-    return CouplingSet.hermitian_pair(model.lattice, q0, g)
+    return hermitian_pair(model.lattice, q0, g)
 
 
 def test_coupling_constraint():
-    model = make_model(sites=5)
+    """g_-q = g_q^* is a configuration rule (test_cli); the dynamics take any
+    coefficient set, and the test couplings built by `hermitian_pair` obey it."""
+    model = make_model(sites=5, cutoff=4)
     lat = model.lattice
-    CouplingSet.from_dict(lat, {1: 0.2 + 0.1j, -1: 0.2 - 0.1j})
+    assert pair(model, 1, 0.2 + 0.1j).items == ((-1, 0.2 - 0.1j), (1, 0.2 + 0.1j))
     with pytest.raises(ValueError):
-        CouplingSet.from_dict(lat, {1: 0.2 + 0.1j})
-    # explicit escape hatch for the strictly single-mode case
-    c = CouplingSet.from_dict(lat, {1: 0.2 + 0.1j}, hermitian=False)
-    assert c.items == ((1, 0.2 + 0.1j),)
-    with pytest.raises(ValueError):
-        CouplingSet.hermitian_pair(lat, 0, 0.1 + 0.2j)
-    real_zero = CouplingSet.hermitian_pair(lat, 0, 0.3)
+        hermitian_pair(lat, 0, 0.1 + 0.2j)
+    real_zero = hermitian_pair(lat, 0, 0.3)
     assert real_zero.items == ((0, 0.3 + 0j),)
+    # the strictly single-mode case is a plain coefficient set, and its
+    # Hamiltonian b^dag G + h.c. is Hermitian all the same
+    single = CoefficientSet.from_dict(lat, {1: 0.2 + 0.1j})
+    assert single.items == ((1, 0.2 + 0.1j),)
+    h = interaction_hamiltonian(model, single, 0.83)
+    assert np.linalg.norm(h - h.conj().T, 2) < 1e-13
 
 
 def test_hamiltonian_zero_and_hermitian():
     model = make_model(sites=5, cutoff=4)
-    assert not np.any(interaction_hamiltonian(model, CouplingSet(model.lattice)))
+    assert not np.any(interaction_hamiltonian(model, CoefficientSet(model.lattice)))
 
     rng = np.random.default_rng(21)
     for _ in range(3):
@@ -71,7 +74,7 @@ def test_interaction_picture_matches_free_conjugation():
 def test_split_exact_for_flat_dispersion():
     model = make_model(sites=5, cutoff=6, kind="flat")
     c = pair(model, 1, 0.3)
-    _, h1 = split_hamiltonian(model, c, ModulatorStrategy.static_unit(), 0.37, k0=2)
+    _, h1 = split_hamiltonian(model, c, ModulatorStrategy("static_unit"), 0.37, k0=2)
     assert not np.any(h1)
 
 
@@ -79,7 +82,7 @@ def test_split_reconstructs_full_hamiltonian():
     model = make_model(sites=5, cutoff=5)
     c = pair(model, 2, 0.2 - 0.05j)
     rng = np.random.default_rng(8)
-    for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
+    for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
         for t in rng.uniform(-3, 3, size=3):
             h0, h1 = split_hamiltonian(model, c, strat, float(t), k0=1)
             full = interaction_hamiltonian(model, c, float(t))
@@ -93,7 +96,7 @@ def test_modulator_broadcasts_over_times():
     c = pair(model, 2, 0.1 + 0.05j)
     grid = TimeGrid(t0=-3.7, t_end=0.0, steps=40)
     taus = grid.t0 + grid.dt / 2 * np.arange(2 * grid.steps + 1)
-    for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
+    for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
         per_time = np.array([strat.factors(model, 3, c.offsets, tau) for tau in taus])
         assert np.array_equal(strat.factors(model, 3, c.offsets, taus), per_time)
         sol = zero_order_solution(model, c, strat, grid, 3)
@@ -104,7 +107,7 @@ def test_modulator_broadcasts_over_times():
 
 def test_strategy_unimodularity():
     model = make_model(sites=5)
-    for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
+    for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
         f = strat.factors(model, 2, (1, 2, -1), 0.9)
         assert np.allclose(np.abs(f), 1.0, atol=1e-14)
     with pytest.raises(ValueError):
@@ -127,7 +130,7 @@ def test_stability_guard():
     model = make_model(sites=5, cutoff=6)
     c = pair(model, 1, 0.5)
     with pytest.raises(ValueError):
-        zero_order_solution(model, c, ModulatorStrategy.static_unit(),
+        zero_order_solution(model, c, ModulatorStrategy("static_unit"),
                             TimeGrid(t0=-10.0, t_end=0.0, steps=5), 2)
 
 
@@ -135,7 +138,7 @@ def test_zero_order_initial_values():
     model = make_model(sites=5, cutoff=8, omega=2.0)
     c = pair(model, 1, 0.2)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=50)
-    sol = zero_order_solution(model, c, ModulatorStrategy.recoil_phase(), grid, 2)
+    sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 2)
     assert np.abs(sol.h_half[0]).max() == 0.0
     assert not np.any(sol.mu_half[0])
     u0 = dense_from_action(model, lambda states: sol.u0(0, states))
@@ -149,7 +152,7 @@ def test_h_and_chi_match_closed_form():
     errs = []
     for steps in (100, 200):
         grid = TimeGrid(t0=-2.0, t_end=0.0, steps=steps)
-        sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 2)
+        sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 2)
         h_ref, chi_ref = static_unit_reference(model, c, grid.t0, grid.t_end)
         h_err = max(abs(sol.h_half[-1][i] - h_ref[q])
                     for i, q in enumerate(sol.offsets))
@@ -164,7 +167,7 @@ def test_chi_hermitian_and_u0_unitary():
     model = make_model(sites=5, cutoff=10, omega=2.5)
     c = pair(model, 2, 0.2)
     grid = TimeGrid(t0=-1.5, t_end=0.0, steps=150)
-    sol = zero_order_solution(model, c, ModulatorStrategy.recoil_phase(), grid, 1)
+    sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 1)
     assert np.isrealobj(sol.mu_half)   # chi's branch values: Hermitian by construction
     for step in (0, 75, 150):
         u = dense_from_action(model, lambda states: sol.u0(step, states))
@@ -175,7 +178,7 @@ def test_zero_order_state_solves_h0_dynamics():
     model = make_model(sites=5, cutoff=10, omega=2.5)
     c = pair(model, 1, 0.2)
     grid = TimeGrid(t0=-1.5, t_end=0.0, steps=1500)
-    strat = ModulatorStrategy.recoil_phase()
+    strat = ModulatorStrategy("recoil_phase")
     k0 = 2
     sol = zero_order_solution(model, c, strat, grid, k0)
 
@@ -190,7 +193,7 @@ def test_u0_reference_assembly_matches():
     model = make_model(sites=5, cutoff=10, omega=1.3)
     c = pair(model, 1, 0.2)
     grid = TimeGrid(t0=-2.0, t_end=0.0, steps=2000)
-    sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 2)
+    sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 2)
     h_ref, chi_ref = static_unit_reference(model, c, grid.t0, grid.t_end)
     u_ref = u0_dense_reference(model, h_ref, chi_ref)
     u0 = dense_from_action(model, lambda states: sol.u0(grid.steps, states))
@@ -199,14 +202,14 @@ def test_u0_reference_assembly_matches():
 
 def test_u0_commutator_relations():
     model = make_model(sites=5, cutoff=24, omega=1.0)
-    zero = CouplingSet(model.lattice)
+    zero = CoefficientSet(model.lattice)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=20)
-    sol0 = zero_order_solution(model, zero, ModulatorStrategy.static_unit(), grid, 0)
+    sol0 = zero_order_solution(model, zero, ModulatorStrategy("static_unit"), grid, 0)
     assert ladder_commutator_residual(sol0, grid.steps) < 1e-14
 
     c = pair(model, 1, 0.15)
     grid = TimeGrid(t0=-2.0, t_end=0.0, steps=200)
-    sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 0)
+    sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 0)
     amp = np.linalg.norm(circulant(model.lattice, sol.offsets, sol.h_half[-1]), 2)
     assert amp > 0.2  # the check runs at a non-trivial displacement
     assert ladder_commutator_residual(sol, grid.steps) < 1e-6
@@ -218,9 +221,9 @@ def test_u0_commutator_truncation_decay():
     residuals = []
     for cutoff in (8, 12, 16):
         model = make_model(sites=3, cutoff=cutoff, omega=1.0)
-        c = CouplingSet.hermitian_pair(model.lattice, 1, 0.15)
+        c = hermitian_pair(model.lattice, 1, 0.15)
         grid = TimeGrid(t0=-2.0, t_end=0.0, steps=100)
-        sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 0)
+        sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 0)
         residuals.append(ladder_commutator_residual(sol, grid.steps, keep_levels=5))
     assert residuals[2] < residuals[1] < residuals[0]
     assert residuals[0] > 1e-12  # the sweep starts inside the truncated regime
@@ -229,14 +232,14 @@ def test_u0_commutator_truncation_decay():
 def test_residual_trivial_cases():
     model = make_model(sites=5, cutoff=8)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=100)
-    zero = CouplingSet(model.lattice)
-    sol = zero_order_solution(model, zero, ModulatorStrategy.static_unit(), grid, 2)
+    zero = CoefficientSet(model.lattice)
+    sol = zero_order_solution(model, zero, ModulatorStrategy("static_unit"), grid, 2)
     res, = propagate_residual(sol)
     assert np.array_equal(res.final, res.states[0])
 
     flat = make_model(sites=5, cutoff=8, kind="flat")
-    c = CouplingSet.hermitian_pair(flat.lattice, 1, 0.25)
-    sol = zero_order_solution(flat, c, ModulatorStrategy.static_unit(), grid, 2)
+    c = hermitian_pair(flat.lattice, 1, 0.25)
+    sol = zero_order_solution(flat, c, ModulatorStrategy("static_unit"), grid, 2)
     res, = propagate_residual(sol)
     dev = np.linalg.norm(res.final - res.states[0])
     assert dev < 1e-10
@@ -276,7 +279,7 @@ def test_residual_stepper_runs_one_eigh_and_no_fft_per_step(monkeypatch):
         counts = []
         for steps in (10, 40):
             grid = TimeGrid(t0=-0.5, t_end=0.0, steps=steps)
-            sols = [zero_order_solution(model, c.scaled(f), ModulatorStrategy.recoil_phase(),
+            sols = [zero_order_solution(model, c.scaled(f), ModulatorStrategy("recoil_phase"),
                                         grid, 2) for f in (1.0, 0.5, 0.25)[:size]]
             eighs.clear()
             ffts.clear()
@@ -299,9 +302,9 @@ def test_stacked_member_scaled_by_zero_stays_at_the_initial_state(sites):
     c = pair(model, 1, 0.2 + 0.05j)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=30)
     sols = [zero_order_solution(model, c.scaled(f), strat, grid, 2)
-            for f, strat in ((1.0, ModulatorStrategy.recoil_phase()),
-                             (0.0, ModulatorStrategy.static_unit()),
-                             (0.5, ModulatorStrategy.static_unit()))]
+            for f, strat in ((1.0, ModulatorStrategy("recoil_phase")),
+                             (0.0, ModulatorStrategy("static_unit")),
+                             (0.5, ModulatorStrategy("static_unit")))]
     stacked = propagate_residual(*sols, collect_every=7)
     zero = stacked[1]
     assert zero.exact_split
@@ -318,7 +321,7 @@ def test_stacked_solutions_must_share_model_grid_k0_and_offsets():
     model = make_model(sites=5, cutoff=8, omega=2.5)
     c = pair(model, 1, 0.2)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=10)
-    static = ModulatorStrategy.static_unit()
+    static = ModulatorStrategy("static_unit")
     sol = zero_order_solution(model, c, static, grid, 2)
     mismatched = [
         zero_order_solution(make_model(sites=5, cutoff=8, omega=2.0), c, static, grid, 2),
@@ -334,7 +337,7 @@ def test_stacked_solutions_must_share_model_grid_k0_and_offsets():
     # equal but distinct model, grid and couplings stack
     twin_model = make_model(sites=5, cutoff=8, omega=2.5)
     twin = zero_order_solution(twin_model, pair(twin_model, 1, 0.1),
-                               ModulatorStrategy.recoil_phase(),
+                               ModulatorStrategy("recoil_phase"),
                                TimeGrid(t0=-1.0, t_end=0.0, steps=10), 2)
     assert len(propagate_residual(sol, twin)) == 2
 
@@ -343,7 +346,7 @@ def test_collect_every_samples_the_full_trajectory():
     model = make_model(sites=6, cutoff=8, omega=2.5, kind="quadratic")
     c = pair(model, 1, 0.2 + 0.1j)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=23)
-    sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 1)
+    sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 1)
     full, = propagate_residual(sol, collect_every=1)
     assert np.array_equal(full.steps, np.arange(grid.steps + 1))
     for every, want in ((None, [0, 23]), (5, [0, 5, 10, 15, 20, 23]), (23, [0, 23]),
@@ -364,7 +367,7 @@ def test_residual_resums_full_dynamics():
     exact = oracle.propagate_exact(model, c, grid, psi0)
 
     finals = {}
-    for strat in (ModulatorStrategy.recoil_phase(), ModulatorStrategy.static_unit()):
+    for strat in (ModulatorStrategy("recoil_phase"), ModulatorStrategy("static_unit")):
         sol = zero_order_solution(model, c, strat, grid, k0)
         res, = propagate_residual(sol)
         phys = sol.u0(grid.steps, res.final)

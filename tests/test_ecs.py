@@ -92,12 +92,6 @@ def test_displacement_generator_antihermitian():
     assert np.linalg.norm(gen + gen.conj().T, 2) == 0.0
 
 
-def test_order_cap_validation():
-    model = make_model(sites=4, cutoff=6)
-    with pytest.raises(ValueError):
-        ecs_series(model, single_mode(model, 1, 0.2), 0, order_cap=7)
-
-
 def test_amplitude_guard_rejects_small_cutoff():
     model = make_model(sites=4, cutoff=2)
     with pytest.raises(TruncationError):
@@ -261,11 +255,11 @@ def test_unity_resolution_rejects_vanishing_q():
 
 
 def test_moment_identity():
-    res = moment_identity_check(1.0, max_order=4)
+    res = moment_identity_check(1.0)
     assert res.max_diagonal_error < 1e-8
     assert res.max_offdiagonal < 1e-10
     # different scalar magnitude, same identity
-    res2 = moment_identity_check(0.6, max_order=4)
+    res2 = moment_identity_check(0.6)
     assert res2.max_diagonal_error < 1e-8
     assert res2.max_offdiagonal < 1e-10
     with pytest.raises(ValueError):

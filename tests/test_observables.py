@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PINNED, coupled_models, make_model, scaled_solution
+from conftest import PINNED, coupled_models, hermitian_pair, make_model, scaled_solution
 from ecsim.dynamics import (
-    CouplingSet,
     ModulatorStrategy,
     TimeGrid,
     propagate_residual,
     zero_order_solution,
 )
 from ecsim.ecs import coherent_state_vector
-from ecsim.hilbert import fidelity, make_basis_state
+from ecsim.hilbert import CoefficientSet, fidelity, make_basis_state, plane_waves
 from ecsim.observables import (
     PositionGrid,
-    _wave_contraction_matrix,
     alpha_phi,
     gamma_closed_form,
     gamma_exact,
@@ -29,7 +27,7 @@ from ecsim.observables import (
 def solved(model, couplings, strategy=None, steps=400, t0=-2.0, k0=None):
     k0 = model.lattice.sites // 2 if k0 is None else k0
     grid = TimeGrid(t0=t0, t_end=0.0, steps=steps)
-    strategy = strategy or ModulatorStrategy.recoil_phase()
+    strategy = strategy or ModulatorStrategy("recoil_phase")
     return zero_order_solution(model, couplings, strategy, grid, k0)
 
 
@@ -44,7 +42,7 @@ def intermediate_state(sol, m):
     in the oscillator sector at the grid point x_m = m * spacing."""
     model = sol.model
     x = m * model.lattice.spacing
-    row = _wave_contraction_matrix(model, np.array([x]), 0.0)
+    row = plane_waves(model, np.array([x]), 0.0)
     contracted = (row @ sol.zero_order_state(sol.grid.steps))[0]
     field = alpha_phi(sol, PositionGrid.uniform(model.lattice))
     k0_val = model.lattice.momenta[sol.k0]
@@ -69,7 +67,7 @@ def test_position_grid_validation():
 
 def test_free_particle_gamma_is_plane_wave():
     model = make_model(sites=5, cutoff=6)
-    zero = CouplingSet(model.lattice)
+    zero = CoefficientSet(model.lattice)
     sol = solved(model, zero, steps=50)
     pos = PositionGrid.uniform(model.lattice)
     res, = propagate_residual(sol)
@@ -90,13 +88,13 @@ def test_first_approx_matches_closed_form():
     model = make_model(sites=7, cutoff=24, omega=2.5)
     pos = PositionGrid.uniform(model.lattice)
     cases = [
-        CouplingSet.hermitian_pair(model.lattice, 1, 0.2),
-        CouplingSet.hermitian_pair(model.lattice, 2, 0.15 + 0.0j),
-        CouplingSet.from_dict(model.lattice, {2: 0.3 + 0.12j}, hermitian=False),
-        CouplingSet.from_dict(model.lattice, {0: 0.25, 1: 0.1 + 0.05j, -1: 0.1 - 0.05j}),
+        hermitian_pair(model.lattice, 1, 0.2),
+        hermitian_pair(model.lattice, 2, 0.15 + 0.0j),
+        CoefficientSet.from_dict(model.lattice, {2: 0.3 + 0.12j}),
+        CoefficientSet.from_dict(model.lattice, {0: 0.25, 1: 0.1 + 0.05j, -1: 0.1 - 0.05j}),
     ]
     for couplings in cases:
-        for strat in (ModulatorStrategy.static_unit(), ModulatorStrategy.recoil_phase()):
+        for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
             sol = solved(model, couplings, strategy=strat)
             gf = gamma_first_approx(sol, pos)
             gc = gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)
@@ -108,7 +106,7 @@ def test_first_approx_matches_closed_form():
 
 def test_closed_form_diagonal_is_unity():
     model = make_model(sites=5, cutoff=12, omega=2.0)
-    sol = solved(model, CouplingSet.hermitian_pair(model.lattice, 1, 0.2))
+    sol = solved(model, hermitian_pair(model.lattice, 1, 0.2))
     pos = PositionGrid.uniform(model.lattice)
     gc = gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)
     assert np.abs(np.diag(gc.values) - 1.0).max() < 1e-13
@@ -118,7 +116,7 @@ def test_exact_with_frozen_state_equals_first_approx():
     # switching the residual propagation off reduces the exact method to the
     # first approximation, which in turn matches the closed form
     model = make_model(sites=5, cutoff=12, omega=2.0)
-    sol = solved(model, CouplingSet.hermitian_pair(model.lattice, 1, 0.2))
+    sol = solved(model, hermitian_pair(model.lattice, 1, 0.2))
     pos = PositionGrid.uniform(model.lattice)
     frozen = make_basis_state(model, sol.k0, 0)
     ge = gamma_exact(frozen, sol, pos)
@@ -132,14 +130,14 @@ def test_alpha_phi_fields():
     model = make_model(sites=5, cutoff=10, omega=2.0)
     pos = PositionGrid.uniform(model.lattice)
 
-    zero_sol = solved(model, CouplingSet(model.lattice), steps=50)
+    zero_sol = solved(model, CoefficientSet(model.lattice), steps=50)
     field = alpha_phi(zero_sol, pos)
     assert not np.any(field.alpha)
     assert not np.any(field.phi)
 
     # strictly single-mode coupling: |alpha| position-independent, Phi constant
-    single = CouplingSet.from_dict(model.lattice, {2: 0.3 + 0.1j}, hermitian=False)
-    sol = solved(model, single, strategy=ModulatorStrategy.static_unit())
+    single = CoefficientSet.from_dict(model.lattice, {2: 0.3 + 0.1j})
+    sol = solved(model, single, strategy=ModulatorStrategy("static_unit"))
     field = alpha_phi(sol, pos)
     mags = np.abs(field.alpha_final)
     assert mags.max() - mags.min() < 1e-12
@@ -152,7 +150,7 @@ def test_alpha_phi_fields():
 
 def test_alpha_periodicity():
     model = make_model(sites=5, cutoff=10, omega=2.0)
-    sol = solved(model, CouplingSet.hermitian_pair(model.lattice, 1, 0.2))
+    sol = solved(model, hermitian_pair(model.lattice, 1, 0.2))
     x = np.array([0.0, 1.0, 2.0, 3.7])
     a0 = alpha_phi(sol, PositionGrid(points=x, length=model.lattice.length)).alpha_final
     qvals = np.array([model.lattice.offset_momentum(q) for q in sol.offsets])
@@ -165,16 +163,16 @@ def test_gamma_ring_periodicity():
     # Gamma built from them is L-periodic
     model = make_model(sites=5, cutoff=6)
     x = np.array([0.0, 1.0, 2.3])
-    p0 = _wave_contraction_matrix(model, x, t=0.4)
-    p1 = _wave_contraction_matrix(model, x + model.lattice.length, t=0.4)
+    p0 = plane_waves(model, x, 0.4)
+    p1 = plane_waves(model, x + model.lattice.length, 0.4)
     assert np.allclose(p0, p1, atol=1e-12)
 
 
 def test_gamma_requires_final_time_zero():
     model = make_model(sites=5, cutoff=8)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.1)
+    c = hermitian_pair(model.lattice, 1, 0.1)
     grid = TimeGrid(t0=0.0, t_end=1.0, steps=50)
-    sol = zero_order_solution(model, c, ModulatorStrategy.static_unit(), grid, 2)
+    sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 2)
     pos = PositionGrid.uniform(model.lattice)
     with pytest.raises(ValueError):
         gamma_first_approx(sol, pos)
@@ -185,7 +183,7 @@ def test_gamma_requires_final_time_zero():
 def test_gamma_exact_at_interior_time():
     # the exact method supports any stored grid time
     model = make_model(sites=5, cutoff=10, omega=2.0)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.15)
+    c = hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=200)
     res, = propagate_residual(sol, collect_every=1)
     pos = PositionGrid.uniform(model.lattice)
@@ -199,8 +197,8 @@ def test_gamma_exact_at_interior_time():
 
 def test_intermediate_state_is_coherent():
     model = make_model(sites=7, cutoff=24, omega=2.5)
-    single = CouplingSet.from_dict(model.lattice, {1: 0.4}, hermitian=False)
-    sol = solved(model, single, strategy=ModulatorStrategy.static_unit())
+    single = CoefficientSet.from_dict(model.lattice, {1: 0.4})
+    sol = solved(model, single, strategy=ModulatorStrategy("static_unit"))
     for m in (0, 2, 5):   # x = 0, 2, 5
         contracted, analytic = intermediate_state(sol, m)
         assert fidelity(contracted, analytic) > 1 - 1e-8
@@ -219,7 +217,7 @@ def test_intermediate_state_is_coherent():
 
 def test_gamma_free_case_trivial_for_zero_coupling():
     model = make_model(sites=5, cutoff=8)
-    sol = solved(model, CouplingSet(model.lattice), steps=50)
+    sol = solved(model, CoefficientSet(model.lattice), steps=50)
     contracted, analytic = intermediate_state(sol, 1)   # x = 1
     k0_val = model.lattice.momenta[sol.k0]
     want = np.zeros(model.osc.levels, dtype=complex)
@@ -230,7 +228,7 @@ def test_gamma_free_case_trivial_for_zero_coupling():
 
 def test_exact_first_gap_bounded_by_residual():
     model = make_model(sites=5, cutoff=12, omega=2.5)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.15)
+    c = hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=400, t0=-1.5)
     res, = propagate_residual(sol)
     pos = PositionGrid.uniform(model.lattice)
@@ -245,7 +243,7 @@ def test_single_mode_gamma_translation_invariance():
     # |Gamma(x, x')| depends only on the separation on the ring; a Hermitian
     # pair would instead set up a standing wave
     model = make_model(sites=7, cutoff=16, omega=2.5)
-    c = CouplingSet.from_dict(model.lattice, {1: 0.25}, hermitian=False)
+    c = CoefficientSet.from_dict(model.lattice, {1: 0.25})
     sol = solved(model, c, steps=300, t0=-1.5)
     res, = propagate_residual(sol)
     pos = PositionGrid.uniform(model.lattice)

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from conftest import (
     PINNED,
     conjugate_free,
+    hermitian_pair,
     interaction_hamiltonian,
     kron,
     make_model,
     midpoint_propagate,
 )
 from ecsim import oracle
-from ecsim.dynamics import CouplingSet, TimeGrid
-from ecsim.hilbert import make_basis_state, oscillator_annihilation, shift_matrix
+from ecsim.dynamics import TimeGrid
+from ecsim.hilbert import CoefficientSet, make_basis_state, oscillator_annihilation, shift_matrix
 
 
 def test_conjugate_free_trivials():
@@ -45,7 +46,7 @@ def test_conjugate_free_rho_phases():
 def test_schrodinger_assembly_matches_dynamics():
     # two independent assembly routes for the same operator
     model = make_model(sites=5, cutoff=5)
-    c = CouplingSet.hermitian_pair(model.lattice, 2, 0.3 - 0.1j)
+    c = hermitian_pair(model.lattice, 2, 0.3 - 0.1j)
     a = oracle.schrodinger_hamiltonian_dense(model, c)
     b = interaction_hamiltonian(model, c)
     assert np.abs(a - b).max() < 1e-14
@@ -55,13 +56,13 @@ def test_zero_coupling_returns_initial_exactly():
     model = make_model(sites=4, cutoff=4)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=50)
     psi0 = make_basis_state(model, 1, 2)
-    final = oracle.propagate_exact(model, CouplingSet(model.lattice), grid, psi0)
+    final = oracle.propagate_exact(model, CoefficientSet(model.lattice), grid, psi0)
     assert np.array_equal(final, psi0)
 
 
 def test_step_unitarity_and_norm_drift():
     model = make_model(sites=5, cutoff=8, omega=2.5)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.2)
+    c = hermitian_pair(model.lattice, 1, 0.2)
     grid = TimeGrid(t0=-5.0, t_end=0.0, steps=2500)
     times = grid.times
     for i in (0, 1250, 2499):
@@ -90,8 +91,7 @@ def oracle_cases(draw):
     rng = np.random.default_rng(seed)
     offsets = rng.choice(sites, size=int(rng.integers(1, sites + 1)), replace=False)
     vals = 0.1 * (rng.standard_normal(offsets.size) + 1j * rng.standard_normal(offsets.size))
-    couplings = CouplingSet.from_dict(model.lattice, dict(zip(offsets.tolist(), vals)),
-                                      hermitian=False)
+    couplings = CoefficientSet.from_dict(model.lattice, dict(zip(offsets.tolist(), vals)))
     steps = draw(st.integers(min_value=1, max_value=30))
     t0 = draw(st.floats(min_value=-0.1 * steps, max_value=-0.01))
     psi0 = rng.standard_normal(model.shape) + 1j * rng.standard_normal(model.shape)
@@ -124,7 +124,7 @@ def test_propagate_exact_matches_per_step_dense_reference(case, stride):
 
 def test_one_eigendecomposition_per_run(monkeypatch):
     model = make_model(sites=5, cutoff=6)
-    c = CouplingSet.hermitian_pair(model.lattice, 2, 0.15)
+    c = hermitian_pair(model.lattice, 2, 0.15)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
     psi0 = make_basis_state(model, 1, 0)
     calls = []
@@ -132,13 +132,13 @@ def test_one_eigendecomposition_per_run(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     oracle.propagate_exact(model, c, grid, psi0, collect_every=7)
     assert calls == [(model.dim, model.dim)]
-    oracle.propagate_exact(model, CouplingSet(model.lattice), grid, psi0)
+    oracle.propagate_exact(model, CoefficientSet(model.lattice), grid, psi0)
     assert len(calls) == 1
 
 
 def test_richardson_convergence_order():
     model = make_model(sites=5, cutoff=8, omega=2.0)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.25)
+    c = hermitian_pair(model.lattice, 1, 0.25)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=100)
     psi0 = make_basis_state(model, 2, 0)
     finals = [oracle.propagate_exact(model, c, TimeGrid(grid.t0, grid.t_end, grid.steps * k),
@@ -150,7 +150,7 @@ def test_richardson_convergence_order():
 
 def test_determinism():
     model = make_model(sites=4, cutoff=6)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.2)
+    c = hermitian_pair(model.lattice, 1, 0.2)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=120)
     psi0 = make_basis_state(model, 1, 0)
     a = oracle.propagate_exact(model, c, grid, psi0)
@@ -160,7 +160,7 @@ def test_determinism():
 
 def test_collect_every():
     model = make_model(sites=4, cutoff=4)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 0.1)
+    c = hermitian_pair(model.lattice, 1, 0.1)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
     psi0 = make_basis_state(model, 1, 0)
     final, (idx, states) = oracle.propagate_exact(model, c, grid, psi0, collect_every=10)
@@ -171,7 +171,7 @@ def test_collect_every():
 
 def test_stability_guard():
     model = make_model(sites=4, cutoff=6)
-    c = CouplingSet.hermitian_pair(model.lattice, 1, 1.0)
+    c = hermitian_pair(model.lattice, 1, 1.0)
     grid = TimeGrid(t0=-10.0, t_end=0.0, steps=5)
     with pytest.raises(ValueError):
         oracle.propagate_exact(model, c, grid, make_basis_state(model, 1, 0))
