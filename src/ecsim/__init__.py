@@ -9,6 +9,7 @@ from .hilbert import (
     Lattice,
     Model,
     OscillatorSpec,
+    TruncationError,
     branches,
     circulant,
     displacement,
@@ -18,7 +19,6 @@ from .hilbert import (
 )
 from .ecs import (
     EcsState,
-    TruncationError,
     check_b_action,
     coherent_state_vector,
     ecs_displacement,

@@ -27,7 +27,6 @@ from .dynamics import (
     zero_order_solution,
 )
 from .ecs import (
-    TruncationError,
     check_b_action,
     ecs_displacement,
     ecs_series,
@@ -38,7 +37,7 @@ from .ecs import (
     sum_rule,
     unity_resolution_check,
 )
-from .hilbert import CoefficientSet, fidelity, make_basis_state, shift_matrix
+from .hilbert import CoefficientSet, TruncationError, fidelity, make_basis_state, shift_matrix
 from .observables import (
     alpha_phi,
     gamma_closed_form,
@@ -157,8 +156,8 @@ def cmd_properties(cfg: RunConfig, out_dir: str) -> int:
     if cfg.model.osc.cutoff < 12:
         raise ConfigError("the property suite scans amplitudes up to 1 and "
                           "needs cutoff >= 12")
-    _prepare_out(cfg, out_dir)
     checks = run_properties(cfg)
+    _prepare_out(cfg, out_dir)
     _emit_report(os.path.join(out_dir, "properties_report.txt"),
                  "ecsim properties report", checks)
     for c in checks:
@@ -174,14 +173,10 @@ def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
     sol, strategy = res.sol, res.sol.strategy
     physical = sol.u0(res.steps, res.states)
 
-    rows = []
-    min_fid = 1.0
-    for i, state, phys, o_state in zip(res.steps, res.states, physical, oracle_states):
-        fid = fidelity(phys, o_state)
-        min_fid = min(min_fid, fid)
-        rows.append((cfg.grid.times[i], fid,
-                     float(np.linalg.norm(state - res.states[0])),
-                     float(np.linalg.norm(sol.h_half[2 * i]))))
+    times = cfg.grid.times[res.steps]
+    fids = [fidelity(phys, o_state) for phys, o_state in zip(physical, oracle_states)]
+    rows = zip(times, fids, np.linalg.norm(res.states - res.states[0], axis=(-2, -1)),
+               np.linalg.norm(sol.h(times), axis=-1))
     series_path = os.path.join(out_dir, f"evolve_{strategy.kind}.dat")
     _write_table(series_path,
                  [f"ecsim evolve series, strategy={strategy.kind}",
@@ -194,7 +189,7 @@ def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
                  [f"final interaction-picture state U0(t_end)|t_end>, strategy={strategy.kind}",
                   "flat index = momentum_index * (cutoff+1) + fock_level"],
                  ["index", "re", "im"], state_rows)
-    return min_fid, series_path
+    return min(fids), series_path
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -> int:

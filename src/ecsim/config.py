@@ -149,20 +149,6 @@ def _require_paired(couplings: CoefficientSet) -> None:
                 f"[couplings] violate g_-q = g_q* at offset {q}: g_q = {v}, g_-q = {partner}")
 
 
-def _validate_truncation(model: Model, couplings: CoefficientSet) -> None:
-    """Reject configurations whose accumulated displacement amplitude cannot
-    fit under the Fock cutoff: both the couplings used directly as state
-    coefficients and the dynamical envelope 2*sum|g|/omega must satisfy
-    amplitude^2 <= cutoff/4."""
-    direct = couplings.operator_amplitude()
-    dynamic = 2.0 * couplings.l1_amplitude / model.osc.omega
-    amp = max(direct, dynamic)
-    if amp ** 2 > model.osc.cutoff / 4.0:
-        raise ConfigError(
-            f"couplings violate the truncation rule: projected amplitude^2 = "
-            f"{amp ** 2:.3g} exceeds cutoff/4 = {model.osc.cutoff / 4.0:.3g}")
-
-
 def load_config(path: str, strategy_override: str | None = None,
                 seed_override: int | None = None,
                 tolerance_scale: float = 1.0) -> RunConfig:
@@ -238,7 +224,7 @@ def load_config(path: str, strategy_override: str | None = None,
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
-    _validate_truncation(model, couplings)
+    model.osc.check_amplitude(couplings.operator_amplitude())  # couplings as state coefficients
     return RunConfig(model=model, couplings=couplings, k0=k0, k0_quantum=k0_quantum,
                      grid=grid, strategy_kind=strategy_kind, position_count=count,
                      seed=seed, tolerances=tolerances, tolerance_scale=tolerance_scale)

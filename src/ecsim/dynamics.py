@@ -8,11 +8,11 @@ unimodular modulator f_q(t)) and a residual H1.  H0 generates the evolution
     h_q(t) = -i g_q int_{t0}^t f_q(t') e^{i w t'} dt',
     chi(t) = -(i/2) int_{t0}^t [ Qdot^dag Q - Q^dag Qdot ] dt',
 
-assembled here from half-step trapezoid quadrature of h and chi.  Every
-particle factor (G, A(t), Q(t), Qdot(t), chi(t)) is a circulant built by
-``hilbert.circulant``; the coupling G is a plain ``CoefficientSet``, whose
-pairing g_{-q} = g_q^* is checked where couplings are read
-(``config.load_config``).  chi is kept as its real branch values, so
+in closed form at any time, since f_q(t) e^{i w t} = e^{i nu_q t}
+(``ZeroOrderSolution``).  Every particle factor (G, A(t), Q(t), chi(t)) is a
+circulant built by ``hilbert.circulant``; the coupling G is a plain
+``CoefficientSet``, whose pairing g_{-q} = g_q^* is checked where couplings
+are read (``config.load_config``).  chi is kept as its real branch values, so
 U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
 ``hilbert.displacement``, batched over a stack of steps.  The residual is
 integrated in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
@@ -49,6 +49,10 @@ from .hilbert import (
 )
 
 STABILITY_LIMIT = 0.5
+# Below this |nu| (t - t0), for both frequencies, I_pq takes its second-order
+# Taylor form (error ~ SMALL_PHASE^3); above it the closed form divides by the
+# larger |nu| (relative error ~ eps / SMALL_PHASE).
+SMALL_PHASE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -66,16 +70,18 @@ class ModulatorStrategy:
         if self.kind not in ("static_unit", "recoil_phase"):
             raise ValueError(f"unknown modulator kind {self.kind!r}")
 
+    def detuning(self, model: Model, k0: int, offsets) -> np.ndarray:
+        """delta_q with f_q(t) = e^{i delta_q t}, one per offset: 0 for
+        ``static_unit``, eps_{k0} - eps_{k0+q} for ``recoil_phase``."""
+        if self.kind == "static_unit":
+            return np.zeros(len(offsets))
+        eps = model.energies()
+        return np.array([eps[k0] - eps[model.lattice.shift_index(k0, q)] for q in offsets])
+
     def factors(self, model: Model, k0: int, offsets, t) -> np.ndarray:
         """f_q(t) for each offset, shape t.shape + (len(offsets),) for a time or
         an array of times; always unimodular."""
-        t = np.asarray(t)[..., None]
-        if self.kind == "static_unit":
-            return np.ones(t.shape[:-1] + (len(offsets),), dtype=complex)
-        eps = model.energies()
-        lat = model.lattice
-        detune = np.array([eps[k0] - eps[lat.shift_index(k0, q)] for q in offsets])
-        return np.exp(1j * detune * t)
+        return np.exp(1j * self.detuning(model, k0, offsets) * np.asarray(t)[..., None])
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
-    def midpoint(self, i: int) -> float:
+    def midpoint(self, i):
         return self.t0 + self.dt * (i + 0.5)
 
 
@@ -120,13 +126,48 @@ def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> 
             f"dt*||H|| = {grid.dt * hnorm:.3g} exceeds stability guard {STABILITY_LIMIT}")
 
 
+def _phi(x):
+    """int_0^1 e^{i x y} dy = e^{i x/2} sinc(x/2), broadcast over `x`; exact at
+    x = 0.  E(nu; t) = int_{t0}^t e^{i nu s} ds = e^{i nu t0} (t - t0) phi(nu (t - t0))."""
+    return np.exp(0.5j * x) * np.sinc(x / (2 * np.pi))
+
+
+def _nested(nu: np.ndarray, t0: float, t) -> np.ndarray:
+    """I_pq(t) = int_{t0}^t e^{-i nu_p s} E(nu_q; s) ds, shape t.shape + (n, n).
+
+    I_pq = e^{i (nu_q - nu_p) t0} T^2 J_pq with T = t - t0 and x = nu T.
+    Integrating over s last gives K_pq = [phi(x_q - x_p) - phi(-x_p)] / (i x_q);
+    integrating over s first gives J_pq = phi(x_q) phi(-x_p) - K_qp^*, since
+    I_pq + I_qp^* = E(nu_q; t) E(-nu_p; t).  Each pair takes the form that
+    divides by the larger |x|, which bounds the cancellation by eps / |x|.
+    Where both |x| are below SMALL_PHASE the second-order Taylor form
+    J_pq = 1/2 + i (x_q/6 - x_p/3) - x_q^2/24 + x_p x_q/8 - x_p^2/8 is used.
+    """
+    span = np.asarray(t, dtype=float)[..., None] - t0
+    x = nu * span
+    xp, xq = x[..., :, None], x[..., None, :]
+    phi = _phi(x)
+    tiny = np.abs(x) < SMALL_PHASE
+    k = (_phi(xq - xp) - phi.conj()[..., :, None]) / (1j * np.where(tiny, 1.0, x)[..., None, :])
+    q_larger = np.abs(nu) >= np.abs(nu)[:, None]
+    j = np.where(q_larger, k, phi[..., None, :] * phi.conj()[..., :, None]
+                 - k.swapaxes(-1, -2).conj())
+    small = tiny[..., :, None] & tiny[..., None, :]
+    if small.any():
+        j = np.where(small, 0.5 + 1j * (xq / 6 - xp / 3) - xq ** 2 / 24 + xp * xq / 8
+                     - xp ** 2 / 8, j)
+    return np.exp(1j * (nu - nu[:, None]) * t0) * span[..., None] ** 2 * j
+
+
 @dataclass(frozen=True)
 class ZeroOrderSolution:
-    """h_q(t), chi(t) and U0(t) accumulated on a half-step grid.
+    """The closed-form zero-order solution: h_q(t), the branch values of Q and
+    chi, and U0(t), at any array of times, from the couplings and the
+    frequencies nu_q of f_q(t) e^{i w t} = e^{i nu_q t}.
 
-    Arrays are indexed by half-steps j = 0..2*steps (time t0 + j*dt/2); grid
-    points are the even entries.  chi is stored by its real branch values,
-    so it is Hermitian by construction; U0 is only ever applied to states.
+    chi is evaluated by its real branch values, so it is Hermitian by
+    construction; U0 is only ever applied to states.  Nothing stored grows
+    with the number of steps.
     """
 
     model: Model
@@ -134,62 +175,58 @@ class ZeroOrderSolution:
     strategy: ModulatorStrategy
     grid: TimeGrid
     k0: int
-    h_half: np.ndarray      # (2*steps+1, n_offsets)
-    hdot_half: np.ndarray   # (2*steps+1, n_offsets)
-    mu_half: np.ndarray     # (2*steps+1, N)
+    nu: np.ndarray   # (n_offsets,)
 
     @property
     def offsets(self) -> tuple[int, ...]:
         return self.couplings.offsets
 
+    def h(self, times) -> np.ndarray:
+        """h_q(t) = -i g_q E(nu_q; t), shape times.shape + (n_offsets,)."""
+        span = np.asarray(times, dtype=float)[..., None] - self.grid.t0
+        sweep = np.exp(1j * self.nu * self.grid.t0) * span * _phi(self.nu * span)  # E(nu_q; t)
+        return -1j * self.couplings.values * sweep
+
+    def accumulated(self, weights: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+        """The accumulated amplitude sum_q w_q h_q(t) and phase
+        Im sum_{p,q} w_p^* w_q g_p^* g_q I_pq(t) = int_{t0}^t Im[lamdot^* lam] dt'
+        for each row w of `weights` (rows, n_offsets), both of shape
+        times.shape + (rows,).  Branch weights e^{2 pi i j q/N} give the branch
+        values of Q and chi, weights e^{-iqx} give alpha(x, t) and Phi(x, t)."""
+        g = self.couplings.values
+        amplitude = self.h(times) @ weights.T
+        pair = g.conj()[:, None] * g * _nested(self.nu, self.grid.t0, times)
+        phase = np.sum(weights.conj().T * (pair @ weights.T), axis=-2).imag
+        return amplitude, phase
+
+    def branch_values(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, mu): the branch values of Q and chi at `times`, each of shape
+        times.shape + (N,)."""
+        weights = branches(self.model.lattice, self.offsets, np.eye(len(self.offsets))).T
+        return self.accumulated(weights, times)
+
     def u0(self, step, states: np.ndarray) -> np.ndarray:
         """U0 at a grid step, applied to states of shape (..., N, levels).
         `step` may be an array of steps whose shape matches the leading axes
         of `states`: then each state gets the U0 of its own step, in one call."""
-        j = 2 * np.asarray(step)
-        lam = branches(self.model.lattice, self.offsets, self.h_half[j])
-        return displacement(self.model, lam, self.mu_half[j], states)
-
-    def zero_order_state(self, step: int) -> np.ndarray:
-        """U0(t)|0,k0), the exact solution of the H0 dynamics."""
-        return self.u0(step, make_basis_state(self.model, self.k0, 0))
+        lam, mu = self.branch_values(self.grid.times[step])
+        return displacement(self.model, lam, mu, states)
 
 
 def zero_order_solution(model: Model, couplings: CoefficientSet, strategy: ModulatorStrategy,
                         grid: TimeGrid, k0: int) -> ZeroOrderSolution:
-    """Accumulate h_q(t) and chi(t) by composite trapezoid on a half-step grid.
-
-    hdot_q(t) = -i g_q f_q(t) e^{iwt} is analytic.  On branch j chi's integrand
-    (i/2)(Q^dag Qdot - Qdot^dag Q) is the real Im(lamdot_j^* lam_j).  Raises if
-    the accumulated amplitude breaks the truncation rule ||Q||^2 <= cutoff/4.
-    """
+    """The zero-order solution with nu_q = w + delta_q, delta_q the strategy's
+    ``detuning``.  Raises if the largest |lam_j| over the grid points breaks
+    the truncation rule (``OscillatorSpec.check_amplitude``)."""
     if not 0 <= int(k0) < model.lattice.sites:
         raise ValueError(f"momentum index {k0} out of range")
     check_stability(model, couplings, grid)
-    offsets = couplings.offsets
-    g_vals = couplings.values
-    n_half = 2 * grid.steps + 1
-    dt_half = grid.dt / 2.0
-    taus = grid.t0 + dt_half * np.arange(n_half)
-    omega = model.osc.omega
-
-    hdot = (-1j * g_vals * strategy.factors(model, k0, offsets, taus)
-            * np.exp(1j * omega * taus)[:, None])
-    h = np.zeros_like(hdot)
-    np.cumsum(0.5 * dt_half * (hdot[:-1] + hdot[1:]), axis=0, out=h[1:])
-    lam, lamdot = branches(model.lattice, offsets, np.stack([h, hdot]))
-    integrand = np.imag(lamdot.conj() * lam)
-    mu = np.zeros(integrand.shape)
-    np.cumsum(0.5 * dt_half * (integrand[:-1] + integrand[1:]), axis=0, out=mu[1:])
-
-    amp = np.abs(lam[::2]).max()
-    if amp ** 2 > model.osc.cutoff / 4.0:
-        raise ValueError(
-            f"accumulated amplitude^2 = {amp ** 2:.3g} exceeds cutoff/4 = "
-            f"{model.osc.cutoff / 4.0:.3g}; raise the cutoff or weaken the coupling")
-
-    return ZeroOrderSolution(model=model, couplings=couplings, strategy=strategy,
-                             grid=grid, k0=k0, h_half=h, hdot_half=hdot, mu_half=mu)
+    nu = model.osc.omega + strategy.detuning(model, k0, couplings.offsets)
+    nu.flags.writeable = False
+    sol = ZeroOrderSolution(model, couplings, strategy, grid, k0, nu)
+    lam = branches(model.lattice, couplings.offsets, sol.h(grid.times))
+    model.osc.check_amplitude(float(np.abs(lam).max()))
+    return sol
 
 
 class ResidualResult(NamedTuple):
@@ -242,11 +279,11 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     stored = np.append(np.arange(0, grid.steps, collect_every or grid.steps), grid.steps)
 
     lat, (N, levels), M = model.lattice, model.shape, len(sols)
-    t_mid = grid.t0 + grid.dt * (np.arange(grid.steps) + 0.5)
+    t_mid = grid.midpoint(np.arange(grid.steps))
     a_vals = np.stack([s.couplings.values * s.strategy.factors(model, k0, offsets, t_mid)
                        for s in sols], axis=1)                       # (steps, M, offsets)
-    lam = branches(lat, offsets, np.stack([s.h_half[1::2] for s in sols], axis=1))
-    mu = np.stack([s.mu_half[1::2] for s in sols], axis=1)           # (steps, M, N)
+    lam, mu = (np.stack(v, axis=1)                                   # (steps, M, N)
+               for v in zip(*(s.branch_values(t_mid) for s in sols)))
     osc = np.exp(1j * model.osc.omega * t_mid)
     eps = model.energies()
     g_mat = np.stack([s.couplings.particle_matrix() for s in sols])

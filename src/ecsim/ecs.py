@@ -31,6 +31,7 @@ import numpy as np
 from .hilbert import (
     CoefficientSet,
     Model,
+    TruncationError,
     branches,
     circulant,
     displacement,
@@ -49,17 +50,13 @@ ANGULAR_NODES = 64
 MOMENT_MAX_ORDER = 4
 
 
-class TruncationError(ValueError):
-    """Coefficient amplitude too large for the configured Fock cutoff."""
-
-
 def coherent_state_vector(alpha, levels: int) -> np.ndarray:
     """Ordinary (Schroedinger) coherent state amplitudes on levels 0..levels-1:
     exp(-|alpha|^2/2) alpha^n / sqrt(n!), batched over the axes of `alpha`
     (the levels form a new last axis)."""
     alpha = np.asarray(alpha)[..., None]
     n = np.arange(levels)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(levels)])
     amps = np.exp(-0.5 * np.abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
     return amps.astype(complex)
 
@@ -82,10 +79,7 @@ def coherent_truncation_tail(amplitude_sq: float, cutoff: int) -> float:
 
 def _check_truncation(model: Model, h: CoefficientSet, tol: float) -> None:
     amp = h.operator_amplitude()
-    if amp ** 2 > model.osc.cutoff / 4.0:
-        raise TruncationError(
-            f"amplitude^2 = {amp ** 2:.3g} exceeds cutoff/4 = {model.osc.cutoff / 4.0:.3g}; "
-            "raise the Fock cutoff or scale down the coefficients")
+    model.osc.check_amplitude(amp)
     tail = coherent_truncation_tail(amp ** 2, model.osc.cutoff)
     if tail >= tol:
         raise TruncationError(
@@ -129,10 +123,6 @@ class EcsState:
 
     def __post_init__(self):
         self.state.flags.writeable = False
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.state))
 
 
 def _finish(model, h, k0, construction, state, tol) -> EcsState:

@@ -1,7 +1,8 @@
 """Truncated particle-ring x oscillator Hilbert space and its elementary operators.
 
 A single spinless particle lives on a periodic momentum lattice (``Lattice``),
-a harmonic oscillator on a truncated Fock ladder (``OscillatorSpec``).  States
+a harmonic oscillator on a truncated Fock ladder (``OscillatorSpec``, which
+also holds the one truncation rule |lam|^2 <= cutoff/4).  States
 are complex arrays of shape ``(sites, cutoff + 1)`` indexed by
 (momentum index, Fock level).  This module forms no operator on the product
 space: a particle matrix acts on the momentum axis, an oscillator matrix on
@@ -151,6 +152,10 @@ class Dispersion:
         return np.full(lattice.sites, self.value, dtype=float)
 
 
+class TruncationError(ValueError):
+    """Displacement amplitude too large for the configured Fock cutoff."""
+
+
 @dataclass(frozen=True)
 class OscillatorSpec:
     """Truncated oscillator: Fock levels 0..cutoff, frequency omega."""
@@ -168,6 +173,15 @@ class OscillatorSpec:
     @property
     def levels(self) -> int:
         return self.cutoff + 1
+
+    def check_amplitude(self, amplitude: float) -> None:
+        """The truncation rule: a displacement of amplitude |lam| fits under
+        the cutoff when |lam|^2 <= cutoff/4, else TruncationError."""
+        limit = self.cutoff / 4.0
+        if amplitude ** 2 > limit:
+            raise TruncationError(
+                f"displacement amplitude^2 = {amplitude ** 2:.3g} exceeds cutoff/4 = "
+                f"{limit:.3g}; raise the Fock cutoff or weaken the couplings")
 
 
 @dataclass(frozen=True)
@@ -370,10 +384,6 @@ class CoefficientSet:
     @property
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.items], dtype=complex)
-
-    @property
-    def l1_amplitude(self) -> float:
-        return float(sum(abs(v) for _, v in self.items))
 
     def particle_matrix(self) -> np.ndarray:
         """The circulant sum_q h_q shift(q), so any two such matrices (and

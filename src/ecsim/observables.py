@@ -1,15 +1,17 @@
 """Particle density matrix in position representation, three ways.
 
 Gamma(x, x', t) = <t| psi~^dag(x,t) psi~(x',t) |t> with the wave operator
-psi(x,t) = sum_k a_k e^{ikx - i eps_k t} is evaluated exactly (from the
-residual-propagated state), in first approximation (|t> frozen to |0,k0)),
-and in the closed form
+psi(x,t) = sum_k a_k e^{ikx - i eps_k t} is evaluated at the final grid time
+exactly (from the residual-propagated state), in first approximation (|t>
+frozen to |0,k0)), and in the closed form
 
     Gamma(x,x',0) = e^{-i k0 (x-x')} exp{ i Phi(x) - i Phi(x')
                     - [|alpha(x,0)|^2 + |alpha(x',0)|^2 - 2 alpha*(x,0) alpha(x',0)]/2 }
 
 built from alpha(x,t) = sum_q h_q(t) e^{-iqx} and the accumulated phase
-Phi(x) = int Im[alphadot* alpha] dt'.
+Phi(x) = int Im[alphadot* alpha] dt'.  Both fields are the zero-order
+solution's closed form (``ZeroOrderSolution.accumulated``) with the weights
+e^{-iqx}, the same evaluation that gives U0 its branch values.
 
 Cross-method agreement is exact only at positions commensurate with the
 lattice (multiples of length/sites): momentum wrap-around otherwise breaks
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TimeGrid, ZeroOrderSolution
-from .hilbert import Lattice, Model, plane_waves
+from .hilbert import Lattice, Model, make_basis_state, plane_waves
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,10 @@ class PositionGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def uniform(cls, lattice: Lattice, count: int | None = None) -> "PositionGrid":
+    def uniform(cls, lattice: Lattice, count: int) -> "PositionGrid":
         """`count` equally spaced points from 0; commensurate with the lattice
-        when count divides the number of sites (the default count is the
-        number of sites)."""
-        n = lattice.sites if count is None else int(count)
-        return cls(points=np.arange(n) * (lattice.length / n), length=lattice.length)
+        when count divides the number of sites."""
+        return cls(points=np.arange(count) * (lattice.length / count), length=lattice.length)
 
     @property
     def size(self) -> int:
@@ -85,37 +85,27 @@ class GammaGrid:
         return float(np.abs(self.values - other.values).max())
 
 
-def _gamma_from_product_state(model: Model, state: np.ndarray,
-                              grid: PositionGrid, t: float) -> GammaGrid:
-    psi = plane_waves(model, grid.points, t) @ state  # (nx, levels)
+def _gamma_at_end(sol: ZeroOrderSolution, state_tilde: np.ndarray,
+                  grid: PositionGrid) -> GammaGrid:
+    """The density matrix of U0|state_tilde> at the final grid time."""
+    psi = sol.u0(sol.grid.steps, state_tilde)
+    psi = plane_waves(sol.model, grid.points, sol.grid.times[-1]) @ psi  # (nx, levels)
     return GammaGrid(values=psi.conj() @ psi.T, grid=grid)
 
 
-def _grid_step(sol: ZeroOrderSolution, t: float | None) -> tuple[int, float]:
-    times = sol.grid.times
-    tt = times[-1] if t is None else float(t)
-    idx = int(np.argmin(np.abs(times - tt)))
-    if abs(times[idx] - tt) > 1e-9 * max(1.0, abs(tt)):
-        raise ValueError(f"time {tt} not on the propagation grid")
-    return idx, times[idx]
-
-
 def gamma_exact(state_tilde: np.ndarray, sol: ZeroOrderSolution,
-                grid: PositionGrid, t: float | None = None) -> GammaGrid:
-    """Exact density matrix from the rotated-frame state at a grid time."""
-    model = sol.model
-    if state_tilde.shape != model.shape:
+                grid: PositionGrid) -> GammaGrid:
+    """Exact density matrix from the rotated-frame state at the final time."""
+    if state_tilde.shape != sol.model.shape:
         raise ValueError("state incompatible with the model")
-    step, tt = _grid_step(sol, t)
-    return _gamma_from_product_state(model, sol.u0(step, state_tilde), grid, tt)
+    return _gamma_at_end(sol, state_tilde, grid)
 
 
 def gamma_first_approx(sol: ZeroOrderSolution, grid: PositionGrid) -> GammaGrid:
     """First approximation: the rotated-frame state frozen to |0, k0).
     Requires a solution ending at t = 0 (started at t0 < 0)."""
     require_t_end_zero(sol.grid)
-    step, tt = _grid_step(sol, None)
-    return _gamma_from_product_state(sol.model, sol.zero_order_state(step), grid, tt)
+    return _gamma_at_end(sol, make_basis_state(sol.model, sol.k0, 0), grid)
 
 
 def require_t_end_zero(grid: TimeGrid) -> None:
@@ -127,34 +117,25 @@ def require_t_end_zero(grid: TimeGrid) -> None:
 
 @dataclass(frozen=True)
 class AlphaField:
-    """alpha(x, t) on the time grid and the accumulated phase Phi(x)."""
+    """alpha(x, t) at the final time and the accumulated phase Phi(x)."""
 
     model: Model
     grid: PositionGrid
-    alpha: np.ndarray   # (n_times, n_points)
-    phi: np.ndarray     # (n_points,)
-
-    @property
-    def alpha_final(self) -> np.ndarray:
-        return self.alpha[-1]
+    alpha_final: np.ndarray   # (n_points,)
+    phi: np.ndarray           # (n_points,)
 
     def phi_spread(self) -> float:
         return float(self.phi.max() - self.phi.min())
 
 
 def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
-    """Evaluate alpha(x, t) = sum_q h_q(t) e^{-iqx} on the grid at all stored
-    times and accumulate Phi(x) = int_{t0}^{0} Im[alphadot*(x,t') alpha(x,t')] dt'
-    by trapezoid on the half grid, with alphadot analytic."""
+    """alpha(x, t) = sum_q h_q(t) e^{-iqx} and
+    Phi(x) = int_{t0}^{t} Im[alphadot*(x,t') alpha(x,t')] dt' on the grid at
+    the final time t = 0, in closed form."""
     require_t_end_zero(sol.grid)
     qvals = np.array([sol.model.lattice.offset_momentum(q) for q in sol.offsets])
-    phases = np.exp(-1j * np.outer(grid.points, qvals))   # (nx, nq)
-    alpha_half = sol.h_half @ phases.T                    # (n_half, nx)
-    alphadot_half = sol.hdot_half @ phases.T
-    integrand = np.imag(alphadot_half.conj() * alpha_half)
-    dt_half = sol.grid.dt / 2.0
-    phi = 0.5 * dt_half * (integrand[0] + integrand[-1]) + dt_half * integrand[1:-1].sum(axis=0)
-    return AlphaField(model=sol.model, grid=grid, alpha=alpha_half[::2], phi=phi)
+    alpha, phi = sol.accumulated(np.exp(-1j * np.outer(grid.points, qvals)), sol.grid.times[-1])
+    return AlphaField(model=sol.model, grid=grid, alpha_final=alpha, phi=phi)
 
 
 def gamma_closed_form(field: AlphaField, k0: int, grid: PositionGrid) -> GammaGrid:

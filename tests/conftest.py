@@ -161,7 +161,7 @@ def ladder_commutator_residual(sol, step: int, keep_levels: int | None = None) -
     model = sol.model
     N, levels = model.shape
     u = dense_from_action(model, lambda states: sol.u0(step, states))
-    qp = circulant(model.lattice, sol.offsets, sol.h_half[2 * step])
+    qp = circulant(model.lattice, sol.offsets, sol.h(sol.grid.times[step]))
     b = kron(np.eye(N), oscillator_annihilation(model.osc))
     q_full = kron(qp, np.eye(levels))
     if keep_levels is None:

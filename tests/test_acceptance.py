@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_from_action,
     exact_interaction_state,
     hermitian_pair,
     make_model,
@@ -153,21 +154,26 @@ def test_criterion_4_zero_order_exactness(propagation_setup):
     h0_of = lambda t: zero_order_hamiltonian(model, couplings, strat, t, k0)
     psi0 = make_basis_state(model, k0, 0)
     final_1 = midpoint_propagate(model, h0_of, grid, psi0)
-    fid_err = 1.0 - fidelity(sol.zero_order_state(grid.steps), final_1)
+    fid_err = 1.0 - fidelity(sol.u0(grid.steps, psi0), final_1)
     assert fid_err < 1e-6
 
-    # dt-halving order against the closed-form zero-order solution
+    # U0 itself equals the exponential of the closed-form generator
     h_ref, chi_ref = static_unit_reference(model, couplings, grid.t0, grid.t_end)
-    ref = (u0_dense_reference(model, h_ref, chi_ref)
-           @ psi0.reshape(-1)).reshape(model.shape)
+    u_ref = u0_dense_reference(model, h_ref, chi_ref)
+    u0_err = float(np.abs(dense_from_action(model, lambda states: sol.u0(grid.steps, states))
+                          - u_ref).max())
+    assert u0_err < 1e-12
+
+    # dt-halving order against the closed-form zero-order solution
+    ref = (u_ref @ psi0.reshape(-1)).reshape(model.shape)
     final_2 = midpoint_propagate(model, h0_of, TimeGrid(grid.t0, grid.t_end, 2 * grid.steps),
                                  psi0)
     e1 = float(np.linalg.norm(final_1 - ref))
     e2 = float(np.linalg.norm(final_2 - ref))
     order = float(np.log2(e1 / e2))
     assert order >= 1.9
-    _report(4, f"fidelity_error={fid_err:.2e} halving errors {e1:.2e}->{e2:.2e} "
-               f"order={order:.3f}")
+    _report(4, f"fidelity_error={fid_err:.2e} U0 error={u0_err:.2e} "
+               f"halving errors {e1:.2e}->{e2:.2e} order={order:.3f}")
 
 
 def test_criterion_5_full_dynamics_equivalence(propagation_setup):
@@ -207,7 +213,7 @@ def test_criterion_6_density_matrix_consistency():
     cutoff 24, unit diagonal, Hermiticity, and the constant single-mode
     accumulated phase."""
     model = make_model(sites=7, cutoff=24, omega=2.5)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     grid = TimeGrid(t0=-2.5, t_end=0.0, steps=1000)
 
     worst_dev = 0.0
@@ -246,7 +252,7 @@ def test_criterion_7_perturbative_gap_scaling():
     base = hermitian_pair(model.lattice, 1, 0.2)
     grid = TimeGrid(t0=-1.5, t_end=0.0, steps=750)
     strat = ModulatorStrategy("recoil_phase")
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     gaps = []
     for factor in (1.0, 0.5, 0.25, 0.125):
         couplings = base.scaled(factor)

@@ -133,6 +133,28 @@ def test_truncation_rule_rejected_before_computation(tmp_path):
     assert main(["properties", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["evolve", "gamma", "sweep"])
+def test_short_window_that_fits_runs(tmp_path, command):
+    """At omega = 0.2 the static bound 2 sum|g| / omega on the amplitude gives
+    amplitude^2 = 5.76 > cutoff/4 = 3, but over t_end - t0 = 1.5 the
+    accumulated amplitude stays below sum|g| (t_end - t0) = 0.36: the
+    truncation rule tests the closed-form amplitude, so the run goes ahead."""
+    p = tmp_path / "slow.ini"
+    p.write_text(SMALL_CONFIG.replace("omega = 2.5", "omega = 0.2"))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_properties_rejected_by_its_suite_leaves_no_output(tmp_path, capsys):
+    """Couplings that pass the truncation rule but leave a coherent tail past
+    the cutoff exit 2 before resolved_config.ini is written."""
+    p = tmp_path / "strong.ini"
+    p.write_text(SMALL_CONFIG.replace("1 = 0.12, 0.0", "1 = 0.85, 0.0"))
+    out = tmp_path / "o"
+    assert main(["properties", "--config", str(p), "--out", str(out)]) == 2
+    assert "coherent tail" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old,new,field", [
     ("omega = 2.5", "omega = nan", "omega"),
     ("omega = 2.5", "omega = inf", "omega"),

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import (
+    PINNED,
     conjugate_free,
+    coupled_models,
     dense_from_action,
     fourier_vectors,
     hermitian_pair,
@@ -24,7 +28,16 @@ from ecsim.dynamics import (
     propagate_residual,
     zero_order_solution,
 )
-from ecsim.hilbert import CoefficientSet, circulant, fidelity, make_basis_state
+from ecsim.hilbert import (
+    CoefficientSet,
+    Model,
+    OscillatorSpec,
+    TruncationError,
+    circulant,
+    fidelity,
+    make_basis_state,
+)
+from ecsim.observables import PositionGrid, alpha_phi
 
 
 def pair(model, q0, g):
@@ -91,18 +104,13 @@ def test_split_reconstructs_full_hamiltonian():
 
 def test_modulator_broadcasts_over_times():
     """One broadcast over an array of times equals the per-time calls bit for
-    bit, and so does the zero-order solution's hdot."""
+    bit."""
     model = make_model(sites=7, kind="quadratic", omega=2.3)
     c = pair(model, 2, 0.1 + 0.05j)
-    grid = TimeGrid(t0=-3.7, t_end=0.0, steps=40)
-    taus = grid.t0 + grid.dt / 2 * np.arange(2 * grid.steps + 1)
+    taus = np.linspace(-3.7, 0.0, 81)
     for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
         per_time = np.array([strat.factors(model, 3, c.offsets, tau) for tau in taus])
         assert np.array_equal(strat.factors(model, 3, c.offsets, taus), per_time)
-        sol = zero_order_solution(model, c, strat, grid, 3)
-        hdot = np.array([-1j * c.values * strat.factors(model, 3, c.offsets, tau)
-                         * np.exp(1j * model.osc.omega * tau) for tau in taus])
-        assert np.array_equal(sol.hdot_half, hdot)
 
 
 def test_strategy_unimodularity():
@@ -134,13 +142,27 @@ def test_stability_guard():
                             TimeGrid(t0=-10.0, t_end=0.0, steps=5), 2)
 
 
+def test_truncation_guard_reads_the_closed_form_amplitude():
+    """zero_order_solution applies the truncation rule to max_j |lam_j| over
+    the grid points: 0.4 * 2/w = 1.6 after half a period of w = 0.5, so
+    amplitude^2 = 2.56 fits under cutoff 12 (cutoff/4 = 3) but not under 8."""
+    grid = TimeGrid(t0=-2 * np.pi, t_end=0.0, steps=100)
+    strat = ModulatorStrategy("static_unit")
+    model = make_model(sites=5, cutoff=12, omega=0.5)
+    sol = zero_order_solution(model, pair(model, 1, 0.2), strat, grid, 2)
+    assert abs(np.abs(sol.branch_values(grid.t_end)[0]).max() - 1.6) < 1e-12
+    model = make_model(sites=5, cutoff=8, omega=0.5)
+    with pytest.raises(TruncationError, match="exceeds cutoff/4 = 2"):
+        zero_order_solution(model, pair(model, 1, 0.2), strat, grid, 2)
+
+
 def test_zero_order_initial_values():
     model = make_model(sites=5, cutoff=8, omega=2.0)
     c = pair(model, 1, 0.2)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=50)
     sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 2)
-    assert np.abs(sol.h_half[0]).max() == 0.0
-    assert not np.any(sol.mu_half[0])
+    lam, mu = sol.branch_values(grid.t0)
+    assert not np.any(sol.h(grid.t0)) and not np.any(lam) and not np.any(mu)
     u0 = dense_from_action(model, lambda states: sol.u0(0, states))
     assert np.abs(u0 - np.eye(model.dim)).max() < 1e-14
 
@@ -149,18 +171,94 @@ def test_h_and_chi_match_closed_form():
     model = make_model(sites=5, cutoff=10, omega=1.7)
     c = pair(model, 1, 0.25)
     f = fourier_vectors(model.lattice.sites)
-    errs = []
-    for steps in (100, 200):
-        grid = TimeGrid(t0=-2.0, t_end=0.0, steps=steps)
-        sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 2)
-        h_ref, chi_ref = static_unit_reference(model, c, grid.t0, grid.t_end)
-        h_err = max(abs(sol.h_half[-1][i] - h_ref[q])
-                    for i, q in enumerate(sol.offsets))
-        chi_err = np.abs((f * sol.mu_half[-1]) @ f.conj().T - chi_ref).max()
-        errs.append(max(h_err, chi_err))
-    order = np.log2(errs[0] / errs[1])
-    assert errs[1] < 1e-5
-    assert order > 1.9
+    grid = TimeGrid(t0=-2.0, t_end=0.0, steps=100)
+    sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 2)
+    for t in (grid.t0, grid.midpoint(37), grid.t_end):
+        h_ref, chi_ref = static_unit_reference(model, c, grid.t0, t)
+        h = sol.h(t)
+        _, mu = sol.branch_values(t)
+        assert max(abs(h[i] - h_ref[q]) for i, q in enumerate(sol.offsets)) < 1e-12
+        assert np.abs((f * mu) @ f.conj().T - chi_ref).max() < 1e-12
+
+
+def assert_matches_refined_trapezoid(sol):
+    """h, the branch values of Q and chi at every grid point and alpha, Phi at
+    the final time, against ``refined_trapezoid`` to 1e-10."""
+    lat, offsets = sol.model.lattice, np.array(sol.offsets)
+    h_ref, _ = refined_trapezoid(sol, np.eye(offsets.size))
+    assert np.abs(sol.h(sol.grid.times) - h_ref).max() < 1e-10
+
+    branch_w = np.exp(2j * np.pi * np.outer(np.arange(lat.sites), offsets) / lat.sites)
+    lam, mu = sol.branch_values(sol.grid.times)
+    lam_ref, mu_ref = refined_trapezoid(sol, branch_w)
+    assert np.abs(lam - lam_ref).max() < 1e-10
+    assert np.abs(mu - mu_ref).max() < 1e-10
+
+    pos = PositionGrid.uniform(lat, lat.sites)
+    position_w = np.exp(-1j * np.outer(pos.points, 2 * np.pi * offsets / lat.length))
+    alpha_ref, phi_ref = refined_trapezoid(sol, position_w)
+    field = alpha_phi(sol, pos)
+    assert np.abs(field.alpha_final - alpha_ref[-1]).max() < 1e-10
+    assert np.abs(field.phi - phi_ref[-1]).max() < 1e-10
+
+
+def refined_trapezoid(sol, weights, per_step=32):
+    """(sum_q w_q h_q, int Im[lamdot^* lam]) at the grid points from the analytic
+    hdot_q = -i g_q f_q(t) e^{iwt}: h and then the phase by cumulative
+    trapezoid on a grid `per_step` and 2 `per_step` times finer than the
+    solution's, combined by one Richardson step."""
+    model, grid = sol.model, sol.grid
+
+    def trapezoid(n):
+        dt = grid.dt / n
+        taus = grid.t0 + dt * np.arange(grid.steps * n + 1)
+        hdot = (-1j * sol.couplings.values * np.exp(1j * model.osc.omega * taus)[:, None]
+                * sol.strategy.factors(model, sol.k0, sol.offsets, taus))
+        h = np.concatenate([np.zeros((1, hdot.shape[1])),
+                            np.cumsum(dt / 2 * (hdot[1:] + hdot[:-1]), axis=0)])
+        lam, lamdot = h @ weights.T, hdot @ weights.T
+        rate = np.imag(lamdot.conj() * lam)
+        phase = np.concatenate([np.zeros((1, rate.shape[1])),
+                                np.cumsum(dt / 2 * (rate[1:] + rate[:-1]), axis=0)])
+        return lam[::n], phase[::n]
+
+    (lam1, ph1), (lam2, ph2) = trapezoid(per_step), trapezoid(2 * per_step)
+    return (4 * lam2 - lam1) / 3, (4 * ph2 - ph1) / 3
+
+
+@PINNED
+@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
+       st.sampled_from([0.0, 1e-8, -1e-8, 1e-6, 3e-5, 1e-3, 0.7]),
+       st.integers(min_value=0, max_value=7))
+def test_closed_form_matches_refined_trapezoid(mc, kind, target, pick):
+    """The closed-form h, branch mu and Phi(x) against a Richardson-refined
+    trapezoid of the analytic hdot, with omega placed so that nu_q of one
+    coupled offset is `target`: exactly 0 when w = eps_{k0+q} - eps_{k0}
+    under recoil_phase, and below or just above the Taylor threshold."""
+    model, couplings = mc
+    assume(couplings.operator_amplitude() > 1e-6)
+    couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
+    strategy, k0 = ModulatorStrategy(kind), model.lattice.sites // 2
+    q = couplings.offsets[pick % len(couplings.offsets)]
+    omega = target - strategy.detuning(model, k0, [q])[0]
+    assume(omega > 0)
+    model = Model(model.lattice, model.dispersion, OscillatorSpec(model.osc.cutoff, omega))
+    sol = zero_order_solution(model, couplings, strategy, TimeGrid(-1.0, 0.0, 20), k0)
+    nu_q = sol.nu[sol.offsets.index(q)]
+    assert nu_q == 0.0 if target == 0.0 else abs(nu_q - target) < 1e-14
+    assert_matches_refined_trapezoid(sol)
+
+
+def test_exact_resonance_matches_refined_trapezoid():
+    """w = eps_{k0+1} - eps_{k0} makes nu_{+-1} exactly 0 under recoil_phase,
+    where the closed form takes its nu = 0 limit."""
+    model = make_model(sites=5, cutoff=8)
+    eps, k0 = model.energies(), 2
+    model = make_model(sites=5, cutoff=8, omega=eps[k0 + 1] - eps[k0])
+    sol = zero_order_solution(model, pair(model, 1, 0.2), ModulatorStrategy("recoil_phase"),
+                              TimeGrid(-1.0, 0.0, 20), k0)
+    assert not np.any(sol.nu)
+    assert_matches_refined_trapezoid(sol)
 
 
 def test_chi_hermitian_and_u0_unitary():
@@ -168,7 +266,7 @@ def test_chi_hermitian_and_u0_unitary():
     c = pair(model, 2, 0.2)
     grid = TimeGrid(t0=-1.5, t_end=0.0, steps=150)
     sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 1)
-    assert np.isrealobj(sol.mu_half)   # chi's branch values: Hermitian by construction
+    assert np.isrealobj(sol.branch_values(grid.times)[1])   # chi Hermitian by construction
     for step in (0, 75, 150):
         u = dense_from_action(model, lambda states: sol.u0(step, states))
         assert np.linalg.norm(u.conj().T @ u - np.eye(model.dim), 2) < 1e-8
@@ -183,8 +281,9 @@ def test_zero_order_state_solves_h0_dynamics():
     sol = zero_order_solution(model, c, strat, grid, k0)
 
     h0_of = lambda t: zero_order_hamiltonian(model, c, strat, t, k0)
-    final = midpoint_propagate(model, h0_of, grid, make_basis_state(model, k0, 0))
-    assert fidelity(sol.zero_order_state(grid.steps), final) > 1 - 1e-6
+    psi0 = make_basis_state(model, k0, 0)
+    final = midpoint_propagate(model, h0_of, grid, psi0)
+    assert fidelity(sol.u0(grid.steps, psi0), final) > 1 - 1e-6
 
 
 def test_u0_reference_assembly_matches():
@@ -197,7 +296,7 @@ def test_u0_reference_assembly_matches():
     h_ref, chi_ref = static_unit_reference(model, c, grid.t0, grid.t_end)
     u_ref = u0_dense_reference(model, h_ref, chi_ref)
     u0 = dense_from_action(model, lambda states: sol.u0(grid.steps, states))
-    assert np.abs(u0 - u_ref).max() < 1e-6
+    assert np.abs(u0 - u_ref).max() < 1e-12
 
 
 def test_u0_commutator_relations():
@@ -210,7 +309,7 @@ def test_u0_commutator_relations():
     c = pair(model, 1, 0.15)
     grid = TimeGrid(t0=-2.0, t_end=0.0, steps=200)
     sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 0)
-    amp = np.linalg.norm(circulant(model.lattice, sol.offsets, sol.h_half[-1]), 2)
+    amp = np.linalg.norm(circulant(model.lattice, sol.offsets, sol.h(grid.t_end)), 2)
     assert amp > 0.2  # the check runs at a non-trivial displacement
     assert ladder_commutator_residual(sol, grid.steps) < 1e-6
 

@@ -43,8 +43,8 @@ def intermediate_state(sol, m):
     model = sol.model
     x = m * model.lattice.spacing
     row = plane_waves(model, np.array([x]), 0.0)
-    contracted = (row @ sol.zero_order_state(sol.grid.steps))[0]
-    field = alpha_phi(sol, PositionGrid.uniform(model.lattice))
+    contracted = (row @ sol.u0(sol.grid.steps, make_basis_state(model, sol.k0, 0)))[0]
+    field = alpha_phi(sol, PositionGrid.uniform(model.lattice, model.lattice.sites))
     k0_val = model.lattice.momenta[sol.k0]
     analytic = (np.exp(1j * k0_val * x - 1j * field.phi[m])
                 * coherent_state_vector(complex(field.alpha_final[m]), model.osc.levels))
@@ -60,7 +60,7 @@ def test_position_grid_validation():
     with pytest.raises(ValueError):
         PositionGrid(points=np.array([1.0, 0.5]), length=lat_len)
     model = make_model(sites=5)
-    g = PositionGrid.uniform(model.lattice)
+    g = PositionGrid.uniform(model.lattice, model.lattice.sites)
     assert g.size == 5
     assert np.array_equal(g.points, np.arange(5) * model.lattice.spacing)
 
@@ -69,7 +69,7 @@ def test_free_particle_gamma_is_plane_wave():
     model = make_model(sites=5, cutoff=6)
     zero = CoefficientSet(model.lattice)
     sol = solved(model, zero, steps=50)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     res, = propagate_residual(sol)
 
     k0_val = model.lattice.momenta[sol.k0]
@@ -86,7 +86,7 @@ def test_free_particle_gamma_is_plane_wave():
 
 def test_first_approx_matches_closed_form():
     model = make_model(sites=7, cutoff=24, omega=2.5)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     cases = [
         hermitian_pair(model.lattice, 1, 0.2),
         hermitian_pair(model.lattice, 2, 0.15 + 0.0j),
@@ -107,7 +107,7 @@ def test_first_approx_matches_closed_form():
 def test_closed_form_diagonal_is_unity():
     model = make_model(sites=5, cutoff=12, omega=2.0)
     sol = solved(model, hermitian_pair(model.lattice, 1, 0.2))
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     gc = gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)
     assert np.abs(np.diag(gc.values) - 1.0).max() < 1e-13
 
@@ -117,7 +117,7 @@ def test_exact_with_frozen_state_equals_first_approx():
     # first approximation, which in turn matches the closed form
     model = make_model(sites=5, cutoff=12, omega=2.0)
     sol = solved(model, hermitian_pair(model.lattice, 1, 0.2))
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     frozen = make_basis_state(model, sol.k0, 0)
     ge = gamma_exact(frozen, sol, pos)
     gf = gamma_first_approx(sol, pos)
@@ -128,11 +128,11 @@ def test_exact_with_frozen_state_equals_first_approx():
 
 def test_alpha_phi_fields():
     model = make_model(sites=5, cutoff=10, omega=2.0)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
 
     zero_sol = solved(model, CoefficientSet(model.lattice), steps=50)
     field = alpha_phi(zero_sol, pos)
-    assert not np.any(field.alpha)
+    assert not np.any(field.alpha_final)
     assert not np.any(field.phi)
 
     # strictly single-mode coupling: |alpha| position-independent, Phi constant
@@ -144,7 +144,7 @@ def test_alpha_phi_fields():
     assert field.phi_spread() < 1e-10
 
     # alpha at x = 0 is the plain sum of the coefficients
-    total = sum(v for v in sol.h_half[-1])
+    total = sol.h(sol.grid.times[-1]).sum()
     assert abs(field.alpha_final[0] - total) < 1e-14
 
 
@@ -154,7 +154,7 @@ def test_alpha_periodicity():
     x = np.array([0.0, 1.0, 2.0, 3.7])
     a0 = alpha_phi(sol, PositionGrid(points=x, length=model.lattice.length)).alpha_final
     qvals = np.array([model.lattice.offset_momentum(q) for q in sol.offsets])
-    a1 = np.exp(-1j * np.outer(x + model.lattice.length, qvals)) @ sol.h_half[-1]
+    a1 = np.exp(-1j * np.outer(x + model.lattice.length, qvals)) @ sol.h(sol.grid.times[-1])
     assert np.allclose(a0, a1, atol=1e-12)
 
 
@@ -173,26 +173,11 @@ def test_gamma_requires_final_time_zero():
     c = hermitian_pair(model.lattice, 1, 0.1)
     grid = TimeGrid(t0=0.0, t_end=1.0, steps=50)
     sol = zero_order_solution(model, c, ModulatorStrategy("static_unit"), grid, 2)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     with pytest.raises(ValueError):
         gamma_first_approx(sol, pos)
     with pytest.raises(ValueError):
         alpha_phi(sol, pos)
-
-
-def test_gamma_exact_at_interior_time():
-    # the exact method supports any stored grid time
-    model = make_model(sites=5, cutoff=10, omega=2.0)
-    c = hermitian_pair(model.lattice, 1, 0.15)
-    sol = solved(model, c, steps=200)
-    res, = propagate_residual(sol, collect_every=1)
-    pos = PositionGrid.uniform(model.lattice)
-    t_mid = sol.grid.times[100]
-    g = gamma_exact(res.states[100], sol, pos, t=t_mid)
-    assert g.hermiticity_error() < 1e-12
-    assert abs(g.trace_mean() - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        gamma_exact(res.final, sol, pos, t=0.123456)
 
 
 def test_intermediate_state_is_coherent():
@@ -208,7 +193,8 @@ def test_intermediate_state_is_coherent():
     # oscillator piece has Poisson populations with mean |alpha|^2
     contracted, _ = intermediate_state(sol, 2)
     pops = np.abs(contracted) ** 2
-    mean = float(np.abs(alpha_phi(sol, PositionGrid.uniform(model.lattice)).alpha_final[2]) ** 2)
+    field = alpha_phi(sol, PositionGrid.uniform(model.lattice, model.lattice.sites))
+    mean = float(np.abs(field.alpha_final[2]) ** 2)
     n = np.arange(model.osc.levels)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, model.osc.levels))))
     poisson = np.exp(-mean) * mean ** n / fact
@@ -231,7 +217,7 @@ def test_exact_first_gap_bounded_by_residual():
     c = hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=400, t0=-1.5)
     res, = propagate_residual(sol)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     gap = gamma_exact(res.final, sol, pos).max_deviation(gamma_first_approx(sol, pos))
     dev = float(np.linalg.norm(res.final - res.states[0]))
     n = model.lattice.sites
@@ -246,7 +232,7 @@ def test_single_mode_gamma_translation_invariance():
     c = CoefficientSet.from_dict(model.lattice, {1: 0.25})
     sol = solved(model, c, steps=300, t0=-1.5)
     res, = propagate_residual(sol)
-    pos = PositionGrid.uniform(model.lattice)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
     for g in (gamma_exact(res.final, sol, pos),
               gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)):
         mags = np.abs(g.values)
@@ -263,7 +249,7 @@ def test_gamma_invariants_over_random_models(mc, kind):
     commensurate grid; the closed form has a unit diagonal, the exact route
     unit trace, and under flat dispersion (H1 = 0) exact equals first."""
     sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 20))
-    pos = PositionGrid.uniform(sol.model.lattice)
+    pos = PositionGrid.uniform(sol.model.lattice, sol.model.lattice.sites)
     ge = gamma_exact(propagate_residual(sol)[0].final, sol, pos)
     gf = gamma_first_approx(sol, pos)
     gc = gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)
