@@ -104,9 +104,10 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
         checks.append(CheckResult(name, value, tol,
                                   (value < tol) if passed is None else passed, note))
 
-    shifts = [shift_matrix(lat, q) for q in range(lat.sites)]
+    shifts = np.stack([shift_matrix(lat, q) for q in range(lat.sites)])
     add("density_commutation",
-        max(float(np.linalg.norm(a @ b - b @ a, 2)) for a in shifts for b in shifts))
+        max(float(np.linalg.norm(a @ shifts - shifts @ a, 2, axis=(-2, -1)).max())
+            for a in shifts))
 
     e_ser = ecs_series(model, cfg.couplings, cfg.k0)
     e_dis = ecs_displacement(model, cfg.couplings, cfg.k0)

@@ -13,15 +13,21 @@ values lam_j (``hilbert.branches``) and no eigensolver runs on it: the
 series prefactor is the circulant with branch values e^{-|lam_j|^2/2}, the
 displacement is one oscillator displacement D(lam_j) per branch
 (``hilbert.displacement``, U0's too), and the resolution of unity is one
-(levels x levels) quadrature per branch.  Both constructions are provided,
-together with numerical checks of the annihilation action b|h,k0> = Q|h,k0>,
-momentum-shift relations, the overlap formula for single-mode coefficient
-sets, the quadrature test of the resolution of unity, and the plane-wave
-contraction sum rule.  Only numpy is needed at run time.
+(levels x levels) quadrature per branch.  The coherent amplitude at
+z lam_j = r lam_j e^{i theta} factors into a radial part times e^{i n theta},
+so the angular sum of the quadrature is one numerically summed
+(levels x levels) matrix and the radial sum one contraction over all
+branches and radii, with no loop over the nodes.  Both constructions are
+provided, together with numerical checks of the annihilation action
+b|h,k0> = Q|h,k0>, momentum-shift relations, the overlap formula for
+single-mode coefficient sets, the quadrature test of the resolution of
+unity, and the plane-wave contraction sum rule.  Only numpy is needed at
+run time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -221,6 +227,17 @@ def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
                          fidelity=fidelity(contracted, analytic))
 
 
+@functools.cache
+def _laguerre_nodes(radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes u and the slopes L_n'(u) there, read-only: they
+    depend only on the node count, so each count is computed once."""
+    lag = np.polynomial.laguerre
+    u = lag.laggauss(radial_nodes)[0]
+    slope = lag.lagval(u, lag.lagder(np.eye(radial_nodes + 1)[-1]))
+    u.flags.writeable = slope.flags.writeable = False
+    return u, slope
+
+
 def _polar_nodes(radial_nodes: int, scale: float):
     """Quadrature for (1/pi) * int d^2 z, with the radial direction mapped to
     Gauss-Laguerre nodes in u = |z|^2 * scale and ANGULAR_NODES uniform
@@ -233,14 +250,19 @@ def _polar_nodes(radial_nodes: int, scale: float):
     # Weights 1/(u L_n'(u)^2) from the Gauss-Laguerre nodes: they hold the
     # moments int e^{-u} u^k/k! = 1 to 1e-14, the sum-normalised weights of
     # `laggauss` only to 1e-13.
-    lag = np.polynomial.laguerre
-    u = lag.laggauss(radial_nodes)[0]
-    slope = lag.lagval(u, lag.lagder(np.eye(radial_nodes + 1)[-1]))
+    u, slope = _laguerre_nodes(radial_nodes)
     radii = np.sqrt(u / scale)
     radial_weights = np.exp(u) / (u * slope ** 2) / (2.0 * scale)
     angles = 2.0 * np.pi * np.arange(ANGULAR_NODES) / ANGULAR_NODES
     weights = radial_weights * (2.0 * np.pi / ANGULAR_NODES) / np.pi
     return radii, angles, weights
+
+
+def _angular_sum(angles: np.ndarray, orders: int) -> np.ndarray:
+    """S[n, m] = sum_a e^{i (n - m) theta_a} for n, m < orders, summed over
+    the quadrature angles rather than replaced by a Kronecker delta."""
+    phases = np.exp(1j * np.outer(angles, np.arange(orders)))
+    return phases.T @ phases.conj()
 
 
 class UnityResolutionResult(NamedTuple):
@@ -256,8 +278,13 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     Q: on branch j it is |lam_j|^2 |z lam_j><z lam_j|, with the truncated
     coherent amplitudes (exact at every retained level).  Polar quadrature:
     Gauss-Laguerre radially (in u = |z|^2 scaled by the smallest nonzero
-    |lam_j|^2, so the slowest Gaussian decay is matched), uniform angularly,
-    accumulated one radius at a time.  The deviation from the identity is the
+    |lam_j|^2, so the slowest Gaussian decay is matched), uniform angularly.
+    At z = r e^{i theta} the amplitudes are c_j(r)[n] e^{i n theta} with
+    c_j(r) the coherent amplitudes at r lam_j, so block j is
+    |lam_j|^2 sum_r w_r c_j(r)[n] c_j(r)[m]^* S[n, m]: one contraction over
+    the radii for all branches, times the angular sum
+    S[n, m] = sum_a e^{i (n - m) theta_a}, one numerically summed
+    (levels x levels) matrix.  The deviation from the identity is the
     largest over branches on the reliable subspace: Fock levels whose
     coherent occupancy at the largest quadrature radius stays below
     TRUNCATION_TOL, since states at large |z| spill past the cutoff.
@@ -270,10 +297,9 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     radii, angles, weights = _polar_nodes(radial_nodes, float(nonzero.min()))
 
     levels = model.osc.levels
-    blocks = np.zeros((lam.size, levels, levels), dtype=complex)
-    for r, wgt in zip(radii, weights):
-        amps = coherent_state_vector(lam[:, None] * r * np.exp(1j * angles), levels)
-        blocks += (wgt * lam_sq)[:, None, None] * (amps.swapaxes(-1, -2) @ amps.conj())
+    amps = coherent_state_vector(lam[:, None] * radii, levels)  # [j, r, n] = c_j(r)[n]
+    radial = (amps.swapaxes(-1, -2) * weights) @ amps.conj()
+    blocks = lam_sq[:, None, None] * radial * _angular_sum(angles, levels)
 
     # Poisson occupancy of each level at the largest quadrature amplitude
     poisson = np.abs(coherent_state_vector(radii.max() * np.sqrt(lam_sq.max()), levels)) ** 2
@@ -299,19 +325,18 @@ def moment_identity_check(c: complex) -> MomentIdentityResult:
         int d^2z (z*)^n z^m exp(-|z|^2 |c|^2) c^{m+1} (c*)^{n+1} = pi n! delta_nm
 
     for n, m = 0..MOMENT_MAX_ORDER, using the same polar quadrature as the
-    resolution-of-unity test."""
+    resolution-of-unity test, factored the same way into a radial sum and
+    an angular sum."""
     if abs(c) == 0.0:
         raise ValueError("c must be nonzero")
     scale = abs(c) ** 2
     radii, angles, weights = _polar_nodes(RADIAL_NODES, scale)
     orders = np.arange(MOMENT_MAX_ORDER + 1)
-    values = np.zeros((orders.size, orders.size), dtype=complex)
-    for r, wgt in zip(radii, weights):
-        z = r * np.exp(1j * angles)
-        zp = z[:, None] ** orders[None, :]
-        gauss = np.exp(-r ** 2 * scale)
-        # values[n, m] += pi * wgt * sum_angles (z*)^n z^m * gauss * c^{m+1} c*^{n+1}
-        values += np.pi * wgt * gauss * np.einsum("an,am->nm", zp.conj(), zp)
+    # (z*)^n z^m = r^{n+m} e^{-i (n - m) theta}: the radial sum of
+    # pi w_r e^{-r^2 |c|^2} r^{n+m} times the conjugate angular sum
+    rp = radii[:, None] ** orders
+    radial = (np.pi * weights * np.exp(-radii ** 2 * scale) * rp.T) @ rp
+    values = radial * _angular_sum(angles, orders.size).conj()
     values *= np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1, MOMENT_MAX_ORDER + 1))))
     target = np.pi * np.diag(fact)

@@ -7,7 +7,7 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from ecsim.dynamics import ModulatorStrategy, TimeGrid, zero_order_solution
-from ecsim.ecs import RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
+from ecsim.ecs import MOMENT_MAX_ORDER, RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
 from ecsim.hilbert import (
     CoefficientSet,
     Dispersion,
@@ -273,6 +273,21 @@ def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = R
     idx = np.array([k * levels + n for k in range(N) for n in reliable])
     block = result[np.ix_(idx, idx)]
     return float(np.linalg.norm(block - np.eye(idx.size), 2)), reliable
+
+
+def moment_loop_reference(c: complex) -> np.ndarray:
+    """values[n, m] of the scalar moment quadrature, accumulated one radius at
+    a time over every quadrature angle, pi w (z*)^n z^m e^{-|z|^2 |c|^2}
+    c^{m+1} (c*)^{n+1}, without splitting (z*)^n z^m into radial and angular
+    factors."""
+    scale = abs(c) ** 2
+    radii, angles, weights = _polar_nodes(RADIAL_NODES, scale)
+    orders = np.arange(MOMENT_MAX_ORDER + 1)
+    values = np.zeros((orders.size, orders.size), dtype=complex)
+    for r, wgt in zip(radii, weights):
+        zp = (r * np.exp(1j * angles))[:, None] ** orders
+        values += np.pi * wgt * np.exp(-r ** 2 * scale) * np.einsum("an,am->nm", zp.conj(), zp)
+    return values * np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1)
 
 
 def midpoint_propagate(model: Model, hamiltonian, grid, initial: np.ndarray) -> np.ndarray:

@@ -6,8 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from conftest import PINNED, kron, make_model, random_coefficients, unity_dense_reference
+from conftest import (
+    PINNED,
+    kron,
+    make_model,
+    moment_loop_reference,
+    random_coefficients,
+    unity_dense_reference,
+)
+from ecsim import ecs
 from ecsim.ecs import (
+    RADIAL_NODES,
     TruncationError,
     check_b_action,
     coherent_state_vector,
@@ -220,6 +229,41 @@ def test_unity_resolution_matches_dense_reference(case):
         assert res.deviation == deviation == float("inf")
 
 
+@pytest.mark.parametrize("coupling", ["single_mode", "random_circulant"])
+def test_unity_resolution_at_the_properties_cutoff(coupling):
+    """Cutoff 24 and the default radial nodes, as on the benchmark's
+    `properties` model: every Fock level and the reliable-level rule against
+    the dense reference."""
+    model = make_model(sites=4, cutoff=24)
+    if coupling == "single_mode":
+        h = single_mode(model, 1, 1.0)
+    else:
+        rng = np.random.default_rng(0)
+        vals = 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        h = CoefficientSet(model.lattice, tuple(zip(range(4), vals)))
+    res = unity_resolution_check(model, h)
+    deviation, reliable = unity_dense_reference(model, h)
+    assert res.reliable_levels == reliable
+    assert abs(res.deviation - deviation) < 1e-12
+
+
+def test_laguerre_nodes_computed_once_per_node_count(monkeypatch):
+    """`laggauss` (one `eigvalsh`) runs once for any number of quadratures
+    with the same radial node count, and its cached nodes are read-only."""
+    model = make_model(sites=4, cutoff=8)
+    h = single_mode(model, 1, 1.0)
+    ecs._laguerre_nodes.cache_clear()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or eigvalsh(a, *args, **kw))
+    unity_resolution_check(model, h, radial_nodes=RADIAL_NODES)
+    unity_resolution_check(model, h, radial_nodes=RADIAL_NODES)
+    moment_identity_check(0.6)
+    assert calls == [(RADIAL_NODES, RADIAL_NODES)]  # one for all three, after the cache_clear
+    assert not any(a.flags.writeable for a in ecs._laguerre_nodes(RADIAL_NODES))
+
+
 def test_no_eigensolver_on_a_circulant(monkeypatch):
     """displacement diagonalises only the constant b + b^dag; the series
     construction and the unity quadrature diagonalise nothing."""
@@ -264,6 +308,14 @@ def test_moment_identity():
     assert res2.max_offdiagonal < 1e-10
     with pytest.raises(ValueError):
         moment_identity_check(0.0)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.6, 1.0, 1.7 * np.exp(0.4j)],
+                         ids=["0.3", "0.6", "1.0", "1.7e^0.4i"])
+def test_moment_identity_matches_loop_reference(c):
+    want = moment_loop_reference(c)
+    got = moment_identity_check(c).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_sum_rule_trivial_and_single_mode():
