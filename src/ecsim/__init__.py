@@ -15,7 +15,6 @@ from .hilbert import (
     displacement,
     fidelity,
     make_basis_state,
-    shift_matrix,
 )
 from .ecs import (
     EcsState,

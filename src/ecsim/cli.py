@@ -37,7 +37,7 @@ from .ecs import (
     sum_rule,
     unity_resolution_check,
 )
-from .hilbert import CoefficientSet, TruncationError, fidelity, make_basis_state, shift_matrix
+from .hilbert import CoefficientSet, TruncationError, circulant, fidelity, make_basis_state
 from .observables import (
     alpha_phi,
     gamma_closed_form,
@@ -104,7 +104,7 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
         checks.append(CheckResult(name, value, tol,
                                   (value < tol) if passed is None else passed, note))
 
-    shifts = np.stack([shift_matrix(lat, q) for q in range(lat.sites)])
+    shifts = circulant(lat, range(lat.sites), np.eye(lat.sites))
     add("density_commutation",
         max(float(np.linalg.norm(a @ shifts - shifts @ a, 2, axis=(-2, -1)).max())
             for a in shifts))
@@ -276,11 +276,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
                           "the gap vanishes at every scale and has no order")
     sols = [zero_order_solution(cfg.model, cfg.couplings.scaled(f), cfg.strategy(), cfg.grid,
                                 cfg.k0) for f in factors]
-    results = propagate_residual(*sols)
-    if all(res.exact_split for res in results):
+    if all(sol.exact_split for sol in sols):
         raise ConfigError("sweep needs a residual: H1 vanishes at every step (flat dispersion "
                           "or couplings only at q = 0), so the split is exact and every gap "
                           "is round-off")
+    results = propagate_residual(*sols)
     _prepare_out(cfg, out_dir)
     pos = cfg.positions()
     gaps = [gamma_exact(res.final, res.sol, pos).max_deviation(

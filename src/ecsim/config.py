@@ -14,7 +14,14 @@ import os
 from dataclasses import dataclass, field
 
 from .dynamics import ModulatorStrategy, TimeGrid
-from .hilbert import CoefficientSet, Dispersion, Lattice, Model, OscillatorSpec
+from .hilbert import (
+    DISPERSION_PARAMETERS,
+    CoefficientSet,
+    Dispersion,
+    Lattice,
+    Model,
+    OscillatorSpec,
+)
 from .observables import PositionGrid
 
 
@@ -134,12 +141,6 @@ def require_positive(name: str, value) -> float:
     return number
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default: str) -> str:
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return default
-
-
 def _require_paired(couplings: CoefficientSet) -> None:
     """Enforce the physical constraint g_{-q} = g_q^* on the coupling function."""
     for q, v in couplings.items:
@@ -173,14 +174,11 @@ def load_config(path: str, strategy_override: str | None = None,
         kind = get("model", "dispersion").strip()
         cutoff = int(get("model", "cutoff"))
         omega = float(get("model", "omega"))
-        if kind == "quadratic":
-            dispersion = Dispersion.quadratic(mass=float(_get(cp, "model", "mass", "1.0")))
-        elif kind == "tight_binding":
-            dispersion = Dispersion.tight_binding(hopping=float(get("model", "hopping")))
-        elif kind == "flat":
-            dispersion = Dispersion.flat(value=float(_get(cp, "model", "value", "0.0")))
-        else:
+        if kind not in DISPERSION_PARAMETERS:
             raise ConfigError(f"unknown dispersion kind {kind!r}")
+        param = DISPERSION_PARAMETERS[kind]  # absent, it keeps the Dispersion default
+        dispersion = Dispersion(kind, **({param: float(cp.get("model", param))}
+                                         if cp.has_option("model", param) else {}))
         lattice = Lattice(sites=sites, length=length)
         model = Model(lattice, dispersion, OscillatorSpec(cutoff=cutoff, omega=omega))
 
@@ -211,7 +209,7 @@ def load_config(path: str, strategy_override: str | None = None,
 
         seed = seed_override if seed_override is not None else int(get("run", "seed"))
         tolerance_scale *= require_positive("[run] tolerance_scale",
-                                            _get(cp, "run", "tolerance_scale", "1.0"))
+                                            cp.get("run", "tolerance_scale", fallback="1.0"))
 
         tolerances: dict[str, float] = {}
         if cp.has_section("tolerances"):
@@ -234,19 +232,15 @@ def resolved_config_text(cfg: RunConfig) -> str:
     """Deterministic INI dump of the effective configuration."""
     cp = configparser.ConfigParser()
     d = cfg.model.dispersion
+    param = DISPERSION_PARAMETERS[d.kind]
     cp["model"] = {
         "sites": str(cfg.model.lattice.sites),
         "length": format_float(cfg.model.lattice.length),
         "dispersion": d.kind,
         "cutoff": str(cfg.model.osc.cutoff),
         "omega": format_float(cfg.model.osc.omega),
+        param: format_float(getattr(d, param)),
     }
-    if d.kind == "quadratic":
-        cp["model"]["mass"] = format_float(d.mass)
-    elif d.kind == "tight_binding":
-        cp["model"]["hopping"] = format_float(d.hopping)
-    else:
-        cp["model"]["value"] = format_float(d.value)
     cp["couplings"] = {str(q): format_complex(v) for q, v in cfg.couplings.items}
     cp["initial"] = {"k0": str(cfg.k0_quantum)}
     cp["time"] = {"t0": format_float(cfg.grid.t0), "t_end": format_float(cfg.grid.t_end),

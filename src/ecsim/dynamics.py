@@ -14,13 +14,19 @@ circulant built by ``hilbert.circulant``; the coupling G is a plain
 ``CoefficientSet``, whose pairing g_{-q} = g_q^* is checked where couplings
 are read (``config.load_config``).  chi is kept as its real branch values, so
 U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
-``hilbert.displacement``, batched over a stack of steps.  The residual is
-integrated in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
+``hilbert.displacement``, batched over a stack of steps.
+
+H1 has the form of H0 with the particle factor
+P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t}, delta the
+circulant of the modulator's detuning.  Whether H1 vanishes identically (an
+exact split) is a property of G, eps and delta, decided before any step
+(``ZeroOrderSolution.exact_split``).  Otherwise the residual is integrated
+in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
 U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
 the momentum axis, where U0m is diagonal on the branches
 (``hilbert.branch_displacement``; U0m^dag reuses U0m's phases) and
-exp(-i dt H1) is applied by its Taylor series, two matmuls per term; every
-midpoint quantity is computed before the loop, and a step is a handful of
+exp(-i dt H1) is applied by its Taylor series, two matmuls per term; the
+midpoint branches are computed before the loop, and a step is a handful of
 small matmuls with no FFT, eigensolver or dense operator.  One loop steps a
 stack of solutions that share model, grid and offsets (a coupling sweep's
 scales, or both strategies).  No operator on the product space is formed
@@ -57,7 +63,8 @@ SMALL_PHASE = 1e-5
 
 @dataclass(frozen=True)
 class ModulatorStrategy:
-    """Unimodular family f_q(t) replacing the operator phases inside H0.
+    """Unimodular family f_q(t) = e^{i delta_q t} replacing the operator
+    phases inside H0; ``detuning`` gives delta_q.
 
     Kinds: ``static_unit`` (f = 1) and ``recoil_phase``
     (f_q(t) = exp(i (eps_{k0} - eps_{k0+q}) t), referenced to the initial
@@ -77,11 +84,6 @@ class ModulatorStrategy:
             return np.zeros(len(offsets))
         eps = model.energies()
         return np.array([eps[k0] - eps[model.lattice.shift_index(k0, q)] for q in offsets])
-
-    def factors(self, model: Model, k0: int, offsets, t) -> np.ndarray:
-        """f_q(t) for each offset, shape t.shape + (len(offsets),) for a time or
-        an array of times; always unimodular."""
-        return np.exp(1j * self.detuning(model, k0, offsets) * np.asarray(t)[..., None])
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,6 @@ class TimeGrid:
 
     def midpoint(self, i):
         return self.t0 + self.dt * (i + 0.5)
-
-
-def _phase_diff_matrix(energies: np.ndarray, t: float) -> np.ndarray:
-    """exp(i (eps_i - eps_j) t); exactly ones for flat dispersion."""
-    return np.exp(1j * t * (energies[:, None] - energies[None, :]))
 
 
 def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> None:
@@ -205,6 +202,23 @@ class ZeroOrderSolution:
         weights = branches(self.model.lattice, self.offsets, np.eye(len(self.offsets))).T
         return self.accumulated(weights, times)
 
+    def detuning_matrix(self) -> np.ndarray:
+        """delta_{c-r}, the real circulant of the strategy's ``detuning``:
+        H0's particle factor is A(t) = G o e^{i delta t}, so H1's is
+        P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta t}."""
+        delta = self.strategy.detuning(self.model, self.k0, self.offsets)
+        return circulant(self.model.lattice, self.offsets, delta).real
+
+    @property
+    def exact_split(self) -> bool:
+        """True when H1 vanishes identically, read off P without building it:
+        wherever g_{c-r} != 0, eps_r - eps_c == delta_{c-r} bit for bit (flat
+        dispersion, couplings only at q = 0, or no coupling at all)."""
+        eps = self.model.energies()
+        coupled = self.couplings.particle_matrix() != 0
+        return np.array_equal((eps[:, None] - eps[None, :])[coupled],
+                              self.detuning_matrix()[coupled])
+
     def u0(self, step, states: np.ndarray) -> np.ndarray:
         """U0 at a grid step, applied to states of shape (..., N, levels).
         `step` may be an array of steps whose shape matches the leading axes
@@ -231,13 +245,11 @@ def zero_order_solution(model: Model, couplings: CoefficientSet, strategy: Modul
 
 class ResidualResult(NamedTuple):
     """Rotated-frame states |t> stored at the grid steps `steps` (increasing,
-    the initial and the final step always included).  `exact_split` is True
-    when H1 vanished at every midpoint, so every step was skipped and every
-    state is |0,k0) exactly."""
+    the initial and the final step always included); on an exact split
+    (``ZeroOrderSolution.exact_split``) every state is |0,k0) exactly."""
     sol: ZeroOrderSolution
     steps: np.ndarray   # (samples,)
     states: np.ndarray  # (samples, N, levels)
-    exact_split: bool
 
     @property
     def final(self) -> np.ndarray:
@@ -247,27 +259,29 @@ class ResidualResult(NamedTuple):
 def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
                        collect_every: int | None = None) -> tuple[ResidualResult, ...]:
     """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
-    U0m^dag exp(-i dt H1) U0m, skipped where H1 vanishes, for the stack of
-    solutions `sol, *more` in one loop over the grid; one result per solution,
-    in order.  The solutions must share model, grid, k0 and coupling offsets
-    (their coupling values and strategies may differ), else ValueError.
+    U0m^dag exp(-i dt H1) U0m for the stack of solutions `sol, *more`, one
+    result per solution, in order.  The solutions must share model, grid, k0
+    and coupling offsets (their coupling values and strategies may differ),
+    else ValueError.  A solution whose split is exact (H1 = 0 identically,
+    ``ZeroOrderSolution.exact_split``) is not stepped: its states are |0,k0)
+    exactly.  The others are stepped in one loop over the grid.
 
     The states are stepped as phi = F psi, F the unitary DFT of the momentum
     axis.  There U0m is ``branch_displacement`` at the midpoint branches, and
     U0m^dag reuses U0m's ``branch_phases``.  H1 phi = e P~ phi b + e^* P~^dag
     phi b^T, with e = e^{i w t_m}, P~ = F P F^dag and
-    P = G o e^{i (eps_r - eps_c) t_m} - A(t_m) the particle factor of H1 in the
-    momentum basis, so a Taylor term of exp(-i dt H1) is two matmuls:
-    Z = term [b | b^T], viewed as (2N, levels) rows, then [P~ | P~^dag] Z
-    with the columns interleaved to match.  The series is summed until every
-    member's term falls below machine epsilon times its own sum.  A member
-    whose P is exactly zero at a step skips that step.  The midpoint branches
-    and modulator factors are computed before the loop, once per run.
+    P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t} the particle
+    factor of H1 in the momentum basis (delta from
+    ``ZeroOrderSolution.detuning_matrix``), so a Taylor term of exp(-i dt H1)
+    is two matmuls: Z = term [b | b^T], viewed as (2N, levels) rows, then
+    [P~ | P~^dag] Z with the columns interleaved to match.  The series is
+    summed until every member's term falls below machine epsilon times its
+    own sum.  The midpoint branches are computed before the loop, once per
+    run.
 
     States are stored every `collect_every` steps (by default only the
     initial and the final one), step 0 and the last step always included,
     and only the stored states are transformed back to the momentum basis.
-    A trajectory whose steps are all skipped returns |0,k0) exactly.
     """
     sols = (sol, *more)
     model, grid, k0, offsets = sol.model, sol.grid, sol.k0, sol.offsets
@@ -278,14 +292,26 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
         raise ValueError(f"collect_every must be positive, got {collect_every}")
     stored = np.append(np.arange(0, grid.steps, collect_every or grid.steps), grid.steps)
 
-    lat, (N, levels), M = model.lattice, model.shape, len(sols)
+    states = np.empty((len(sols), stored.size) + model.shape, dtype=complex)
+    states[:] = make_basis_state(model, k0, 0)
+    live = [m for m, s in enumerate(sols) if not s.exact_split]
+    if live:
+        states[live, 1:] = _midpoint_steps([sols[m] for m in live], stored[1:])
+    return tuple(ResidualResult(s, stored, member) for s, member in zip(sols, states))
+
+
+def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.ndarray:
+    """The states of ``propagate_residual`` for the stack `sols` at the grid
+    steps `stored` (after step 0), shape (len(sols), stored.size, N, levels)."""
+    model, grid = sols[0].model, sols[0].grid
+    (N, levels), M = model.shape, len(sols)
     t_mid = grid.midpoint(np.arange(grid.steps))
-    a_vals = np.stack([s.couplings.values * s.strategy.factors(model, k0, offsets, t_mid)
-                       for s in sols], axis=1)                       # (steps, M, offsets)
     lam, mu = (np.stack(v, axis=1)                                   # (steps, M, N)
                for v in zip(*(s.branch_values(t_mid) for s in sols)))
     osc = np.exp(1j * model.osc.omega * t_mid)
     eps = model.energies()
+    i_diff = 1j * (eps[:, None] - eps[None, :])
+    i_delta = 1j * np.stack([s.detuning_matrix() for s in sols])
     g_mat = np.stack([s.couplings.particle_matrix() for s in sols])
     x, w = ladder_quadrature(model.osc)
     b = oscillator_annihilation(model.osc)
@@ -294,37 +320,26 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     dft_dag = dft.conj().T
     tol = np.finfo(float).eps ** 2
 
-    psi0 = make_basis_state(model, k0, 0)
-    phi = np.repeat((dft @ psi0)[None], M, axis=0)
+    phi = np.repeat((dft @ make_basis_state(model, sols[0].k0, 0))[None], M, axis=0)
     states = np.empty((M, stored.size, N, levels), dtype=complex)
-    states[:, 0] = phi
-    moved = np.zeros((M, stored.size), dtype=bool)  # a member has stepped by a stored slot
-    stepped = np.zeros(M, dtype=bool)
-    slot = 1
+    slot = 0
     for i in range(grid.steps):
-        p = g_mat * _phase_diff_matrix(eps, t_mid[i]) - circulant(lat, offsets, a_vals[i])
-        live = p.any(axis=(-2, -1))
-        if live.any():
-            stepped |= live
-            pe = osc[i] * (dft @ p @ dft_dag)
-            # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
-            pe_pair = np.stack([pe, pe.conj().swapaxes(-2, -1)], axis=-1).reshape(M, N, 2 * N)
-            phases = branch_phases(lam[i], mu[i], x)
-            term = branch_displacement(phi, phases, w)
-            total = term.copy()
-            n = 1
-            while any(np.vdot(u, u).real > tol * np.vdot(v, v).real for u, v in zip(term, total)):
-                np.matmul(pe_pair, (term @ b_pair).reshape(M, 2 * N, levels), out=term)
-                term *= 1 / n
-                total += term
-                n += 1
-            phi = np.where(live[:, None, None],
-                           branch_displacement(total, phases, w, adjoint=True), phi)
+        # P(t_m) = G o e^{i (eps_r - eps_c) t_m} - G o e^{i delta t_m}, H1's particle factor
+        p = g_mat * np.exp(i_diff * t_mid[i]) - g_mat * np.exp(i_delta * t_mid[i])
+        pe = osc[i] * (dft @ p @ dft_dag)
+        # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
+        pe_pair = np.stack([pe, pe.conj().swapaxes(-2, -1)], axis=-1).reshape(M, N, 2 * N)
+        phases = branch_phases(lam[i], mu[i], x)
+        term = branch_displacement(phi, phases, w)
+        total = term.copy()
+        n = 1
+        while any(np.vdot(u, u).real > tol * np.vdot(v, v).real for u, v in zip(term, total)):
+            np.matmul(pe_pair, (term @ b_pair).reshape(M, 2 * N, levels), out=term)
+            term *= 1 / n
+            total += term
+            n += 1
+        phi = branch_displacement(total, phases, w, adjoint=True)
         if i + 1 == stored[slot]:
             states[:, slot] = phi
-            moved[:, slot] = stepped
             slot += 1
-    states = np.where(moved[..., None, None], np.fft.ifft(states, axis=-2, norm="ortho"), psi0)
-    return tuple(ResidualResult(sol=s, steps=stored, states=member, exact_split=not m[-1])
-                 for s, member, m in zip(sols, states, moved))
-
+    return np.fft.ifft(states, axis=-2, norm="ortho")

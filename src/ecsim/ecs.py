@@ -45,7 +45,6 @@ from .hilbert import (
     make_basis_state,
     oscillator_annihilation,
     plane_waves,
-    shift_matrix,
 )
 
 TRUNCATION_TOL = 1e-10
@@ -192,7 +191,7 @@ def momentum_shift_check(ecs: EcsState, q: int) -> tuple[float, float]:
     Exact on the periodic lattice: rho_q acts on the particle factor only.
     """
     model = ecs.model
-    sq = shift_matrix(model.lattice, q)
+    sq = circulant(model.lattice, (q,), (1.0,))
     shifted = sq @ ecs.state
     k_target = model.lattice.shift_index(ecs.k0, -model.lattice.wrap_offset(q))
     rebuilt = _series_state(model, ecs.h, k_target) \

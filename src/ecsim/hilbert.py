@@ -36,7 +36,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-DISPERSION_KINDS = ("quadratic", "tight_binding", "flat")
+# Each dispersion kind and the one Dispersion field that parameterises it.
+DISPERSION_PARAMETERS = {"quadratic": "mass", "tight_binding": "hopping", "flat": "value"}
 
 
 def require_finite(**fields: float) -> None:
@@ -125,23 +126,11 @@ class Dispersion:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in DISPERSION_KINDS:
+        if self.kind not in DISPERSION_PARAMETERS:
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
         require_finite(mass=self.mass, hopping=self.hopping, value=self.value)
         if self.kind == "quadratic" and self.mass <= 0:
             raise ValueError("mass must be positive")
-
-    @classmethod
-    def quadratic(cls, mass: float = 1.0) -> "Dispersion":
-        return cls(kind="quadratic", mass=mass)
-
-    @classmethod
-    def tight_binding(cls, hopping: float = 1.0) -> "Dispersion":
-        return cls(kind="tight_binding", hopping=hopping)
-
-    @classmethod
-    def flat(cls, value: float = 0.0) -> "Dispersion":
-        return cls(kind="flat", value=value)
 
     def energies(self, lattice: Lattice) -> np.ndarray:
         """Energy per momentum index; always real."""
@@ -233,18 +222,6 @@ def plane_waves(model: Model, points, t: float) -> np.ndarray:
                   - 1j * model.energies() * t)
 
 
-def shift_matrix(lattice: Lattice, q: int) -> np.ndarray:
-    """Particle matrix of the density Fourier component rho_q: the unitary
-    shift taking momentum component k+q to k, i.e. |p> -> |p-q> (indices
-    wrap modulo the lattice)."""
-    N = lattice.sites
-    qw = lattice.wrap_offset(q) % N
-    mat = np.zeros((N, N), dtype=complex)
-    cols = np.arange(N)
-    mat[(cols - qw) % N, cols] = 1.0
-    return mat
-
-
 def oscillator_annihilation(osc: OscillatorSpec) -> np.ndarray:
     """Truncated annihilation matrix: b|n> = sqrt(n)|n-1>."""
     return np.diag(np.sqrt(np.arange(1, osc.levels)), 1).astype(complex)
@@ -261,12 +238,14 @@ def _offset_diagonals(lattice: Lattice, offsets, values) -> np.ndarray:
 
 
 def circulant(lattice: Lattice, offsets, values) -> np.ndarray:
-    """sum_q values[..., q] * shift_matrix(lattice, q): the particle matrix of
-    sum_q v_q rho_q, batched over the leading axes of `values` (the last axis
-    runs over `offsets`).  Entry [r, c] depends on (c - r) mod N only."""
+    """The particle matrix of sum_q v_q rho_q, rho_q the unitary shift
+    |p> -> |p-q> (indices wrap modulo the lattice), batched over the leading
+    axes of `values` (the last axis runs over `offsets`) into a C-ordered
+    array.  Entry [r, c] depends on (c - r) mod N only; a single offset with
+    value 1 gives rho_q."""
     diagonals = _offset_diagonals(lattice, offsets, values)
     cols = np.arange(lattice.sites)
-    return diagonals[..., (cols[None, :] - cols[:, None]) % lattice.sites]
+    return np.take(diagonals, (cols[None, :] - cols[:, None]) % lattice.sites, axis=-1)
 
 
 def branches(lattice: Lattice, offsets, values) -> np.ndarray:

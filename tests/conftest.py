@@ -28,13 +28,21 @@ values = st.builds(complex, finite, finite)
 def make_model(sites=5, length=None, cutoff=8, omega=1.0, kind="tight_binding",
                **disp_kwargs) -> Model:
     lat = Lattice(sites=sites, length=float(sites) if length is None else length)
-    if kind == "tight_binding":
-        disp = Dispersion.tight_binding(disp_kwargs.get("hopping", 1.0))
-    elif kind == "quadratic":
-        disp = Dispersion.quadratic(disp_kwargs.get("mass", 1.0))
-    else:
-        disp = Dispersion.flat(disp_kwargs.get("value", 0.0))
-    return Model(lat, disp, OscillatorSpec(cutoff=cutoff, omega=omega))
+    return Model(lat, Dispersion(kind=kind, **disp_kwargs),
+                 OscillatorSpec(cutoff=cutoff, omega=omega))
+
+
+def shift_matrix(lattice: Lattice, q: int) -> np.ndarray:
+    """Particle matrix of the density Fourier component rho_q, built entry by
+    entry: the unitary shift taking momentum component k+q to k, i.e.
+    |p> -> |p-q> (indices wrap modulo the lattice).  The independent
+    reference for ``hilbert.circulant``."""
+    N = lattice.sites
+    qw = lattice.wrap_offset(q) % N
+    mat = np.zeros((N, N), dtype=complex)
+    cols = np.arange(N)
+    mat[(cols - qw) % N, cols] = 1.0
+    return mat
 
 
 def hermitian_pair(lattice: Lattice, q0: int, g: complex) -> CoefficientSet:
@@ -127,8 +135,8 @@ def interaction_hamiltonian(model: Model, couplings, t: float = 0.0) -> np.ndarr
 
 def _modulated_coupling(model: Model, couplings, strategy: ModulatorStrategy, t: float,
                         k0: int) -> np.ndarray:
-    """The circulant A(t) = sum_q g_q f_q(t) rho_q."""
-    f = strategy.factors(model, k0, couplings.offsets, t)
+    """The circulant A(t) = sum_q g_q f_q(t) rho_q, f_q(t) = e^{i delta_q t}."""
+    f = np.exp(1j * strategy.detuning(model, k0, couplings.offsets) * t)
     return circulant(model.lattice, couplings.offsets, couplings.values * f)
 
 

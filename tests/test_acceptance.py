@@ -13,6 +13,7 @@ from conftest import (
     hermitian_pair,
     make_model,
     midpoint_propagate,
+    shift_matrix,
     static_unit_reference,
     u0_dense_reference,
     zero_order_hamiltonian,
@@ -36,7 +37,7 @@ from ecsim.ecs import (
     sum_rule,
     unity_resolution_check,
 )
-from ecsim.hilbert import CoefficientSet, fidelity, make_basis_state, shift_matrix
+from ecsim.hilbert import CoefficientSet, fidelity, make_basis_state
 from ecsim.observables import (
     PositionGrid,
     alpha_phi,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ecsim
+import ecsim.cli
 from ecsim.cli import main
 from ecsim.config import ConfigError, load_config, parse_complex
 
@@ -330,9 +331,14 @@ def test_sweep_rejects_zero_couplings(tmp_path, capsys):
     ("dispersion = tight_binding", "dispersion = flat"),
     ("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0", "\n0 = 0.15, 0.0"),
 ], ids=["flat-dispersion", "couplings-only-at-q0"])
-def test_sweep_rejects_an_exact_split(tmp_path, capsys, old, new):
+def test_sweep_rejects_an_exact_split(tmp_path, capsys, monkeypatch, old, new):
     """Where H1 vanishes at every step every gap is round-off and has no order:
-    a configuration error before any output, not a failed order check."""
+    a configuration error before any output or propagation, not a failed
+    order check."""
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("an exact split must be rejected before any propagation")
+
+    monkeypatch.setattr(ecsim.cli, "propagate_residual", no_propagation)
     assert SMALL_CONFIG.count(old) == 1
     p = tmp_path / "exact.ini"
     p.write_text(SMALL_CONFIG.replace(old, new))

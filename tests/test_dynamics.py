@@ -30,6 +30,7 @@ from ecsim.dynamics import (
 )
 from ecsim.hilbert import (
     CoefficientSet,
+    Dispersion,
     Model,
     OscillatorSpec,
     TruncationError,
@@ -91,6 +92,36 @@ def test_split_exact_for_flat_dispersion():
     assert not np.any(h1)
 
 
+@PINNED
+@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
+       st.sampled_from(["drawn", "flat", "only_q0", "scaled_by_0"]))
+def test_exact_split_is_h1_vanishing_at_every_midpoint(mc, kind, variant):
+    """`exact_split`, read off G, eps and delta without building H1, holds
+    exactly when the dense H1 is zero at every midpoint; an exact member is
+    not stepped and stays at |0,k0) exactly."""
+    model, couplings = mc
+    lat = model.lattice
+    if couplings.operator_amplitude() > 0:
+        couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
+    if variant == "flat":
+        model = Model(lat, Dispersion(kind="flat", value=0.7), model.osc)
+    elif variant == "only_q0":
+        couplings = CoefficientSet(lat, ((0, 0.2),))
+    elif variant == "scaled_by_0":
+        couplings = couplings.scaled(0.0)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=8)
+    k0 = lat.sites // 2
+    sol = zero_order_solution(model, couplings, ModulatorStrategy(kind), grid, k0)
+    h1_zero = not any(split_hamiltonian(model, couplings, sol.strategy, grid.midpoint(i), k0)[1]
+                      .any() for i in range(grid.steps))
+    assert sol.exact_split == h1_zero
+    if variant != "drawn" or model.dispersion.kind == "flat":
+        assert sol.exact_split
+    res, = propagate_residual(sol)
+    psi0 = make_basis_state(model, k0, 0)
+    assert all(np.array_equal(state, psi0) for state in res.states) == sol.exact_split
+
+
 def test_split_reconstructs_full_hamiltonian():
     model = make_model(sites=5, cutoff=5)
     c = pair(model, 2, 0.2 - 0.05j)
@@ -102,21 +133,10 @@ def test_split_reconstructs_full_hamiltonian():
             assert np.abs((h0 + h1) - full).max() < 1e-13
 
 
-def test_modulator_broadcasts_over_times():
-    """One broadcast over an array of times equals the per-time calls bit for
-    bit."""
-    model = make_model(sites=7, kind="quadratic", omega=2.3)
-    c = pair(model, 2, 0.1 + 0.05j)
-    taus = np.linspace(-3.7, 0.0, 81)
-    for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
-        per_time = np.array([strat.factors(model, 3, c.offsets, tau) for tau in taus])
-        assert np.array_equal(strat.factors(model, 3, c.offsets, taus), per_time)
-
-
 def test_strategy_unimodularity():
     model = make_model(sites=5)
     for strat in (ModulatorStrategy("static_unit"), ModulatorStrategy("recoil_phase")):
-        f = strat.factors(model, 2, (1, 2, -1), 0.9)
+        f = np.exp(1j * strat.detuning(model, 2, (1, 2, -1)) * 0.9)
         assert np.allclose(np.abs(f), 1.0, atol=1e-14)
     with pytest.raises(ValueError):
         ModulatorStrategy(kind="custom_phase")
@@ -213,7 +233,7 @@ def refined_trapezoid(sol, weights, per_step=32):
         dt = grid.dt / n
         taus = grid.t0 + dt * np.arange(grid.steps * n + 1)
         hdot = (-1j * sol.couplings.values * np.exp(1j * model.osc.omega * taus)[:, None]
-                * sol.strategy.factors(model, sol.k0, sol.offsets, taus))
+                * np.exp(1j * sol.strategy.detuning(model, sol.k0, sol.offsets) * taus[:, None]))
         h = np.concatenate([np.zeros((1, hdot.shape[1])),
                             np.cumsum(dt / 2 * (hdot[1:] + hdot[:-1]), axis=0)])
         lam, lamdot = h @ weights.T, hdot @ weights.T
@@ -406,13 +426,13 @@ def test_stacked_member_scaled_by_zero_stays_at_the_initial_state(sites):
                              (0.5, ModulatorStrategy("static_unit")))]
     stacked = propagate_residual(*sols, collect_every=7)
     zero = stacked[1]
-    assert zero.exact_split
+    assert zero.sol.exact_split
     assert np.array_equal(zero.steps, [0, 7, 14, 21, 28, 30])
     psi0 = make_basis_state(model, 2, 0)
     assert all(np.array_equal(state, psi0) for state in zero.states)
     for sol, res in ((sols[0], stacked[0]), (sols[2], stacked[2])):
         alone, = propagate_residual(sol, collect_every=7)
-        assert res.sol is sol and not res.exact_split
+        assert res.sol is sol and not sol.exact_split
         assert np.abs(res.states - alone.states).max() < 1e-14
 
 

@@ -12,6 +12,7 @@ from conftest import (
     make_model,
     moment_loop_reference,
     random_coefficients,
+    shift_matrix,
     unity_dense_reference,
 )
 from ecsim import ecs
@@ -37,7 +38,6 @@ from ecsim.hilbert import (
     fidelity,
     make_basis_state,
     oscillator_annihilation,
-    shift_matrix,
 )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import kron, make_model, random_coefficients
+from conftest import kron, make_model, random_coefficients, shift_matrix
 from ecsim.hilbert import (
     CoefficientSet,
     Dispersion,
@@ -11,7 +11,6 @@ from ecsim.hilbert import (
     fidelity,
     make_basis_state,
     oscillator_annihilation,
-    shift_matrix,
 )
 
 
@@ -130,14 +129,14 @@ def test_q_family_commutes():
 
 def test_dispersion_values():
     lat = Lattice(sites=5, length=10.0)
-    quad = Dispersion.quadratic(mass=2.0).energies(lat)
+    quad = Dispersion(kind="quadratic", mass=2.0).energies(lat)
     assert np.allclose(quad, lat.momenta ** 2 / 4.0)
 
-    tb = Dispersion.tight_binding(hopping=1.5).energies(lat)
+    tb = Dispersion(kind="tight_binding", hopping=1.5).energies(lat)
     assert np.allclose(tb, -1.5 * np.cos(2 * np.pi * lat.quanta / 5))
     assert np.all(np.isreal(tb))
 
-    flat = Dispersion.flat(0.7).energies(lat)
+    flat = Dispersion(kind="flat", value=0.7).energies(lat)
     assert np.all(flat == 0.7)
 
     with pytest.raises(ValueError):

@@ -13,10 +13,11 @@ from conftest import (
     kron,
     make_model,
     midpoint_propagate,
+    shift_matrix,
 )
 from ecsim import oracle
 from ecsim.dynamics import TimeGrid
-from ecsim.hilbert import CoefficientSet, make_basis_state, oscillator_annihilation, shift_matrix
+from ecsim.hilbert import CoefficientSet, make_basis_state, oscillator_annihilation
 
 
 def test_conjugate_free_trivials():
