@@ -1,9 +1,11 @@
 """Run configuration: flat key = value sections, loaded from INI-style text.
 
-Complex values are written as "re,im" pairs.  Every run writes its resolved
-configuration next to its outputs, floats in their shortest exact form and
-the tolerance scale included, so rerunning from that file alone reproduces
-the run's outputs byte for byte.
+Complex values are written as "re,im" pairs.  The sections and keys of
+DEFAULT_CONFIG_TEXT (plus every dispersion parameter in [model] and any
+integer offset in [couplings]) are the whole schema: anything else is a
+ConfigError.  Every run writes its resolved configuration next to its
+outputs, floats in their shortest exact form, so rerunning from that file
+alone reproduces the run's outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dynamics import ModulatorStrategy, TimeGrid
 from .hilbert import (
@@ -28,27 +30,6 @@ from .observables import PositionGrid
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "density_commutation": 1e-13,
-    "construction_equivalence": 1e-8,
-    "annihilation_action": 1e-8,
-    "momentum_shift": 1e-13,
-    "shift_roundtrip": 1e-13,
-    "overlap_formula": 1e-8,
-    "unity_resolution": 1e-6,
-    "unity_moment_diag": 1e-8,
-    "unity_moment_offdiag": 1e-10,
-    "sum_rule_check": 1e-8,
-    "evolve_fidelity": 1e-6,
-    "gamma_agreement": 1e-6,
-    "phi_const": 1e-10,
-    "sweep_order": 1.5,
-}
-
-# sweep_order is a lower bound on a convergence order, not a residual; the
-# global --tolerance scale factor must leave it alone.
-UNSCALED_TOLERANCES = ("sweep_order",)
 
 DEFAULT_CONFIG_TEXT = """\
 [model]
@@ -109,36 +90,16 @@ class RunConfig:
     model: Model
     couplings: CoefficientSet
     k0: int                       # momentum index into the lattice arrays
-    k0_quantum: int
     grid: TimeGrid
     strategy_kind: str
     position_count: int
     seed: int
-    tolerances: dict[str, float] = field(default_factory=dict)
-    tolerance_scale: float = 1.0
 
     def strategy(self) -> ModulatorStrategy:
         return ModulatorStrategy(kind=self.strategy_kind)
 
     def positions(self) -> PositionGrid:
         return PositionGrid.uniform(self.model.lattice, self.position_count)
-
-    def tolerance(self, key: str) -> float:
-        base = self.tolerances.get(key, DEFAULT_TOLERANCES[key])
-        if key in UNSCALED_TOLERANCES:
-            return base
-        return base * self.tolerance_scale
-
-
-def require_positive(name: str, value) -> float:
-    """`value` as a float if it is a finite number > 0, else a ConfigError naming the input."""
-    try:
-        number = float(value)
-    except ValueError:
-        number = float("nan")
-    if not 0.0 < number < float("inf"):
-        raise ConfigError(f"{name} must be finite and positive, got {value}")
-    return number
 
 
 def _require_paired(couplings: CoefficientSet) -> None:
@@ -150,9 +111,24 @@ def _require_paired(couplings: CoefficientSet) -> None:
                 f"[couplings] violate g_-q = g_q* at offset {q}: g_q = {v}, g_-q = {partner}")
 
 
-def load_config(path: str, strategy_override: str | None = None,
-                seed_override: int | None = None,
-                tolerance_scale: float = 1.0) -> RunConfig:
+def _require_schema(cp: configparser.ConfigParser,
+                    defaults: configparser.ConfigParser) -> None:
+    """Reject any section or key outside the schema, so a misspelt or retired
+    input fails loudly instead of leaving its default in force."""
+    schema = {section: set(defaults[section]) for section in defaults.sections()}
+    schema["model"] |= set(DISPERSION_PARAMETERS.values())
+    for section in cp:  # includes [DEFAULT], whose keys would reach every section
+        if section == configparser.DEFAULTSECT and not cp.defaults():
+            continue
+        if section not in schema:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if key not in schema[section] and not (
+                    section == "couplings" and key.lstrip("+-").isdecimal()):
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+
+
+def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -162,6 +138,7 @@ def load_config(path: str, strategy_override: str | None = None,
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    _require_schema(cp, defaults)
 
     def get(section: str, key: str) -> str:
         if cp.has_option(section, key):
@@ -189,14 +166,13 @@ def load_config(path: str, strategy_override: str | None = None,
         couplings = CoefficientSet.from_dict(lattice, pairs)
         _require_paired(couplings)
 
-        k0_quantum = int(get("initial", "k0"))
-        k0 = lattice.index_of(k0_quantum)
+        k0 = lattice.index_of(int(get("initial", "k0")))
 
         grid = TimeGrid(t0=float(get("time", "t0")),
                         t_end=float(get("time", "t_end")),
                         steps=int(get("time", "steps")))
 
-        strategy_kind = (strategy_override or get("strategy", "kind")).strip()
+        strategy_kind = get("strategy", "kind").strip()
         ModulatorStrategy(kind=strategy_kind)  # rejects unknown kinds
 
         count = int(get("positions", "count"))
@@ -208,24 +184,16 @@ def load_config(path: str, strategy_override: str | None = None,
                 "stays commensurate with the lattice")
 
         seed = seed_override if seed_override is not None else int(get("run", "seed"))
-        tolerance_scale *= require_positive("[run] tolerance_scale",
-                                            cp.get("run", "tolerance_scale", fallback="1.0"))
-
-        tolerances: dict[str, float] = {}
-        if cp.has_section("tolerances"):
-            for key, val in cp.items("tolerances"):
-                if key not in DEFAULT_TOLERANCES:
-                    raise ConfigError(f"unknown tolerance key {key!r}")
-                tolerances[key] = require_positive(f"[tolerances] {key}", float(val))
+        if seed < 0:  # random.Random would silently seed from abs(seed)
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     model.osc.check_amplitude(couplings.operator_amplitude())  # couplings as state coefficients
-    return RunConfig(model=model, couplings=couplings, k0=k0, k0_quantum=k0_quantum,
-                     grid=grid, strategy_kind=strategy_kind, position_count=count,
-                     seed=seed, tolerances=tolerances, tolerance_scale=tolerance_scale)
+    return RunConfig(model=model, couplings=couplings, k0=k0, grid=grid,
+                     strategy_kind=strategy_kind, position_count=count, seed=seed)
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
@@ -242,15 +210,12 @@ def resolved_config_text(cfg: RunConfig) -> str:
         param: format_float(getattr(d, param)),
     }
     cp["couplings"] = {str(q): format_complex(v) for q, v in cfg.couplings.items}
-    cp["initial"] = {"k0": str(cfg.k0_quantum)}
+    cp["initial"] = {"k0": str(cfg.model.lattice.quanta[cfg.k0])}
     cp["time"] = {"t0": format_float(cfg.grid.t0), "t_end": format_float(cfg.grid.t_end),
                   "steps": str(cfg.grid.steps)}
     cp["strategy"] = {"kind": cfg.strategy_kind}
     cp["positions"] = {"count": str(cfg.position_count)}
-    cp["run"] = {"seed": str(cfg.seed),
-                 "tolerance_scale": format_float(cfg.tolerance_scale)}
-    if cfg.tolerances:
-        cp["tolerances"] = {k: format_float(v) for k, v in sorted(cfg.tolerances.items())}
+    cp["run"] = {"seed": str(cfg.seed)}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

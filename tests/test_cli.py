@@ -9,7 +9,7 @@ import pytest
 
 import ecsim
 import ecsim.cli
-from ecsim.cli import main
+from ecsim.cli import TOLERANCES, main
 from ecsim.config import ConfigError, load_config, parse_complex
 
 SMALL_CONFIG = """\
@@ -56,15 +56,30 @@ def read(path):
         return fh.read()
 
 
-def test_cli_import_leaves_scipy_out():
-    """scipy is a test dependency only: the package runs on numpy alone."""
+def _run_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this ecsim."""
     src = os.path.dirname(os.path.dirname(ecsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, ecsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test dependency only: the package runs on numpy alone."""
+    out = _run_python("import sys, ecsim.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_properties_leaves_numpy_random_out(config_path, tmp_path):
+    """The suite draws its offsets and positions with the stdlib `random`, so
+    a fresh `properties` process does not pay for importing numpy.random."""
+    code = ("import sys, contextlib, io, ecsim.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = ecsim.cli.main(['properties', '--config', {config_path!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)")
+    assert _run_python(code).split() == ["0", "False"]
 
 
 def test_parse_complex():
@@ -83,7 +98,7 @@ def test_load_config_roundtrip(config_path):
     assert cfg.k0 == 2  # quantum number 0 sits mid-window
     assert cfg.grid.steps == 250
     assert cfg.strategy_kind == "recoil_phase"
-    assert cfg.tolerance("density_commutation") == 1e-13
+    assert TOLERANCES["density_commutation"] == 1e-13
 
 
 def test_config_errors(tmp_path, config_path):
@@ -105,6 +120,13 @@ def test_config_errors(tmp_path, config_path):
     with pytest.raises(ConfigError):
         load_config(str(bad3))
 
+    bad4 = tmp_path / "bad_seed.ini"
+    bad4.write_text(SMALL_CONFIG.replace("seed = 3", "seed = -3"))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(str(bad4))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(config_path, seed_override=-3)
+
 
 def test_non_hermitian_couplings_are_a_configuration_error(tmp_path, capsys):
     p = tmp_path / "unpaired.ini"
@@ -116,13 +138,23 @@ def test_non_hermitian_couplings_are_a_configuration_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["closed_diag", "gamma_hermiticity"])
-def test_unknown_tolerance_key_is_a_configuration_error(tmp_path, capsys, key):
-    p = tmp_path / "unknown_key.ini"
-    p.write_text(SMALL_CONFIG + f"\n[tolerances]\n{key} = 1e-30\n")
+@pytest.mark.parametrize("old,new,name", [
+    ("steps = 250", "stpes = 25", "'stpes' in [time]"),
+    ("kind = recoil_phase", "knd = static_unit", "'knd' in [strategy]"),
+    ("seed = 3\n", "seed = 3\ntolerance_scale = 1.0\n", "'tolerance_scale' in [run]"),
+    ("seed = 3\n", "seed = 3\n\n[tolerances]\nevolve_fidelity = 1e-30\n", "[tolerances]"),
+    ("[positions]", "[position]", "[position]"),
+], ids=["misspelt-key", "misspelt-strategy-key", "tolerance-scale", "tolerances-section",
+        "unknown-section"])
+def test_unknown_section_or_key_is_a_configuration_error(tmp_path, capsys, old, new, name):
+    """A key outside the schema would otherwise leave its default in force."""
+    assert SMALL_CONFIG.count(old) == 1
+    p = tmp_path / "unknown.ini"
+    p.write_text(SMALL_CONFIG.replace(old, new))
     out = tmp_path / "o"
-    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    assert main(["evolve", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and name in err
     assert not out.exists()
 
 
@@ -163,11 +195,7 @@ def test_properties_rejected_by_its_suite_leaves_no_output(tmp_path, capsys):
     ("length = 5.0", "length = inf", "length"),
     ("t0 = -1.5", "t0 = nan", "t0"),
     ("\n1 = 0.12, 0.0", "\n1 = nan, 0.0", "CoefficientSet value at offset 1"),
-    ("seed = 3\n", "seed = 3\n\n[tolerances]\nevolve_fidelity = nan\n",
-     "[tolerances] evolve_fidelity"),
-    ("seed = 3\n", "seed = 3\ntolerance_scale = nan\n", "[run] tolerance_scale"),
-], ids=["omega-nan", "omega-inf", "hopping-nan", "length-inf", "t0-nan", "coupling-nan",
-        "tolerance-nan", "tolerance-scale-nan"])
+], ids=["omega-nan", "omega-inf", "hopping-nan", "length-inf", "t0-nan", "coupling-nan"])
 def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, field):
     assert SMALL_CONFIG.count(old) == 1
     p = tmp_path / "non_finite.ini"
@@ -180,13 +208,9 @@ def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, f
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["properties", "--tolerance", "nan"], "--tolerance"),
-    (["properties", "--tolerance", "0"], "--tolerance"),
-    (["properties", "--tolerance", "-1"], "--tolerance"),
     (["sweep", "--factors", "1,nan"], "--factors"),
     (["sweep", "--factors", "1,abc"], "--factors"),
-], ids=["tolerance-nan", "tolerance-zero", "tolerance-negative", "factors-nan",
-        "factors-not-a-number"])
+], ids=["factors-nan", "factors-not-a-number"])
 def test_non_positive_flag_is_a_configuration_error(config_path, tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
     assert main(argv + ["--config", config_path, "--out", str(out)]) == 2
@@ -353,7 +377,7 @@ def test_sweep_rejects_an_exact_split(tmp_path, capsys, monkeypatch, old, new):
                          ids=["properties", "evolve", "gamma", "sweep"])
 def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
     """A run's resolved_config.ini alone reproduces its outputs and its
-    report: floats round-trip exactly and the --tolerance scale is kept."""
+    report: floats round-trip exactly and the --seed override is kept."""
     rng = np.random.default_rng(17)
     g = complex(*(0.1 + 0.05 * rng.random(2)))
     t0 = -1.5 - rng.random()
@@ -363,11 +387,10 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
     p = tmp_path / "run.ini"
     p.write_text(text.replace("t0 = -1.5", f"t0 = {t0!r}").replace("steps = 250", "steps = 150"))
     first, again = tmp_path / "first", tmp_path / "again"
-    code = main(argv + ["--config", str(p), "--out", str(first), "--tolerance", "3"])
+    code = main(argv + ["--config", str(p), "--out", str(first), "--seed", "5"])
     report = capsys.readouterr().out
     resolved = str(first / "resolved_config.ini")
-    assert load_config(resolved).tolerance_scale == 3.0
-    assert load_config(resolved, tolerance_scale=2.0).tolerance_scale == 6.0
+    assert "\nseed = 5\n" in read(resolved).decode()
     assert main(argv + ["--config", resolved, "--out", str(again)]) == code
     assert capsys.readouterr().out == report
     names = sorted(os.listdir(first))
@@ -376,9 +399,10 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
         assert read(first / name) == read(again / name), name
 
 
-def test_strategy_override(config_path, tmp_path):
+def test_strategy_override(tmp_path):
+    p = tmp_path / "static.ini"
+    p.write_text(SMALL_CONFIG.replace("kind = recoil_phase", "kind = static_unit"))
     out = tmp_path / "ovr"
-    assert main(["evolve", "--config", config_path, "--out", str(out),
-                 "--strategy", "static_unit"]) == 0
+    assert main(["evolve", "--config", str(p), "--out", str(out)]) == 0
     assert (out / "evolve_static_unit.dat").exists()
     assert not (out / "evolve_recoil_phase.dat").exists()
