@@ -121,7 +121,8 @@ def _require_schema(cp: configparser.ConfigParser,
         if section == configparser.DEFAULTSECT and not cp.defaults():
             continue
         if section not in schema:
-            raise ConfigError(f"unknown section [{section}]")
+            keys = ", ".join(cp[section]) or "none"
+            raise ConfigError(f"unknown section [{section}] (keys: {keys})")
         for key in cp[section]:
             if key not in schema[section] and not (
                     section == "couplings" and key.lstrip("+-").isdecimal()):

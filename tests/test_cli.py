@@ -158,6 +158,19 @@ def test_unknown_section_or_key_is_a_configuration_error(tmp_path, capsys, old, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["closed_diag", "gamma_hermiticity"])
+def test_unknown_tolerance_key_is_a_configuration_error(tmp_path, capsys, key):
+    """The retired [tolerances] section is unknown whatever it holds, and the
+    error names the keys it would have set."""
+    p = tmp_path / "unknown_key.ini"
+    p.write_text(SMALL_CONFIG + f"\n[tolerances]\n{key} = 1e-30\n")
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown section [tolerances]" in err and key in err
+    assert not out.exists()
+
+
 def test_truncation_rule_rejected_before_computation(tmp_path):
     text = SMALL_CONFIG.replace("cutoff = 12", "cutoff = 2")
     text = text.replace("1 = 0.12, 0.0", "1 = 1.0, 0.0").replace("-1 = 1.0, 0.0", "-1 = 1.0, 0.0")
