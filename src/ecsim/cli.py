@@ -94,12 +94,15 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_table(path: str, meta: list[str], columns: list[str], rows) -> None:
-    lines = [f"# {m}" for m in meta]
-    lines.append("# " + " ".join(columns))
-    for row in rows:
-        lines.append(" ".join(FLOAT_FMT % v for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_table(path: str, meta: list[str], columns: list[str], rows: np.ndarray) -> None:
+    """Write the float array `rows` (rows, columns) under '#' headers, one
+    line per row, every value in FLOAT_FMT."""
+    line = " ".join([FLOAT_FMT] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {m}\n" for m in meta)
+        fh.write("# " + " ".join(columns) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row.tolist()))
 
 
 def _write_summary(path: str, lines: list[str]) -> None:
@@ -213,9 +216,10 @@ def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
     physical = sol.u0(res.steps, res.states)
 
     times = cfg.grid.times[res.steps]
-    fids = [fidelity(phys, o_state) for phys, o_state in zip(physical, oracle_states)]
-    rows = zip(times, fids, np.linalg.norm(res.states - res.states[0], axis=(-2, -1)),
-               np.linalg.norm(sol.h(times), axis=-1))
+    fids = fidelity(physical, oracle_states, axis=(-2, -1))
+    rows = np.column_stack((times, fids,
+                            np.linalg.norm(res.states - res.states[0], axis=(-2, -1)),
+                            np.linalg.norm(sol.h(times), axis=-1)))
     series_path = os.path.join(out_dir, f"evolve_{strategy.kind}.dat")
     _write_table(series_path,
                  [f"ecsim evolve series, strategy={strategy.kind}",
@@ -228,7 +232,7 @@ def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
                  [f"final interaction-picture state U0(t_end)|t_end>, strategy={strategy.kind}",
                   "flat index = momentum_index * (cutoff+1) + fock_level"],
                  ["index", "re", "im"], state_rows)
-    return min(fids), series_path
+    return float(fids.min()), series_path
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -> int:
@@ -327,7 +331,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     _write_table(os.path.join(out_dir, "sweep.dat"),
                  ["ecsim coupling sweep",
                   "gap = max |Gamma_exact - Gamma_closed| at the scaled coupling"],
-                 ["factor", "gap"], list(zip(factors, gaps)))
+                 ["factor", "gap"], np.column_stack((factors, gaps)))
     lines = ["# ecsim sweep summary"]
     lines += [f"order_{i} = {o:.6f}" for i, o in enumerate(orders)]
     lines.append(f"min_order = {min_order:.6f}")

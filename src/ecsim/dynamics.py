@@ -25,12 +25,13 @@ in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
 U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
 the momentum axis, where U0m is diagonal on the branches
 (``hilbert.branch_displacement``; U0m^dag reuses U0m's phases) and
-exp(-i dt H1) is applied by its Taylor series, two matmuls per term; the
-midpoint branches are computed before the loop, and a step is a handful of
-small matmuls with no FFT, eigensolver or dense operator.  One loop steps a
-stack of solutions that share model, grid and offsets (a coupling sweep's
-scales, or both strategies).  No operator on the product space is formed
-anywhere in this module.
+exp(-i dt H1) is applied by its Taylor series, two matmuls and one
+stop-rule reduction per term for the whole stack; the midpoint branches are
+computed before the loop, and a step is a handful of small matmuls with no
+FFT, eigensolver or dense operator.  One loop steps a stack of solutions
+that share model, grid and offsets (a coupling sweep's scales, or both
+strategies).  No operator on the product space is formed anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -273,11 +274,14 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t} the particle
     factor of H1 in the momentum basis (delta from
     ``ZeroOrderSolution.detuning_matrix``), so a Taylor term of exp(-i dt H1)
-    is two matmuls: Z = term [b | b^T], viewed as (2N, levels) rows, then
+    is two matmuls for the whole stack: Z = term [b | b^T], one 2-D matmul
+    over every member's rows, viewed as (2N, levels) rows per member, then
     [P~ | P~^dag] Z with the columns interleaved to match.  The series is
-    summed until every member's term falls below machine epsilon times its
-    own sum.  The midpoint branches are computed before the loop, once per
-    run.
+    summed until the squared norm of a term over the whole stack falls below
+    machine epsilon squared times the smallest member's squared norm at the
+    start of the step: one reduction per term, at least as strict as a rule
+    per member since the step is unitary.  The midpoint branches are
+    computed before the loop, once per run.
 
     States are stored every `collect_every` steps (by default only the
     initial and the final one), step 0 and the last step always included,
@@ -321,20 +325,26 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     tol = np.finfo(float).eps ** 2
 
     phi = np.repeat((dft @ make_basis_state(model, sols[0].k0, 0))[None], M, axis=0)
+    # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
+    pe_pair = np.empty((M, N, 2 * N), dtype=complex)
     states = np.empty((M, stored.size, N, levels), dtype=complex)
     slot = 0
     for i in range(grid.steps):
         # P(t_m) = G o e^{i (eps_r - eps_c) t_m} - G o e^{i delta t_m}, H1's particle factor
         p = g_mat * np.exp(i_diff * t_mid[i]) - g_mat * np.exp(i_delta * t_mid[i])
         pe = osc[i] * (dft @ p @ dft_dag)
-        # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
-        pe_pair = np.stack([pe, pe.conj().swapaxes(-2, -1)], axis=-1).reshape(M, N, 2 * N)
+        pe_pair[..., 0::2] = pe
+        pe_pair[..., 1::2] = pe.conj().swapaxes(-2, -1)
         phases = branch_phases(lam[i], mu[i], x)
         term = branch_displacement(phi, phases, w)
+        term_2d = term.reshape(M * N, levels)
         total = term.copy()
+        # the step is unitary, so the smallest member's norm bounds every sum
+        floor = tol * min(np.vdot(member, member).real for member in term)
         n = 1
-        while any(np.vdot(u, u).real > tol * np.vdot(v, v).real for u, v in zip(term, total)):
-            np.matmul(pe_pair, (term @ b_pair).reshape(M, 2 * N, levels), out=term)
+        while np.vdot(term, term).real > floor:
+            # one 2-D matmul for the whole stack, (M, 2N, levels) as a view
+            np.matmul(pe_pair, (term_2d @ b_pair).reshape(M, 2 * N, levels), out=term)
             term *= 1 / n
             total += term
             n += 1

@@ -276,32 +276,32 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     Summed over k the integrand is block-diagonal on the Fourier branches of
     Q: on branch j it is |lam_j|^2 |z lam_j><z lam_j|, with the truncated
     coherent amplitudes (exact at every retained level).  Polar quadrature:
-    Gauss-Laguerre radially (in u = |z|^2 scaled by the smallest nonzero
-    |lam_j|^2, so the slowest Gaussian decay is matched), uniform angularly.
-    At z = r e^{i theta} the amplitudes are c_j(r)[n] e^{i n theta} with
-    c_j(r) the coherent amplitudes at r lam_j, so block j is
-    |lam_j|^2 sum_r w_r c_j(r)[n] c_j(r)[m]^* S[n, m]: one contraction over
-    the radii for all branches, times the angular sum
+    Gauss-Laguerre radially in u = |z|^2 |lam_j|^2, scaled per branch so
+    every block is matched to its own Gaussian decay, uniform angularly.
+    The substitution absorbs |lam_j|^2, so block j is the unit-scale
+    quadrature at the amplitudes sqrt(u) e^{i arg lam_j}: with c_j(u) those
+    coherent amplitudes, sum_u w_u c_j(u)[n] c_j(u)[m]^* S[n, m], one
+    contraction over the radii for all branches, times the angular sum
     S[n, m] = sum_a e^{i (n - m) theta_a}, one numerically summed
-    (levels x levels) matrix.  The deviation from the identity is the
-    largest over branches on the reliable subspace: Fock levels whose
-    coherent occupancy at the largest quadrature radius stays below
-    TRUNCATION_TOL, since states at large |z| spill past the cutoff.
+    (levels x levels) matrix.  A vanishing branch (|lam_j|^2 <= 1e-14) keeps
+    its zero block.  The deviation from the identity is the largest over
+    branches on the reliable subspace: Fock levels whose coherent occupancy
+    at the largest quadrature amplitude stays below TRUNCATION_TOL, since
+    states at large |z| spill past the cutoff.
     """
     lam = branches(model.lattice, h.offsets, h.values)
-    lam_sq = np.abs(lam) ** 2
-    nonzero = lam_sq[lam_sq > 1e-14]
-    if nonzero.size == 0:
+    live = np.abs(lam) ** 2 > 1e-14
+    if not live.any():
         raise ValueError("Q vanishes; the resolution of unity has no support")
-    radii, angles, weights = _polar_nodes(radial_nodes, float(nonzero.min()))
+    radii, angles, weights = _polar_nodes(radial_nodes, 1.0)
 
     levels = model.osc.levels
-    amps = coherent_state_vector(lam[:, None] * radii, levels)  # [j, r, n] = c_j(r)[n]
-    radial = (amps.swapaxes(-1, -2) * weights) @ amps.conj()
-    blocks = lam_sq[:, None, None] * radial * _angular_sum(angles, levels)
+    amps = coherent_state_vector(np.exp(1j * np.angle(lam))[:, None] * radii, levels)
+    radial = (amps.swapaxes(-1, -2) * weights) @ amps.conj()   # [j, n, m]
+    blocks = live[:, None, None] * radial * _angular_sum(angles, levels)
 
     # Poisson occupancy of each level at the largest quadrature amplitude
-    poisson = np.abs(coherent_state_vector(radii.max() * np.sqrt(lam_sq.max()), levels)) ** 2
+    poisson = np.abs(coherent_state_vector(radii.max(), levels)) ** 2
     reliable = tuple(int(n) for n in np.flatnonzero(poisson < TRUNCATION_TOL))
     if not reliable:
         return UnityResolutionResult(deviation=float("inf"), reliable_levels=())

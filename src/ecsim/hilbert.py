@@ -205,13 +205,19 @@ def make_basis_state(model: Model, k0_index: int, n: int) -> np.ndarray:
     return state
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray, axis=None):
     """|<a|b>| / (||a|| ||b||), clamped to 1 so that 1 - fidelity is never a
-    negative round-off residual."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    negative round-off residual.  The states span the axes `axis` (all of
+    them by default, giving a float); the other axes broadcast, giving one
+    fidelity per pair of states."""
+    na, nb = np.linalg.norm(a, axis=axis), np.linalg.norm(b, axis=axis)
+    if axis is None:
+        if na == 0.0 or nb == 0.0:
+            raise ValueError("fidelity undefined for zero vectors")
+        return min(1.0, float(abs(np.vdot(a, b)) / (na * nb)))
+    if not (na.all() and nb.all()):
         raise ValueError("fidelity undefined for zero vectors")
-    return min(1.0, float(abs(np.vdot(a, b)) / (na * nb)))
+    return np.minimum(1.0, np.abs(np.sum(a.conj() * b, axis=axis)) / (na * nb))
 
 
 def plane_waves(model: Model, points, t: float) -> np.ndarray:

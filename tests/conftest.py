@@ -251,11 +251,18 @@ def u0_dense_reference(model: Model, h_dict, chi: np.ndarray) -> np.ndarray:
 def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = RADIAL_NODES):
     """(deviation, reliable_levels) of the resolution-of-unity quadrature,
     accumulated as one dim x dim matrix over every momentum shift of the
-    scaled series states, with exp(-|z|^2 Q^dag Q/2) and the quadrature scale
-    from an eigendecomposition of Q^dag Q (independent of the branch blocks)."""
+    scaled series states.  Scaling the quadrature per branch (u = |z|^2
+    |lam_j|^2) turns (1/pi) int d^2z Q|zh,k><zh,k|Q^dag into the same
+    integral at unit scale for the polar factor U = Q (Q^dag Q)^{-1/2} of Q,
+    zero where Q^dag Q vanishes; U and exp(-|z|^2 U^dag U/2) come from an
+    eigendecomposition of Q^dag Q (independent of the branch blocks)."""
     qp = h.particle_matrix()
     lam_sq, v_eig = np.linalg.eigh(qp.conj().T @ qp)
-    radii, angles, weights = _polar_nodes(radial_nodes, float(lam_sq[lam_sq > 1e-14].min()))
+    live = lam_sq > 1e-14
+    inv_sqrt = np.where(live, 1 / np.sqrt(np.where(live, lam_sq, 1.0)), 0.0)
+    qp = qp @ (v_eig * inv_sqrt) @ v_eig.conj().T
+    lam_sq = live.astype(float)   # the eigenvalues of U^dag U
+    radii, angles, weights = _polar_nodes(radial_nodes, 1.0)
     N, levels = model.shape
     n_arr = np.arange(levels)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))

@@ -262,6 +262,20 @@ def test_properties_deterministic(config_path, tmp_path):
         assert read(out1 / name) == read(out2 / name)
 
 
+def test_table_rows_keep_the_per_value_format(tmp_path):
+    """One format per row writes the bytes of formatting each value alone,
+    also for negative zero, an integer index column and extreme exponents."""
+    values = np.array([[-0.0, 1e-300, -1e300], [0.5, -1e-300, 1e300]])
+    rows = np.column_stack((np.arange(len(values)), values))
+    path = tmp_path / "table.dat"
+    ecsim.cli._write_table(str(path), ["title", "note"], ["index", "a", "b", "c"], rows)
+    fmt = ecsim.cli.FLOAT_FMT
+    expected = ["# title", "# note", "# index a b c"]
+    expected += [" ".join(fmt % v for v in row) for row in zip(range(len(values)), *values.T)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert "-0.000000000000e+00 1.000000000000e-300" in path.read_text()
+
+
 def test_evolve_zero_coupling_unit_fidelity(tmp_path):
     text = SMALL_CONFIG.replace("1 = 0.12, 0.0\n-1 = 0.12, 0.0", "")
     p = tmp_path / "free.ini"

@@ -415,6 +415,47 @@ def test_residual_stepper_runs_one_eigh_and_no_fft_per_step(monkeypatch):
     assert exps_per_step[0] == exps_per_step[1] == exps_per_step[2]
 
 
+def test_stacked_stop_rule_costs_at_most_one_term_more_than_the_strongest_member(monkeypatch):
+    """The stop rule is one reduction per Taylor term over the whole stack
+    (a `vdot` of the stack; the per-member norms of the floor are taken once
+    per step), compared with the smallest member's norm: a stack of
+    couplings scaled 1, 0.5 and 0.25 sums at most one term per step more
+    than its strongest member stepped alone."""
+    model = make_model(sites=5, cutoff=8, omega=2.5)
+    c = pair(model, 1, 0.2)
+    grid = TimeGrid(t0=-0.5, t_end=0.0, steps=12)
+    sols = [zero_order_solution(model, c.scaled(f), ModulatorStrategy("recoil_phase"), grid, 2)
+            for f in (1.0, 0.5, 0.25)]
+    events = []
+    vdot, branch_displacement = np.vdot, dynamics.branch_displacement
+
+    def counted_vdot(a, b):
+        if a.ndim == 3:    # the whole (M, N, levels) stack, not one member
+            events.append("reduce")
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counted_vdot)
+    monkeypatch.setattr(dynamics, "branch_displacement",
+                        lambda *a, **kw: events.append("displace") or branch_displacement(*a, **kw))
+
+    def reductions_per_step(stack):
+        events.clear()
+        propagate_residual(*stack)
+        counts = []
+        for event in events:    # two displacements per step, the series in between
+            if event == "displace":
+                counts.append(0)
+            else:
+                counts[-1] += 1
+        return counts[0::2]
+
+    alone = reductions_per_step(sols[:1])
+    stacked = reductions_per_step(sols)
+    assert len(alone) == len(stacked) == grid.steps
+    assert all(a > 2 for a in alone)
+    assert all(a <= s <= a + 1 for a, s in zip(alone, stacked))
+
+
 @pytest.mark.parametrize("sites", [5, 6])
 def test_stacked_member_scaled_by_zero_stays_at_the_initial_state(sites):
     model = make_model(sites=sites, cutoff=8, omega=2.5)

@@ -232,19 +232,24 @@ def test_unity_resolution_matches_dense_reference(case):
 @pytest.mark.parametrize("coupling", ["single_mode", "random_circulant"])
 def test_unity_resolution_at_the_properties_cutoff(coupling):
     """Cutoff 24 and the default radial nodes, as on the benchmark's
-    `properties` model: every Fock level and the reliable-level rule against
-    the dense reference."""
+    `properties` model: every Fock level reliable and the deviation against
+    the dense reference.  Random circulants, whose branches differ in |lam_j|,
+    resolve unity to round-off: the radial nodes are scaled per branch."""
     model = make_model(sites=4, cutoff=24)
     if coupling == "single_mode":
-        h = single_mode(model, 1, 1.0)
+        cases = [single_mode(model, 1, 1.0)]
     else:
-        rng = np.random.default_rng(0)
-        vals = 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        h = CoefficientSet(model.lattice, tuple(zip(range(4), vals)))
-    res = unity_resolution_check(model, h)
-    deviation, reliable = unity_dense_reference(model, h)
-    assert res.reliable_levels == reliable
-    assert abs(res.deviation - deviation) < 1e-12
+        cases = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            vals = 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            cases.append(CoefficientSet(model.lattice, tuple(zip(range(4), vals))))
+    for h in cases:
+        res = unity_resolution_check(model, h)
+        deviation, reliable = unity_dense_reference(model, h)
+        assert res.reliable_levels == reliable == tuple(range(25))
+        assert abs(res.deviation - deviation) < 1e-12
+        assert res.deviation < 1e-12
 
 
 def test_laguerre_nodes_computed_once_per_node_count(monkeypatch):

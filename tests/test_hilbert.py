@@ -26,6 +26,27 @@ def test_fidelity_never_exceeds_one():
         assert 1.0 - 1e-14 < fid <= 1.0
 
 
+def test_stacked_fidelity_matches_per_sample_calls():
+    """Over the state axes `axis`, the other axes broadcast: one fidelity per
+    pair, equal to the per-pair call, clamped to 1 where pairs differ by a
+    factor (a quarter of such unclamped ratios exceed 1 by round-off), and a
+    zero state is an error."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((400, 4, 3)) + 1j * rng.standard_normal((400, 4, 3))
+    b = a + 0.1 * (rng.standard_normal((400, 4, 3)) + 1j * rng.standard_normal((400, 4, 3)))
+    c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    b[::2] = c[:, None, None] * a[::2]
+    stacked = fidelity(a, b, axis=(-2, -1))
+    assert stacked.shape == (400,)
+    single = [fidelity(x, y) for x, y in zip(a, b)]
+    assert np.abs(stacked - single).max() < 1e-15
+    assert np.all(stacked <= 1.0) and np.all(stacked[::2] > 1.0 - 1e-14)
+    assert fidelity(a, b[0], axis=(-2, -1)).shape == (400,)    # broadcasts
+    b[4] = 0.0
+    with pytest.raises(ValueError):
+        fidelity(a, b, axis=(-2, -1))
+
+
 def test_basis_state_examples():
     model = make_model(sites=5, cutoff=3)
     v = make_basis_state(model, 0, 0)
