@@ -278,9 +278,9 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     over every member's rows, viewed as (2N, levels) rows per member, then
     [P~ | P~^dag] Z with the columns interleaved to match.  The series is
     summed until the squared norm of a term over the whole stack falls below
-    machine epsilon squared times the smallest member's squared norm at the
-    start of the step: one reduction per term, at least as strict as a rule
-    per member since the step is unitary.  The midpoint branches are
+    machine epsilon squared: one reduction per term, at least as strict as a
+    rule per member relative to its norm, since every member starts as the
+    unit state |0,k0) and the step is unitary.  The midpoint branches are
     computed before the loop, once per run.
 
     States are stored every `collect_every` steps (by default only the
@@ -337,14 +337,13 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
         pe_pair[..., 1::2] = pe.conj().swapaxes(-2, -1)
         phases = branch_phases(lam[i], mu[i], x)
         term = branch_displacement(phi, phases, w)
-        term_2d = term.reshape(M * N, levels)
         total = term.copy()
-        # the step is unitary, so the smallest member's norm bounds every sum
-        floor = tol * min(np.vdot(member, member).real for member in term)
         n = 1
-        while np.vdot(term, term).real > floor:
+        # the step is unitary, so every member keeps the unit norm of |0,k0)
+        while np.vdot(term, term).real > tol:
             # one 2-D matmul for the whole stack, (M, 2N, levels) as a view
-            np.matmul(pe_pair, (term_2d @ b_pair).reshape(M, 2 * N, levels), out=term)
+            z = term.reshape(M * N, levels) @ b_pair
+            np.matmul(pe_pair, z.reshape(M, 2 * N, levels), out=term)
             term *= 1 / n
             total += term
             n += 1

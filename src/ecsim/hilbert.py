@@ -210,14 +210,10 @@ def fidelity(a: np.ndarray, b: np.ndarray, axis=None):
     negative round-off residual.  The states span the axes `axis` (all of
     them by default, giving a float); the other axes broadcast, giving one
     fidelity per pair of states."""
-    na, nb = np.linalg.norm(a, axis=axis), np.linalg.norm(b, axis=axis)
-    if axis is None:
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("fidelity undefined for zero vectors")
-        return min(1.0, float(abs(np.vdot(a, b)) / (na * nb)))
-    if not (na.all() and nb.all()):
+    norms = np.linalg.norm(a, axis=axis) * np.linalg.norm(b, axis=axis)
+    if not norms.all():
         raise ValueError("fidelity undefined for zero vectors")
-    return np.minimum(1.0, np.abs(np.sum(a.conj() * b, axis=axis)) / (na * nb))
+    return np.minimum(1.0, np.abs((a.conj() * b).sum(axis=axis)) / norms)
 
 
 def plane_waves(model: Model, points, t: float) -> np.ndarray:

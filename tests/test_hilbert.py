@@ -42,9 +42,12 @@ def test_stacked_fidelity_matches_per_sample_calls():
     assert np.abs(stacked - single).max() < 1e-15
     assert np.all(stacked <= 1.0) and np.all(stacked[::2] > 1.0 - 1e-14)
     assert fidelity(a, b[0], axis=(-2, -1)).shape == (400,)    # broadcasts
+    assert all(isinstance(f, float) for f in single)    # all axes: one float
     b[4] = 0.0
     with pytest.raises(ValueError):
         fidelity(a, b, axis=(-2, -1))
+    with pytest.raises(ValueError):
+        fidelity(a[0], b[4])
 
 
 def test_basis_state_examples():
