@@ -281,7 +281,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
     dev_ef = ge.max_deviation(gf)
     dev_ec = ge.max_deviation(gc)
     phi_spread = field.phi_spread()
-    single_mode = len([1 for _, v in cfg.couplings.items if abs(v) > 0]) == 1
+    single_mode = np.count_nonzero(cfg.couplings.values) == 1
     agree = dev_fc < TOLERANCES["gamma_agreement"]
     lines = [
         "# ecsim gamma summary",

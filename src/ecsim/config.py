@@ -104,8 +104,9 @@ class RunConfig:
 
 def _require_paired(couplings: CoefficientSet) -> None:
     """Enforce the physical constraint g_{-q} = g_q^* on the coupling function."""
+    values = dict(couplings.items)
     for q, v in couplings.items:
-        partner = couplings.get(-q)
+        partner = values.get(couplings.lattice.wrap_offset(-q), 0.0)
         if abs(v.conjugate() - partner) > 1e-12 * max(1.0, abs(v)):
             raise ConfigError(
                 f"[couplings] violate g_-q = g_q* at offset {q}: g_q = {v}, g_-q = {partner}")

@@ -84,7 +84,7 @@ class ModulatorStrategy:
         if self.kind == "static_unit":
             return np.zeros(len(offsets))
         eps = model.energies()
-        return np.array([eps[k0] - eps[model.lattice.shift_index(k0, q)] for q in offsets])
+        return eps[k0] - eps[(k0 + np.asarray(offsets, dtype=int)) % model.lattice.sites]
 
 
 @dataclass(frozen=True)

@@ -82,33 +82,31 @@ def coherent_truncation_tail(amplitude_sq: float, cutoff: int) -> float:
         k += 1
 
 
-def _check_truncation(model: Model, h: CoefficientSet, tol: float) -> None:
+def _check_truncation(model: Model, h: CoefficientSet) -> None:
     amp = h.operator_amplitude()
     model.osc.check_amplitude(amp)
     tail = coherent_truncation_tail(amp ** 2, model.osc.cutoff)
-    if tail >= tol:
-        raise TruncationError(
-            f"coherent tail beyond the cutoff is {tail:.3g} >= tolerance {tol:.3g}")
+    if tail >= TRUNCATION_TOL:
+        raise TruncationError(f"coherent tail beyond the cutoff is {tail:.3g} "
+                              f">= tolerance {TRUNCATION_TOL:.3g}")
 
 
 def _series_state(model: Model, h: CoefficientSet, k0: int) -> np.ndarray:
     """exp(-Q^dag Q/2) sum_{n<=cutoff} (Q b^dag)^n/n! |0,k0), no amplitude guard.
 
-    Every retained Fock amplitude is exact under truncation: each series term
-    lands on a single level and the prefactor acts on the particle factor
-    only.  The prefactor is the circulant with branch values
+    Term n lands on Fock level n alone as Q^n |k0) / sqrt(n!), so level n is
+    Q level(n-1) / sqrt(n), one particle matvec each; every retained Fock
+    amplitude is exact under truncation.  The prefactor acts on the particle
+    factor only: it is the circulant with branch values
     e^{-|lam_j|^2/2}.  As a function of Q^dag Q its offsets are multiples of
     the gcd of N and the differences of Q's offsets; the FFT's round-off on
-    the other offsets is dropped, so states on disjoint momentum orbits (a
-    single mode from different k0) stay exactly orthogonal.
+    the other offsets is dropped, so amplitudes off k0's momentum orbit stay
+    exactly zero (states on disjoint orbits are exactly orthogonal).
     """
     qp = h.particle_matrix()
-    bdag = oscillator_annihilation(model.osc).conj().T
-    term = make_basis_state(model, k0, 0)
-    acc = term.copy()
+    acc = make_basis_state(model, k0, 0)
     for n in range(1, model.osc.levels):
-        term = (qp @ term @ bdag.T) / n
-        acc += term
+        acc[:, n] = qp @ acc[:, n - 1] / math.sqrt(n)
     N = model.lattice.sites
     lam_sq = np.abs(branches(model.lattice, h.offsets, h.values)) ** 2
     coeffs = np.fft.fft(np.exp(-0.5 * lam_sq), norm="forward")
@@ -123,40 +121,37 @@ class EcsState:
     model: Model
     h: CoefficientSet
     k0: int
-    construction: str
     state: np.ndarray
 
     def __post_init__(self):
         self.state.flags.writeable = False
 
 
-def _finish(model, h, k0, construction, state, tol) -> EcsState:
+def _finish(model, h, k0, state) -> EcsState:
     norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > 100.0 * tol:
+    if abs(norm - 1.0) > 100.0 * TRUNCATION_TOL:
         raise TruncationError(
             f"constructed state norm {norm} deviates from 1 beyond tolerance")
-    return EcsState(model=model, h=h, k0=k0, construction=construction, state=state)
+    return EcsState(model=model, h=h, k0=k0, state=state)
 
 
-def ecs_series(model: Model, h: CoefficientSet, k0: int,
-               tol: float = TRUNCATION_TOL) -> EcsState:
+def ecs_series(model: Model, h: CoefficientSet, k0: int) -> EcsState:
     """Series construction of the extended coherent state, summed to the Fock
-    cutoff; `tol` bounds the coherent tail beyond it.  The normalization
-    prefactor is applied after the series; its placement is immaterial
-    because all particle factors involved commute.
+    cutoff; TRUNCATION_TOL bounds the coherent tail beyond it.  The
+    normalization prefactor is applied after the series; its placement is
+    immaterial because all particle factors involved commute.
     """
-    _check_truncation(model, h, tol)
-    state = _series_state(model, h, k0)
-    return _finish(model, h, k0, "series", state, tol)
+    _check_truncation(model, h)
+    return _finish(model, h, k0, _series_state(model, h, k0))
 
 
 def ecs_displacement(model: Model, h: CoefficientSet, k0: int) -> EcsState:
     """Displacement construction exp(Q b^dag - Q^dag b)|0,k0), one oscillator
     displacement D(lam_j) per eigenbranch of Q."""
-    _check_truncation(model, h, TRUNCATION_TOL)
+    _check_truncation(model, h)
     state = displacement(model, branches(model.lattice, h.offsets, h.values), 0.0,
                          make_basis_state(model, k0, 0))
-    return _finish(model, h, k0, "displacement", state, TRUNCATION_TOL)
+    return _finish(model, h, k0, state)
 
 
 def check_b_action(ecs: EcsState) -> float:
@@ -186,16 +181,14 @@ def overlap_single_mode(g: complex, g_prime: complex, k0: int, k0_prime: int) ->
 
 def momentum_shift_check(ecs: EcsState, q: int) -> tuple[float, float]:
     """The shift residual ||rho_q|h,k0> - |h,k0-q>|| and the round-trip
-    residual ||rho_q^dag rho_q|h,k0> - |h,k0>||.
+    residual ||rho_q^dag rho_q|h,k0> - |h,k0>||; the series rebuilds |h,k0-q>.
 
     Exact on the periodic lattice: rho_q acts on the particle factor only.
     """
     model = ecs.model
     sq = circulant(model.lattice, (q,), (1.0,))
     shifted = sq @ ecs.state
-    k_target = model.lattice.shift_index(ecs.k0, -model.lattice.wrap_offset(q))
-    rebuilt = _series_state(model, ecs.h, k_target) \
-        if ecs.construction == "series" else ecs_displacement(model, ecs.h, k_target).state
+    rebuilt = _series_state(model, ecs.h, model.lattice.shift_index(ecs.k0, -q))
     return (float(np.linalg.norm(shifted - rebuilt)),
             float(np.linalg.norm(sq.conj().T @ shifted - ecs.state)))
 
@@ -217,9 +210,7 @@ def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
     """
     model = ecs.model
     contracted = plane_waves(model, s, 0.0) @ ecs.state
-    alpha = sum(v * np.exp(-1j * s * model.lattice.offset_momentum(q))
-                for q, v in ecs.h.items)
-    alpha = complex(alpha)
+    alpha = complex(ecs.h.values @ np.exp(-1j * s * ecs.h.momenta))
     k0_val = model.lattice.momenta[ecs.k0]
     analytic = np.exp(1j * s * k0_val) * coherent_state_vector(alpha, model.osc.levels)
     return SumRuleResult(alpha=alpha, contracted=contracted, analytic=analytic,

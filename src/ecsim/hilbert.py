@@ -9,8 +9,8 @@ space: a particle matrix acts on the momentum axis, an oscillator matrix on
 the Fock axis.
 
 Every particle factor of the zero-order Hamiltonian is a circulant
-sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (offsets
-canonicalised modulo the lattice, finite values) and ``circulant`` its one
+sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (the one
+place offsets are canonicalised modulo the lattice) and ``circulant`` its one
 builder, batched over leading axes of the values; ``branches`` gives their
 eigenvalues on the shared Fourier vectors, which is how every function of a
 circulant is built.  ``displacement`` applies
@@ -92,10 +92,6 @@ class Lattice:
     def wrap_offset(self, q: int) -> int:
         """Canonical representative of an integer momentum offset."""
         return (int(q) - self.n_min) % self.sites + self.n_min
-
-    def offset_momentum(self, q: int) -> float:
-        """Momentum carried by an integer offset (canonical representative)."""
-        return TWO_PI * self.wrap_offset(q) / self.length
 
     def index_of(self, quantum: int) -> int:
         """Array index of the momentum with quantum number `quantum`."""
@@ -230,12 +226,12 @@ def oscillator_annihilation(osc: OscillatorSpec) -> np.ndarray:
 
 
 def _offset_diagonals(lattice: Lattice, offsets, values) -> np.ndarray:
-    """Coefficient of rho_w for w = 0..N-1: values summed per wrapped offset."""
+    """Coefficient of rho_w for w = 0..N-1: values summed per offset modulo N."""
     values = np.asarray(values, dtype=complex)
     N = lattice.sites
     diagonals = np.zeros(values.shape[:-1] + (N,), dtype=complex)
     for i, q in enumerate(offsets):
-        diagonals[..., lattice.wrap_offset(q) % N] += values[..., i]
+        diagonals[..., q % N] += values[..., i]
     return diagonals
 
 
@@ -321,9 +317,10 @@ def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
 class CoefficientSet:
     """Circulant particle operator sum_q h_q rho_q, stored as the map q -> h_q.
 
-    Offsets are canonicalized modulo the lattice; coefficients landing on the
-    same canonical offset are summed.  Absent offsets are zero; every value
-    must be finite.
+    The one place offsets are canonicalized modulo the lattice: coefficients
+    landing on the same canonical offset are summed, and consumers read the
+    canonical ``offsets``, ``values`` and ``momenta``.  Absent offsets are
+    zero; every value must be finite.
     """
 
     lattice: Lattice
@@ -347,13 +344,6 @@ class CoefficientSet:
     def single_mode(cls, lattice: Lattice, q0: int, amplitude: complex) -> "CoefficientSet":
         return cls(lattice, ((int(q0), complex(amplitude)),))
 
-    def get(self, q: int) -> complex:
-        qc = self.lattice.wrap_offset(q)
-        for qq, v in self.items:
-            if qq == qc:
-                return v
-        return 0.0
-
     def scaled(self, factor: complex) -> "CoefficientSet":
         """All values times `factor`."""
         return CoefficientSet(self.lattice, tuple((q, factor * v) for q, v in self.items))
@@ -365,6 +355,11 @@ class CoefficientSet:
     @property
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.items], dtype=complex)
+
+    @property
+    def momenta(self) -> np.ndarray:
+        """Momentum 2 pi q / length carried by each canonical offset q."""
+        return TWO_PI * np.array(self.offsets, dtype=float) / self.lattice.length
 
     def particle_matrix(self) -> np.ndarray:
         """The circulant sum_q h_q shift(q), so any two such matrices (and

@@ -133,8 +133,8 @@ def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
     Phi(x) = int_{t0}^{t} Im[alphadot*(x,t') alpha(x,t')] dt' on the grid at
     the final time t = 0, in closed form."""
     require_t_end_zero(sol.grid)
-    qvals = np.array([sol.model.lattice.offset_momentum(q) for q in sol.offsets])
-    alpha, phi = sol.accumulated(np.exp(-1j * np.outer(grid.points, qvals)), sol.grid.times[-1])
+    weights = np.exp(-1j * np.outer(grid.points, sol.couplings.momenta))
+    alpha, phi = sol.accumulated(weights, sol.grid.times[-1])
     return AlphaField(model=sol.model, grid=grid, alpha_final=alpha, phi=phi)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ecsim.dynamics import ModulatorStrategy, TimeGrid, zero_order_solution
 from ecsim.ecs import MOMENT_MAX_ORDER, RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
@@ -246,6 +247,24 @@ def u0_dense_reference(model: Model, h_dict, chi: np.ndarray) -> np.ndarray:
     b = oscillator_annihilation(model.osc)
     return unitary_exponential(1j * (kron(qp, b.conj().T) - kron(qp.conj().T, b))
                                + kron(chi, np.eye(model.osc.levels)))
+
+
+def series_dense_reference(model: Model, h: CoefficientSet, k0: int) -> np.ndarray:
+    """kron(expm(-Q^dag Q/2), I) sum_n kron(Q, b^dag)^n/n! |0,k0) on the
+    flattened product space, with Q summed entry by entry from
+    ``shift_matrix``: the independent reference for the series state at any
+    set of offsets."""
+    N, levels = model.shape
+    qp = sum((v * shift_matrix(model.lattice, q) for q, v in h.items),
+             np.zeros((N, N), dtype=complex))
+    step = kron(qp, oscillator_annihilation(model.osc).conj().T)
+    term = np.zeros(model.dim, dtype=complex)
+    term[k0 * levels] = 1.0
+    acc = term.copy()
+    for n in range(1, levels):
+        term = (step @ term) / n
+        acc += term
+    return (kron(expm(-0.5 * qp.conj().T @ qp), np.eye(levels)) @ acc).reshape(model.shape)
 
 
 def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = RADIAL_NODES):

@@ -1,5 +1,7 @@
 """Extended-coherent-state constructions and their algebraic properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from conftest import (
     make_model,
     moment_loop_reference,
     random_coefficients,
+    series_dense_reference,
     shift_matrix,
     unity_dense_reference,
 )
@@ -79,6 +82,31 @@ def test_single_mode_populations_are_poisson():
     assert np.allclose(populations, poisson, atol=1e-12)
 
 
+small = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
+
+
+@PINNED
+@given(st.data())
+def test_multi_offset_series_matches_dense_reference(data):
+    """1-3 offsets drawn from [-N, N), so they wrap and merge: the series state
+    equals the Kronecker-built series to round-off, and every amplitude off
+    k0's momentum orbit (level n reaches k0 - n q_1 modulo the gcd of N and
+    the offset differences) is exactly zero."""
+    sites = data.draw(st.integers(min_value=2, max_value=8))
+    model = make_model(sites=sites, cutoff=data.draw(st.integers(min_value=8, max_value=16)))
+    pairs = data.draw(st.lists(st.tuples(st.integers(min_value=-sites, max_value=sites - 1),
+                                         st.builds(complex, small, small)),
+                               min_size=1, max_size=3))
+    h = CoefficientSet(model.lattice, tuple(pairs))
+    k0 = data.draw(st.integers(min_value=0, max_value=sites - 1))
+    got = ecs._series_state(model, h, k0)
+    assert np.abs(got - series_dense_reference(model, h, k0)).max() < 1e-14
+    q = np.array(h.offsets)
+    orbit = math.gcd(sites, *(int(d) for d in q - q[0]))
+    k, n = np.indices(model.shape)
+    assert np.all(got[(k - k0 + n * q[0]) % orbit != 0] == 0)
+
+
 def test_series_displacement_equivalence():
     model = make_model(sites=5, cutoff=20)
     h = single_mode(model, 1, 0.5)
@@ -120,12 +148,14 @@ def test_b_action():
 
 def test_b_action_truncation_decay():
     # residual shrinks monotonically as the cutoff grows (checked at a
-    # spacing where it stays above the floating-point floor); the tail
-    # tolerance is loosened on purpose to reach the strongly truncated regime
+    # spacing where it stays above the floating-point floor); the states are
+    # built without the tail guard on purpose to reach the strongly
+    # truncated regime
     residuals = []
     for cutoff in (2, 6, 10, 14):
         model = make_model(sites=5, cutoff=cutoff)
-        e = ecs_series(model, single_mode(model, 1, 0.4), 0, tol=1e-2)
+        h = single_mode(model, 1, 0.4)
+        e = ecs.EcsState(model, h, 0, ecs._series_state(model, h, 0))
         residuals.append(check_b_action(e))
     assert all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
     assert residuals[0] > 1e-4  # the sweep probes a genuinely truncated regime

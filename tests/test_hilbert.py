@@ -190,9 +190,11 @@ def test_lattice_window_and_wrapping():
 def test_coefficient_set_canonicalization():
     lat = Lattice(sites=5, length=5.0)
     h = CoefficientSet.from_dict(lat, {7: 1.0, 2: 0.5, -1: 2.0})
-    assert h.get(2) == 1.5  # 7 wraps onto 2 and merges
-    assert h.get(-1) == 2.0
-    assert h.get(0) == 0.0
-    assert np.isclose(h.scaled(2.0).get(-1), 4.0)
+    assert h.items == ((-1, 2.0), (2, 1.5))  # 7 wraps onto 2 and merges
+    assert np.array_equal(CoefficientSet.single_mode(lat, 7, 1.0).momenta,
+                          [2 * np.pi * 2 / 5.0])
+    assert dict(h.scaled(2.0).items) == {-1: 4.0, 2: 3.0}
+    empty = CoefficientSet(lat)
+    assert empty.offsets == () and empty.values.shape == empty.momenta.shape == (0,)
     single = CoefficientSet.single_mode(lat, 1, 0.3 + 0.4j)
     assert np.isclose(single.operator_amplitude(), 0.5)

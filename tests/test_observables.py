@@ -153,8 +153,8 @@ def test_alpha_periodicity():
     sol = solved(model, hermitian_pair(model.lattice, 1, 0.2))
     x = np.array([0.0, 1.0, 2.0, 3.7])
     a0 = alpha_phi(sol, PositionGrid(points=x, length=model.lattice.length)).alpha_final
-    qvals = np.array([model.lattice.offset_momentum(q) for q in sol.offsets])
-    a1 = np.exp(-1j * np.outer(x + model.lattice.length, qvals)) @ sol.h(sol.grid.times[-1])
+    a1 = (np.exp(-1j * np.outer(x + model.lattice.length, sol.couplings.momenta))
+          @ sol.h(sol.grid.times[-1]))
     assert np.allclose(a0, a1, atol=1e-12)
 
 
