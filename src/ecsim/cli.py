@@ -147,7 +147,7 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
 
     shifts = circulant(lat, range(lat.sites), np.eye(lat.sites))
     add("density_commutation",
-        max(float(np.linalg.norm(a @ shifts - shifts @ a, 2, axis=(-2, -1)).max())
+        max(float(np.linalg.norm(a @ shifts - shifts @ a, axis=(-2, -1)).max())
             for a in shifts))
 
     e_ser = ecs_series(model, cfg.couplings, cfg.k0)

@@ -1,10 +1,14 @@
 """Brute-force dense reference propagation, the ground truth of `evolve`.
 
 This module deliberately shares no machinery with the propagation code
-beyond the basis types: the Hamiltonian is assembled entry by entry, the
-free propagator is a diagonal phase on the flattened product basis, and the
-interaction-picture steps come from one dense eigendecomposition of the
-Schroedinger-picture coupling, e^{i H_free t} exp(-i dt H_S) e^{-i H_free t}.
+beyond the basis types: it builds its own Fourier matrix, branch values and
+ladder matrix.  The free propagator is a diagonal phase on the flattened
+product basis, and the interaction-picture steps are
+e^{i H_free t} exp(-i dt H_S) e^{-i H_free t}.  The particle factor of H_S is
+a circulant, so the Fourier matrix F splits H_S into one oscillator block
+H_j = gamma_j b^dag + gamma_j^* b per branch j, and exp(-i dt H_S) =
+(F x I) blockdiag_j exp(-i dt H_j) (F^dag x I), every block from one batched
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ def free_hamiltonian_dense(model: Model) -> np.ndarray:
 
 def schrodinger_hamiltonian_dense(model: Model, couplings: CoefficientSet) -> np.ndarray:
     """b^dag sum_q g_q rho_q + h.c. assembled entry by entry from the action
-    of a_k^dag a_{k+q} and the ladder matrix elements."""
+    of a_k^dag a_{k+q} and the ladder matrix elements.  Not on the propagation
+    path: it is the independent reference that the tests and the benchmark's
+    step-free check build H_S from."""
     N, levels = model.shape
     dim = model.dim
     h = np.zeros((dim, dim), dtype=complex)
@@ -42,27 +48,44 @@ def schrodinger_hamiltonian_dense(model: Model, couplings: CoefficientSet) -> np
     return h + h.conj().T
 
 
+def _step_unitary(model: Model, couplings: CoefficientSet, dt: float) -> np.ndarray:
+    """exp(-i dt H_S) on the flattened product basis, with
+    gamma_j = sum_q g_q e^{2 pi i j q/N} (rho_q's eigenvalue on the Fourier
+    vector e^{2 pi i j k/N}/sqrt(N)).  The result is block-circulant: its
+    particle block (k, l) is (1/N) sum_j e^{2 pi i j (k-l)/N} exp(-i dt H_j)."""
+    N, levels = model.shape
+    j = np.arange(N)
+    fourier = np.exp(2j * np.pi * (np.outer(j, j) % N) / N)   # [j, k] = e^{2 pi i jk/N}
+    gamma = fourier[:, np.mod(couplings.offsets, N)] @ couplings.values
+    raise_op = np.diag(np.sqrt(np.arange(1.0, levels)), -1)   # b^dag: (n+1) <- n
+    blocks = gamma[:, None, None] * raise_op
+    w, v = np.linalg.eigh(blocks + blocks.conj().transpose(0, 2, 1))
+    guard = dt * np.abs(w).max()
+    if guard >= STABILITY_LIMIT:
+        raise ValueError(
+            f"dt*||H_S|| = {guard:.3g} exceeds stability guard {STABILITY_LIMIT}")
+    branch_steps = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    circ = (fourier @ branch_steps.reshape(N, -1) / N).reshape(N, levels, levels)
+    step = circ[(j[:, None] - j[None, :]) % N]   # [k, l, n, m]
+    return step.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
+
+
 def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
                     initial: np.ndarray, collect_every: int | None = None):
     """Propagate under the full interaction-picture Hamiltonian
     H_I(t) = e^{i H_free t} H_S e^{-i H_free t} with the midpoint rule.
 
     H_S is time-independent, so every step exp(-i dt H_I(t_m)) is exactly
-    e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}: one eigendecomposition
-    per call, then one matvec between two diagonal phases per step.  At zero
-    coupling the initial state is returned unchanged.
+    e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}: the step unitary is
+    built once per call from the (sites, levels, levels) branch blocks of
+    H_S, then each step is one dense matvec between two diagonal phases.
+    At zero coupling the initial state is returned unchanged.
 
     Returns the final state; with `collect_every` also a pair
     (step indices, states) sampled every that many steps (the initial and
     final states always included).
     """
-    static = schrodinger_hamiltonian_dense(model, couplings)
-    step = None
-    if np.any(static):
-        w, v = np.linalg.eigh(static)
-        if grid.dt * np.abs(w).max() >= STABILITY_LIMIT:
-            raise ValueError("grid too coarse for the stability guard")
-        step = (v * np.exp(-1j * grid.dt * w)) @ v.conj().T
+    step = _step_unitary(model, couplings, grid.dt) if np.any(couplings.values) else None
     energies = _free_energies(model)
     psi = np.asarray(initial, dtype=complex).reshape(-1).copy()
     collected = [(0, psi.reshape(model.shape))] if collect_every else None

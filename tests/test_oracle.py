@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from conftest import (
     PINNED,
     conjugate_free,
+    free_energies,
     hermitian_pair,
     interaction_hamiltonian,
     kron,
@@ -16,7 +18,7 @@ from conftest import (
     shift_matrix,
 )
 from ecsim import oracle
-from ecsim.dynamics import TimeGrid
+from ecsim.dynamics import STABILITY_LIMIT, TimeGrid
 from ecsim.hilbert import CoefficientSet, make_basis_state, oscillator_annihilation
 
 
@@ -124,6 +126,8 @@ def test_propagate_exact_matches_per_step_dense_reference(case, stride):
 
 
 def test_one_eigendecomposition_per_run(monkeypatch):
+    # one batched eigh of the (sites, levels, levels) branch blocks of H_S, and
+    # never an eigensolver of the product-space dimension
     model = make_model(sites=5, cutoff=6)
     c = hermitian_pair(model.lattice, 2, 0.15)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
@@ -132,9 +136,16 @@ def test_one_eigendecomposition_per_run(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     oracle.propagate_exact(model, c, grid, psi0, collect_every=7)
-    assert calls == [(model.dim, model.dim)]
+    assert calls == [(5, 7, 7)]
     oracle.propagate_exact(model, CoefficientSet(model.lattice), grid, psi0)
     assert len(calls) == 1
+
+    big = make_model(sites=16, cutoff=24)
+    assert big.dim == 400
+    oracle.propagate_exact(big, hermitian_pair(big.lattice, 1, 0.15),
+                           TimeGrid(t0=-0.1, t_end=0.0, steps=2), make_basis_state(big, 0, 0))
+    assert calls[1:] == [(16, 25, 25)]
+    assert all(big.dim not in shape for shape in calls)
 
 
 def test_richardson_convergence_order():
@@ -176,3 +187,52 @@ def test_stability_guard():
     grid = TimeGrid(t0=-10.0, t_end=0.0, steps=5)
     with pytest.raises(ValueError):
         oracle.propagate_exact(model, c, grid, make_basis_state(model, 1, 0))
+
+
+@st.composite
+def wide_oracle_cases(draw):
+    """Odd and even lattices up to 16 sites, cutoff 1-8, random couplings
+    (unpaired, q = 0 and offsets outside the window allowed), a random state
+    and a 1-5 step grid with dt * ||H_S|| below the stability guard."""
+    sites = draw(st.integers(min_value=2, max_value=16))
+    cutoff = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["tight_binding", "quadratic"]))
+    omega = draw(st.floats(min_value=0.5, max_value=3.0))
+    model = make_model(sites=sites, cutoff=cutoff, omega=omega, kind=kind)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = int(rng.integers(1, 5))
+    offsets = rng.integers(-sites, sites + 1, size=count)
+    vals = 0.3 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    couplings = CoefficientSet(model.lattice, tuple(zip(offsets.tolist(), vals)))
+    psi0 = rng.standard_normal(model.shape) + 1j * rng.standard_normal(model.shape)
+    steps = draw(st.integers(min_value=1, max_value=5))
+    load = draw(st.floats(min_value=0.05, max_value=0.95))
+    t_end = draw(st.floats(min_value=-2.0, max_value=2.0))
+    return model, couplings, psi0 / np.linalg.norm(psi0), steps, load, t_end
+
+
+@PINNED
+@given(wide_oracle_cases())
+def test_block_oracle_matches_expm_reference_up_to_16_sites(case):
+    model, couplings, psi0, steps, load, t_end = case
+    static = oracle.schrodinger_hamiltonian_dense(model, couplings)
+    hnorm = np.linalg.norm(static, 2)
+    dt = load * STABILITY_LIMIT / hnorm
+    grid = TimeGrid(t0=t_end - steps * dt, t_end=t_end, steps=steps)
+    # the per-step reference e^{i H_f t_m} expm(-i dt H_S) e^{-i H_f t_m}
+    step = expm(-1j * grid.dt * static)
+    energies = free_energies(model)
+    ref = psi0.reshape(-1)
+    for i in range(steps):
+        phase = np.exp(1j * grid.midpoint(i) * energies)
+        ref = phase * (step @ (phase.conj() * ref))
+    final = oracle.propagate_exact(model, couplings, grid, psi0)
+    assert np.abs(final.reshape(-1) - ref).max() < 1e-12
+
+    # the guard reads dt * ||H_S||: just inside runs, just outside raises
+    oracle.propagate_exact(model, couplings, TimeGrid(0.0, 0.999 * STABILITY_LIMIT / hnorm, 1),
+                           psi0)
+    with pytest.raises(ValueError,
+                       match=r"dt\*\|\|H_S\|\| = \S+ exceeds stability guard 0\.5$"):
+        oracle.propagate_exact(model, couplings,
+                               TimeGrid(0.0, 1.001 * STABILITY_LIMIT / hnorm, 1), psi0)
