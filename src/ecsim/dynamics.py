@@ -113,6 +113,14 @@ class TimeGrid:
     def midpoint(self, i):
         return self.t0 + self.dt * (i + 0.5)
 
+    def samples(self, every: int | None = None) -> np.ndarray:
+        """The steps a propagator stores when sampling every `every` steps:
+        0, every, 2 every, ... and always the last step (by default only the
+        first and the last).  ValueError unless `every` is None or positive."""
+        if every is not None and every < 1:
+            raise ValueError(f"collect_every must be positive, got {every}")
+        return np.append(np.arange(0, self.steps, every or self.steps), self.steps)
+
 
 def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> None:
     """Reject grids with dt ||H|| beyond the stability guard.  On branch j,
@@ -283,19 +291,17 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     unit state |0,k0) and the step is unitary.  The midpoint branches are
     computed before the loop, once per run.
 
-    States are stored every `collect_every` steps (by default only the
-    initial and the final one), step 0 and the last step always included,
-    and only the stored states are transformed back to the momentum basis.
+    States are stored at the steps ``TimeGrid.samples(collect_every)`` (by
+    default only the initial and the final one), the rule the oracle's
+    ``propagate_exact`` shares, and only the stored states are transformed
+    back to the momentum basis.
     """
     sols = (sol, *more)
     model, grid, k0, offsets = sol.model, sol.grid, sol.k0, sol.offsets
     for other in more:
         if (other.model, other.grid, other.k0, other.offsets) != (model, grid, k0, offsets):
             raise ValueError("stacked solutions must share model, grid, k0 and coupling offsets")
-    if collect_every is not None and collect_every < 1:
-        raise ValueError(f"collect_every must be positive, got {collect_every}")
-    stored = np.append(np.arange(0, grid.steps, collect_every or grid.steps), grid.steps)
-
+    stored = grid.samples(collect_every)
     states = np.empty((len(sols), stored.size) + model.shape, dtype=complex)
     states[:] = make_basis_state(model, k0, 0)
     live = [m for m, s in enumerate(sols) if not s.exact_split]

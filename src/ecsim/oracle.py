@@ -1,14 +1,17 @@
 """Brute-force dense reference propagation, the ground truth of `evolve`.
 
 This module deliberately shares no machinery with the propagation code
-beyond the basis types: it builds its own Fourier matrix, branch values and
+beyond the basis types and the time grid (whose ``samples`` rule picks the
+stored steps of both): it builds its own Fourier matrix, branch values and
 ladder matrix.  The free propagator is a diagonal phase on the flattened
-product basis, and the interaction-picture steps are
-e^{i H_free t} exp(-i dt H_S) e^{-i H_free t}.  The particle factor of H_S is
-a circulant, so the Fourier matrix F splits H_S into one oscillator block
-H_j = gamma_j b^dag + gamma_j^* b per branch j, and exp(-i dt H_S) =
-(F x I) blockdiag_j exp(-i dt H_j) (F^dag x I), every block from one batched
-eigendecomposition.
+product basis, and the interaction-picture midpoint steps
+e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m} are, on
+phi = e^{-i H_free t} psi, one constant Strang step
+S = e^{-i H_free dt/2} exp(-i dt H_S) e^{-i H_free dt/2}: one matvec per
+step.  The particle factor of H_S is a circulant, so the Fourier matrix F
+splits H_S into one oscillator block H_j = gamma_j b^dag + gamma_j^* b per
+branch j, and exp(-i dt H_S) = (F x I) blockdiag_j exp(-i dt H_j) (F^dag x I),
+every block from one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -75,30 +78,38 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
     """Propagate under the full interaction-picture Hamiltonian
     H_I(t) = e^{i H_free t} H_S e^{-i H_free t} with the midpoint rule.
 
-    H_S is time-independent, so every step exp(-i dt H_I(t_m)) is exactly
-    e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}: the step unitary is
-    built once per call from the (sites, levels, levels) branch blocks of
-    H_S, then each step is one dense matvec between two diagonal phases.
-    At zero coupling the initial state is returned unchanged.
+    H_S is time-independent, so every midpoint step exp(-i dt H_I(t_m)) is
+    exactly e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}, and on
+    phi = e^{-i H_free t} psi the rule is one constant Strang step
+    S = e^{-i H_free dt/2} exp(-i dt H_S) e^{-i H_free dt/2}.  S is built
+    once per call from the (sites, levels, levels) branch blocks of H_S and
+    scaled in place; each step is one dense matvec S phi, and the free phase
+    e^{i H_free t} is applied only at the stored steps.  At zero coupling
+    every stored state is the initial state, unchanged.
 
     Returns the final state; with `collect_every` also a pair
-    (step indices, states) sampled every that many steps (the initial and
-    final states always included).
+    (step indices, states) stored at the steps
+    ``TimeGrid.samples(collect_every)``, the rule ``propagate_residual``
+    shares.
     """
-    step = _step_unitary(model, couplings, grid.dt) if np.any(couplings.values) else None
-    energies = _free_energies(model)
-    psi = np.asarray(initial, dtype=complex).reshape(-1).copy()
-    collected = [(0, psi.reshape(model.shape))] if collect_every else None
-    for i in range(grid.steps):
-        if step is not None:
-            phase = np.exp(1j * grid.midpoint(i) * energies)
-            psi = phase * (step @ (phase.conj() * psi))
-        if collect_every and ((i + 1) % collect_every == 0 or i + 1 == grid.steps):
-            collected.append((i + 1, psi.reshape(model.shape)))
-    final = psi.reshape(model.shape)
-    if collect_every:
-        idx = np.array([i for i, _ in collected])
-        states = np.array([s for _, s in collected])
-        return final, (idx, states)
-    return final
-
+    stored = grid.samples(collect_every)
+    psi = np.asarray(initial, dtype=complex).reshape(model.shape)
+    if not np.any(couplings.values):
+        states = np.repeat(psi[None], stored.size, axis=0)
+    else:
+        energies = _free_energies(model)
+        step = _step_unitary(model, couplings, grid.dt)
+        half = np.exp(-0.5j * grid.dt * energies)
+        step *= half[:, None]
+        step *= half
+        states = np.empty((stored.size,) + model.shape, dtype=complex)
+        states[0] = psi
+        times = grid.times[stored]
+        phi = np.exp(-1j * grid.t0 * energies) * psi.reshape(-1)
+        slot = 1
+        for i in range(1, grid.steps + 1):
+            phi = step @ phi
+            if i == stored[slot]:
+                states[slot] = (np.exp(1j * times[slot] * energies) * phi).reshape(model.shape)
+                slot += 1
+    return states[-1] if collect_every is None else (states[-1], (stored, states))

@@ -516,6 +516,27 @@ def test_collect_every_samples_the_full_trajectory():
         propagate_residual(sol, collect_every=0)
 
 
+def test_both_propagators_store_the_steps_of_one_rule():
+    """`evolve` compares the oracle and the stepper sample by sample, so both
+    store the steps of `TimeGrid.samples` and reject the same strides."""
+    model = make_model(sites=5, cutoff=6, omega=2.5)
+    c = pair(model, 1, 0.15)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=41)
+    sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 1)
+    psi0 = make_basis_state(model, 1, 0)
+    for every in (1, 7, 10, 41, 100):
+        _, (idx, states) = oracle.propagate_exact(model, c, grid, psi0, collect_every=every)
+        res, = propagate_residual(sol, collect_every=every)
+        assert np.array_equal(idx, grid.samples(every))
+        assert np.array_equal(res.steps, grid.samples(every))
+        assert len(states) == len(res.states) == len(idx)
+    for every in (0, -1):
+        with pytest.raises(ValueError, match="collect_every must be positive"):
+            oracle.propagate_exact(model, c, grid, psi0, collect_every=every)
+        with pytest.raises(ValueError, match="collect_every must be positive"):
+            propagate_residual(sol, collect_every=every)
+
+
 def test_residual_resums_full_dynamics():
     model = make_model(sites=5, cutoff=10, omega=2.5)
     c = pair(model, 1, 0.2)

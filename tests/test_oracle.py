@@ -148,6 +148,22 @@ def test_one_eigendecomposition_per_run(monkeypatch):
     assert all(big.dim not in shape for shape in calls)
 
 
+def test_each_step_is_one_matvec(monkeypatch):
+    # the Strang step is built once per run; the free phase is applied only
+    # at the stored steps, so the complex exponentials do not grow with steps
+    model = make_model(sites=5, cutoff=6)
+    c = hermitian_pair(model.lattice, 1, 0.15)
+    psi0 = make_basis_state(model, 1, 0)
+    exp, exps = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda *args, **kw: exps.append(1) or exp(*args, **kw))
+    counts = []
+    for steps in (10, 40):
+        exps.clear()
+        oracle.propagate_exact(model, c, TimeGrid(t0=-1.0, t_end=0.0, steps=steps), psi0)
+        counts.append(len(exps))
+    assert counts[0] == counts[1] > 0
+
+
 def test_richardson_convergence_order():
     model = make_model(sites=5, cutoff=8, omega=2.0)
     c = hermitian_pair(model.lattice, 1, 0.25)
