@@ -39,7 +39,7 @@ from .ecs import (
     sum_rule,
     unity_resolution_check,
 )
-from .hilbert import CoefficientSet, TruncationError, circulant, fidelity, make_basis_state
+from .hilbert import CoefficientSet, circulant, fidelity, make_basis_state
 from .observables import (
     alpha_phi,
     gamma_closed_form,
@@ -314,9 +314,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     sols = [zero_order_solution(cfg.model, cfg.couplings.scaled(f), cfg.strategy(), cfg.grid,
                                 cfg.k0) for f in factors]
     if all(sol.exact_split for sol in sols):
-        raise ConfigError("sweep needs a residual: H1 vanishes at every step (flat dispersion "
-                          "or couplings only at q = 0), so the split is exact and every gap "
-                          "is round-off")
+        raise ConfigError("sweep needs a residual: the dispersion is invariant under every "
+                          "coupled momentum shift (e.g. flat, zero hopping, or couplings only "
+                          "at q = 0), so the split is exact and every gap is round-off")
     results = propagate_residual(*sols)
     _prepare_out(cfg, out_dir)
     pos = cfg.positions()
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gamma":
             return cmd_gamma(cfg, args.out)
         return cmd_sweep(cfg, args.out, args.factors.split(","))
-    except (ConfigError, TruncationError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
 H1 has the form of H0 with the particle factor
 P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t}, delta the
 circulant of the modulator's detuning.  Whether H1 vanishes identically (an
-exact split) is a property of G, eps and delta, decided before any step
+exact split) is a property of G and eps alone, decided before any step
 (``ZeroOrderSolution.exact_split``).  Otherwise the residual is integrated
 in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
 U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
@@ -211,22 +211,16 @@ class ZeroOrderSolution:
         weights = branches(self.model.lattice, self.offsets, np.eye(len(self.offsets))).T
         return self.accumulated(weights, times)
 
-    def detuning_matrix(self) -> np.ndarray:
-        """delta_{c-r}, the real circulant of the strategy's ``detuning``:
-        H0's particle factor is A(t) = G o e^{i delta t}, so H1's is
-        P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta t}."""
-        delta = self.strategy.detuning(self.model, self.k0, self.offsets)
-        return circulant(self.model.lattice, self.offsets, delta).real
-
     @property
     def exact_split(self) -> bool:
-        """True when H1 vanishes identically, read off P without building it:
-        wherever g_{c-r} != 0, eps_r - eps_c == delta_{c-r} bit for bit (flat
-        dispersion, couplings only at q = 0, or no coupling at all)."""
+        """True when H1 vanishes identically: eps_{r+q} == eps_r bit for bit
+        for every r and every q with g_q != 0, whatever the modulator (flat
+        dispersion, zero hopping, couplings only at q = 0, or none).  P = 0
+        means fl(eps_r - eps_{r+q}) == delta_q for all r; rounding keeps signs,
+        and the eps_r cannot all fall (or rise) around the ring r -> r + q, so
+        delta_q = 0, and a float difference is zero only between equal floats."""
         eps = self.model.energies()
-        coupled = self.couplings.particle_matrix() != 0
-        return np.array_equal((eps[:, None] - eps[None, :])[coupled],
-                              self.detuning_matrix()[coupled])
+        return all(np.array_equal(eps, np.roll(eps, -q)) for q, g in self.couplings.items if g)
 
     def u0(self, step, states: np.ndarray) -> np.ndarray:
         """U0 at a grid step, applied to states of shape (..., N, levels).
@@ -280,8 +274,8 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     U0m^dag reuses U0m's ``branch_phases``.  H1 phi = e P~ phi b + e^* P~^dag
     phi b^T, with e = e^{i w t_m}, P~ = F P F^dag and
     P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t} the particle
-    factor of H1 in the momentum basis (delta from
-    ``ZeroOrderSolution.detuning_matrix``), so a Taylor term of exp(-i dt H1)
+    factor of H1 in the momentum basis (delta the circulant of the strategy's
+    ``detuning``), so a Taylor term of exp(-i dt H1)
     is two matmuls for the whole stack: Z = term [b | b^T], one 2-D matmul
     over every member's rows, viewed as (2N, levels) rows per member, then
     [P~ | P~^dag] Z with the columns interleaved to match.  The series is
@@ -321,7 +315,8 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     osc = np.exp(1j * model.osc.omega * t_mid)
     eps = model.energies()
     i_diff = 1j * (eps[:, None] - eps[None, :])
-    i_delta = 1j * np.stack([s.detuning_matrix() for s in sols])
+    i_delta = 1j * np.stack([circulant(model.lattice, s.offsets, s.strategy.detuning(
+        model, s.k0, s.offsets)).real for s in sols])
     g_mat = np.stack([s.couplings.particle_matrix() for s in sols])
     x, w = ladder_quadrature(model.osc)
     b = oscillator_annihilation(model.osc)

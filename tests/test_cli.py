@@ -380,23 +380,26 @@ def test_sweep_rejects_zero_couplings(tmp_path, capsys):
 
 @pytest.mark.parametrize("old,new", [
     ("dispersion = tight_binding", "dispersion = flat"),
+    ("hopping = 1.0", "hopping = 0.0"),
     ("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0", "\n0 = 0.15, 0.0"),
-], ids=["flat-dispersion", "couplings-only-at-q0"])
+], ids=["flat-dispersion", "zero-hopping", "couplings-only-at-q0"])
 def test_sweep_rejects_an_exact_split(tmp_path, capsys, monkeypatch, old, new):
     """Where H1 vanishes at every step every gap is round-off and has no order:
     a configuration error before any output or propagation, not a failed
-    order check."""
+    order check, under either strategy."""
     def no_propagation(*args, **kwargs):
         raise AssertionError("an exact split must be rejected before any propagation")
 
     monkeypatch.setattr(ecsim.cli, "propagate_residual", no_propagation)
     assert SMALL_CONFIG.count(old) == 1
-    p = tmp_path / "exact.ini"
-    p.write_text(SMALL_CONFIG.replace(old, new))
-    out = tmp_path / "sw"
-    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
-    assert "split is exact" in capsys.readouterr().err
-    assert not out.exists()
+    for kind in ("static_unit", "recoil_phase"):
+        p = tmp_path / f"exact-{kind}.ini"
+        p.write_text(SMALL_CONFIG.replace(old, new).replace("kind = recoil_phase",
+                                                            f"kind = {kind}"))
+        out = tmp_path / f"sw-{kind}"
+        assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+        assert "split is exact" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["properties"], ["evolve", "--compare-strategies"],

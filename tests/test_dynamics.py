@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -92,34 +92,48 @@ def test_split_exact_for_flat_dispersion():
     assert not np.any(h1)
 
 
+def _subnormal_coupling(sites, items):
+    model = make_model(sites=sites, cutoff=1)
+    return model, CoefficientSet(model.lattice, items)
+
+
 @PINNED
-@given(coupled_models(), st.sampled_from(["static_unit", "recoil_phase"]),
-       st.sampled_from(["drawn", "flat", "only_q0", "scaled_by_0"]))
-def test_exact_split_is_h1_vanishing_at_every_midpoint(mc, kind, variant):
-    """`exact_split`, read off G, eps and delta without building H1, holds
-    exactly when the dense H1 is zero at every midpoint; an exact member is
-    not stepped and stays at |0,k0) exactly."""
+@given(coupled_models(), st.sampled_from(["drawn", "flat", "zero_hopping", "only_q0",
+                                          "zero_at_q1", "scaled_by_0"]))
+@example(_subnormal_coupling(2, ((0, 2.225073858507e-311),)), "drawn")
+@example(_subnormal_coupling(3, ((1, 1e-310), (-1, 1e-310))), "drawn")
+def test_exact_split_is_h1_vanishing_at_every_midpoint(mc, variant):
+    """`exact_split`, read off eps and the coupled offsets alone, holds under
+    either strategy exactly when the dense H1 is zero at every midpoint, and
+    both strategies agree; an exact member is not stepped and stays at
+    |0,k0) exactly."""
     model, couplings = mc
     lat = model.lattice
-    if couplings.operator_amplitude() > 0:
+    if couplings.operator_amplitude() > 1e-6:   # 0.2 / a subnormal amplitude overflows
         couplings = couplings.scaled(0.2 / couplings.operator_amplitude())
     if variant == "flat":
         model = Model(lat, Dispersion(kind="flat", value=0.7), model.osc)
+    elif variant == "zero_hopping":   # energies mix -0.0 and 0.0
+        model = Model(lat, Dispersion(kind="tight_binding", hopping=0.0), model.osc)
     elif variant == "only_q0":
         couplings = CoefficientSet(lat, ((0, 0.2),))
+    elif variant == "zero_at_q1":   # an explicit zero at a shift that breaks invariance
+        couplings = CoefficientSet(lat, ((0, 0.2), (1, 0.0)))
     elif variant == "scaled_by_0":
         couplings = couplings.scaled(0.0)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=8)
     k0 = lat.sites // 2
-    sol = zero_order_solution(model, couplings, ModulatorStrategy(kind), grid, k0)
-    h1_zero = not any(split_hamiltonian(model, couplings, sol.strategy, grid.midpoint(i), k0)[1]
-                      .any() for i in range(grid.steps))
-    assert sol.exact_split == h1_zero
-    if variant != "drawn" or model.dispersion.kind == "flat":
-        assert sol.exact_split
-    res, = propagate_residual(sol)
+    sols = [zero_order_solution(model, couplings, ModulatorStrategy(kind), grid, k0)
+            for kind in ("static_unit", "recoil_phase")]
     psi0 = make_basis_state(model, k0, 0)
-    assert all(np.array_equal(state, psi0) for state in res.states) == sol.exact_split
+    for sol, res in zip(sols, propagate_residual(*sols)):
+        h1_zero = not any(split_hamiltonian(model, couplings, sol.strategy, grid.midpoint(i),
+                                            k0)[1].any() for i in range(grid.steps))
+        assert sol.exact_split == h1_zero
+        assert all(np.array_equal(state, psi0) for state in res.states) == sol.exact_split
+    assert sols[0].exact_split == sols[1].exact_split
+    if variant != "drawn" or model.dispersion.kind == "flat":
+        assert sols[0].exact_split
 
 
 def test_split_reconstructs_full_hamiltonian():
