@@ -239,13 +239,14 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -
     kinds = ("static_unit", "recoil_phase") if compare_strategies else (cfg.strategy_kind,)
     sols = [zero_order_solution(cfg.model, cfg.couplings, ModulatorStrategy(kind=kind),
                                 cfg.grid, cfg.k0) for kind in kinds]
-    _prepare_out(cfg, out_dir)
     psi0 = make_basis_state(cfg.model, cfg.k0, 0)
     stride = max(1, cfg.grid.steps // 200)
     _, (_, oracle_states) = oracle.propagate_exact(
         cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
+    results = propagate_residual(*sols, collect_every=stride)
+    _prepare_out(cfg, out_dir)
     ok = True
-    for kind, res in zip(kinds, propagate_residual(*sols, collect_every=stride)):
+    for kind, res in zip(kinds, results):
         min_fid, path = _evolve_one(cfg, res, out_dir, oracle_states)
         err = 1.0 - min_fid
         passed = err < TOLERANCES["evolve_fidelity"]
@@ -265,7 +266,6 @@ def _write_gamma(path: str, gamma, meta: list[str]) -> None:
 def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
     require_t_end_zero(cfg.grid)
     sol = zero_order_solution(cfg.model, cfg.couplings, cfg.strategy(), cfg.grid, cfg.k0)
-    _prepare_out(cfg, out_dir)
     res, = propagate_residual(sol)
     pos = cfg.positions()
 
@@ -273,6 +273,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
     gf = gamma_first_approx(sol, pos)
     field = alpha_phi(sol, pos)
     gc = gamma_closed_form(field, cfg.k0, pos)
+    _prepare_out(cfg, out_dir)
     for g, name in ((ge, "exact"), (gf, "first_approx"), (gc, "closed_form")):
         _write_gamma(os.path.join(out_dir, f"gamma_{name}.dat"), g,
                      [f"ecsim gamma, method={name}", "density matrix at t = 0"])
@@ -318,7 +319,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
                           "coupled momentum shift (e.g. flat, zero hopping, or couplings only "
                           "at q = 0), so the split is exact and every gap is round-off")
     results = propagate_residual(*sols)
-    _prepare_out(cfg, out_dir)
     pos = cfg.positions()
     gaps = [gamma_exact(res.final, res.sol, pos).max_deviation(
                 gamma_closed_form(alpha_phi(res.sol, pos), cfg.k0, pos)) for res in results]
@@ -328,6 +328,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     min_order = min(orders)
     tol = TOLERANCES["sweep_order"]
     passed = min_order >= tol
+    _prepare_out(cfg, out_dir)
     _write_table(os.path.join(out_dir, "sweep.dat"),
                  ["ecsim coupling sweep",
                   "gap = max |Gamma_exact - Gamma_closed| at the scaled coupling"],

@@ -123,13 +123,14 @@ class TimeGrid:
 
 
 def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> None:
-    """Reject grids with dt ||H|| beyond the stability guard.  On branch j,
-    H = g_j b^dag + g_j^* b is unitarily equal to |g_j| (b + b^dag)."""
+    """Reject grids at or beyond the stability guard, dt ||H_S|| >= STABILITY_LIMIT;
+    both propagators (``zero_order_solution``, ``oracle.propagate_exact``) call
+    it.  On branch j, H_S = g_j b^dag + g_j^* b is unitarily |g_j| (b + b^dag)."""
     b = oscillator_annihilation(model.osc)
     hnorm = couplings.operator_amplitude() * np.linalg.norm(b + b.conj().T, 2)
     if grid.dt * hnorm >= STABILITY_LIMIT:
         raise ValueError(
-            f"dt*||H|| = {grid.dt * hnorm:.3g} exceeds stability guard {STABILITY_LIMIT}")
+            f"dt*||H_S|| = {grid.dt * hnorm:.3g} exceeds stability guard {STABILITY_LIMIT}")
 
 
 def _phi(x):

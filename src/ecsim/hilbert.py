@@ -163,9 +163,9 @@ class OscillatorSpec:
         """The truncation rule: a displacement of amplitude |lam| fits under
         the cutoff when |lam|^2 <= cutoff/4, else TruncationError."""
         limit = self.cutoff / 4.0
-        if amplitude ** 2 > limit:
+        if amplitude * amplitude > limit:   # a float ** 2 raises OverflowError past ~1e154
             raise TruncationError(
-                f"displacement amplitude^2 = {amplitude ** 2:.3g} exceeds cutoff/4 = "
+                f"displacement amplitude^2 = {amplitude * amplitude:.3g} exceeds cutoff/4 = "
                 f"{limit:.3g}; raise the Fock cutoff or weaken the couplings")
 
 

@@ -1,8 +1,9 @@
 """Brute-force dense reference propagation, the ground truth of `evolve`.
 
 This module deliberately shares no machinery with the propagation code
-beyond the basis types and the time grid (whose ``samples`` rule picks the
-stored steps of both): it builds its own Fourier matrix, branch values and
+beyond the basis types, the time grid (whose ``samples`` rule picks the
+stored steps of both) and the stability guard ``check_stability`` (so both
+admit the same grids): it builds its own Fourier matrix, branch values and
 ladder matrix.  The free propagator is a diagonal phase on the flattened
 product basis, and the interaction-picture midpoint steps
 e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m} are, on
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hilbert import CoefficientSet, Model
-from .dynamics import TimeGrid, STABILITY_LIMIT
+from .dynamics import TimeGrid, check_stability
 
 
 def _free_energies(model: Model) -> np.ndarray:
@@ -63,10 +64,6 @@ def _step_unitary(model: Model, couplings: CoefficientSet, dt: float) -> np.ndar
     raise_op = np.diag(np.sqrt(np.arange(1.0, levels)), -1)   # b^dag: (n+1) <- n
     blocks = gamma[:, None, None] * raise_op
     w, v = np.linalg.eigh(blocks + blocks.conj().transpose(0, 2, 1))
-    guard = dt * np.abs(w).max()
-    if guard >= STABILITY_LIMIT:
-        raise ValueError(
-            f"dt*||H_S|| = {guard:.3g} exceeds stability guard {STABILITY_LIMIT}")
     branch_steps = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     circ = (fourier @ branch_steps.reshape(N, -1) / N).reshape(N, levels, levels)
     step = circ[(j[:, None] - j[None, :]) % N]   # [k, l, n, m]
@@ -76,7 +73,8 @@ def _step_unitary(model: Model, couplings: CoefficientSet, dt: float) -> np.ndar
 def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
                     initial: np.ndarray, collect_every: int | None = None):
     """Propagate under the full interaction-picture Hamiltonian
-    H_I(t) = e^{i H_free t} H_S e^{-i H_free t} with the midpoint rule.
+    H_I(t) = e^{i H_free t} H_S e^{-i H_free t} with the midpoint rule, on a
+    grid that passes ``check_stability`` (the guard of ``zero_order_solution``).
 
     H_S is time-independent, so every midpoint step exp(-i dt H_I(t_m)) is
     exactly e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}, and on
@@ -87,11 +85,11 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
     e^{i H_free t} is applied only at the stored steps.  At zero coupling
     every stored state is the initial state, unchanged.
 
-    Returns the final state; with `collect_every` also a pair
-    (step indices, states) stored at the steps
-    ``TimeGrid.samples(collect_every)``, the rule ``propagate_residual``
-    shares.
+    Returns the final state; with `collect_every` also a pair (step indices,
+    states) stored at ``TimeGrid.samples(collect_every)``, the rule
+    ``propagate_residual`` shares.
     """
+    check_stability(model, couplings, grid)
     stored = grid.samples(collect_every)
     psi = np.asarray(initial, dtype=complex).reshape(model.shape)
     if not np.any(couplings.values):

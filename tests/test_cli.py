@@ -355,6 +355,49 @@ def test_rejected_grid_leaves_no_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_commands_share_one_stability_guard(tmp_path):
+    """On this grid dt * ||H_S|| lies within an ulp of the stability guard:
+    evolve (which also runs the oracle), gamma and sweep admit or reject it
+    alike, and a rejected run writes nothing."""
+    p = tmp_path / "boundary.ini"
+    p.write_text(SMALL_CONFIG.replace(" = 0.12, 0.0", " = 0.13, 0.0")
+                 .replace("t0 = -1.5", "t0 = -8.28888564500302")
+                 .replace("steps = 250", "steps = 25"))
+    rejected = set()
+    for command in ("evolve", "gamma", "sweep"):
+        out = tmp_path / command
+        code = main([command, "--config", str(p), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert out.exists() == (code != 2)
+        rejected.add(code == 2)
+    assert len(rejected) == 1
+
+
+def test_evolve_writes_nothing_when_the_oracle_rejects_the_run(tmp_path, monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("rejected by the oracle")
+
+    monkeypatch.setattr(ecsim.cli.oracle, "propagate_exact", reject)
+    p = tmp_path / "run.ini"
+    p.write_text(SMALL_CONFIG.replace("steps = 250", "steps = 20"))
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["properties", "evolve", "gamma", "sweep"])
+@pytest.mark.parametrize("coupling", ["1e154", "1e300"])
+def test_huge_finite_couplings_are_a_configuration_error(tmp_path, capsys, command, coupling):
+    """amplitude^2 overflows a float: the truncation rule still rejects the
+    couplings with exit 2, no traceback and no output."""
+    p = tmp_path / "huge.ini"
+    p.write_text(SMALL_CONFIG.replace(" = 0.12, 0.0", f" = {coupling}, 0.0"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert "cutoff/4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_command(tmp_path):
     text = SMALL_CONFIG.replace("steps = 250", "steps = 200")
     p = tmp_path / "sw.ini"

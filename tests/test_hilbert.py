@@ -8,6 +8,8 @@ from ecsim.hilbert import (
     CoefficientSet,
     Dispersion,
     Lattice,
+    OscillatorSpec,
+    TruncationError,
     fidelity,
     make_basis_state,
     oscillator_annihilation,
@@ -24,6 +26,17 @@ def test_fidelity_never_exceeds_one():
         c = complex(rng.standard_normal(), rng.standard_normal())
         fid = fidelity(a, c * a)
         assert 1.0 - 1e-14 < fid <= 1.0
+
+
+@pytest.mark.parametrize("amplitude", [1e154, 2e154, 1e300])
+def test_truncation_rule_rejects_every_finite_amplitude_too_large(amplitude):
+    """Up to amplitude^2 near the largest float (1e154) and past it, where
+    squaring overflows, the rule decides with a TruncationError and never
+    raises OverflowError."""
+    osc = OscillatorSpec(cutoff=12, omega=1.0)
+    osc.check_amplitude(3.0 ** 0.5)   # amplitude^2 = cutoff/4 fits
+    with pytest.raises(TruncationError, match="exceeds cutoff/4 = 3"):
+        osc.check_amplitude(amplitude)
 
 
 def test_stacked_fidelity_matches_per_sample_calls():

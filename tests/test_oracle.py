@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -18,7 +18,7 @@ from conftest import (
     shift_matrix,
 )
 from ecsim import oracle
-from ecsim.dynamics import STABILITY_LIMIT, TimeGrid
+from ecsim.dynamics import STABILITY_LIMIT, TimeGrid, check_stability
 from ecsim.hilbert import CoefficientSet, make_basis_state, oscillator_annihilation
 
 
@@ -203,6 +203,56 @@ def test_stability_guard():
     grid = TimeGrid(t0=-10.0, t_end=0.0, steps=5)
     with pytest.raises(ValueError):
         oracle.propagate_exact(model, c, grid, make_basis_state(model, 1, 0))
+
+
+@st.composite
+def guard_cases(draw):
+    """2-8 sites, cutoff 4-16, one or two Hermitian pairs (q, g) with
+    Re g > 0, so the coupling never vanishes, and a 1-25 step grid."""
+    sites = draw(st.integers(min_value=2, max_value=8))
+    cutoff = draw(st.integers(min_value=4, max_value=16))
+    pair = st.tuples(st.integers(min_value=0, max_value=sites - 1),
+                     st.builds(complex, st.floats(min_value=0.05, max_value=1.0),
+                               st.floats(min_value=-1.0, max_value=1.0)))
+    pairs = draw(st.lists(pair, min_size=1, max_size=2))
+    return sites, cutoff, tuple(pairs), draw(st.integers(min_value=1, max_value=25))
+
+
+@settings(PINNED, max_examples=15)
+@example((5, 12, ((1, 0.13),), 1))
+@given(guard_cases())
+def test_oracle_admits_exactly_the_grids_check_stability_admits(case):
+    """One stability guard for both propagators: over t0 within 40 ulps of
+    the boundary t0 = -steps * 0.5 / ||H_S||_2 (dense norm), the oracle
+    raises exactly where ``check_stability`` does.  The example's scan holds
+    t0 = -0.33155542580012076, where dt times the largest branch eigenvalue
+    reaches the guard while check_stability's product stays below it."""
+    sites, cutoff, pairs, steps = case
+    model = make_model(sites=sites, cutoff=cutoff)
+    couplings = CoefficientSet(model.lattice, tuple(
+        item for q, g in pairs for item in ((q, g), (-q, g.conjugate()))))
+    hnorm = np.linalg.norm(interaction_hamiltonian(model, couplings), 2)
+    psi0 = make_basis_state(model, 0, 0)
+
+    def rejects(run) -> bool:
+        try:
+            run()
+        except ValueError as exc:
+            assert "stability guard" in str(exc)
+            return True
+        return False
+
+    t0 = -steps * STABILITY_LIMIT / hnorm
+    for _ in range(40):
+        t0 = np.nextafter(t0, -np.inf)
+    verdicts = set()
+    for _ in range(81):
+        grid = TimeGrid(float(t0), 0.0, steps)
+        verdict = rejects(lambda: check_stability(model, couplings, grid))
+        assert rejects(lambda: oracle.propagate_exact(model, couplings, grid, psi0)) == verdict
+        verdicts.add(verdict)
+        t0 = np.nextafter(t0, np.inf)
+    assert verdicts == {False, True}   # the scan straddles the boundary
 
 
 @st.composite
