@@ -15,14 +15,14 @@ displacement is one oscillator displacement D(lam_j) per branch
 (``hilbert.displacement``, U0's too), and the resolution of unity is one
 (levels x levels) quadrature per branch.  The coherent amplitude at
 z lam_j = r lam_j e^{i theta} factors into a radial part times e^{i n theta},
-so the angular sum of the quadrature is one numerically summed
-(levels x levels) matrix and the radial sum one contraction over all
-branches and radii, with no loop over the nodes.  Both constructions are
-provided, together with numerical checks of the annihilation action
-b|h,k0> = Q|h,k0>, momentum-shift relations, the overlap formula for
-single-mode coefficient sets, the quadrature test of the resolution of
-unity, and the plane-wave contraction sum rule.  Only numpy is needed at
-run time.
+so the angular sum is one numerically summed (levels x levels) matrix and
+the radial sum one contraction over all branches and radii.  Both
+constructions are provided, the series batched over coefficient values and
+k0 (a family of states is one ``ecs_series`` call), with checks of
+b|h,k0> = Q|h,k0>, the momentum shifts and the plane-wave sum rule (each
+over an array of shifts or positions), the single-mode overlap formula
+(broadcast) and the quadrature test of the resolution of unity.  Only
+numpy, without numpy.polynomial, is needed at run time.
 """
 
 from __future__ import annotations
@@ -91,27 +91,29 @@ def _check_truncation(model: Model, h: CoefficientSet) -> None:
                               f">= tolerance {TRUNCATION_TOL:.3g}")
 
 
-def _series_state(model: Model, h: CoefficientSet, k0: int) -> np.ndarray:
-    """exp(-Q^dag Q/2) sum_{n<=cutoff} (Q b^dag)^n/n! |0,k0), no amplitude guard.
+def _series_state(model: Model, offsets, values, k0) -> np.ndarray:
+    """exp(-Q^dag Q/2) sum_{n<=cutoff} (Q b^dag)^n/n! |0,k0), no amplitude guard,
+    for Q = circulant(offsets, values), batched alike and over `k0`.
 
-    Term n lands on Fock level n alone as Q^n |k0) / sqrt(n!), so level n is
-    Q level(n-1) / sqrt(n), one particle matvec each; every retained Fock
-    amplitude is exact under truncation.  The prefactor acts on the particle
-    factor only: it is the circulant with branch values
-    e^{-|lam_j|^2/2}.  As a function of Q^dag Q its offsets are multiples of
-    the gcd of N and the differences of Q's offsets; the FFT's round-off on
-    the other offsets is dropped, so amplitudes off k0's momentum orbit stay
-    exactly zero (states on disjoint orbits are exactly orthogonal).
+    The prefactor, the circulant with branch values e^{-|lam_j|^2/2}, acts on
+    the particle factor only and commutes with Q, so it is applied to |k0)
+    first.  As a function of Q^dag Q its offsets are multiples of the gcd of
+    N and the differences of Q's offsets; the FFT's round-off on the other
+    offsets is dropped, so amplitudes off k0's momentum orbit stay exactly
+    zero (states on disjoint orbits are exactly orthogonal).  Term n lands on
+    level n alone: level n is Q level(n-1) / sqrt(n), exact under truncation.
     """
-    qp = h.particle_matrix()
-    acc = make_basis_state(model, k0, 0)
-    for n in range(1, model.osc.levels):
-        acc[:, n] = qp @ acc[:, n - 1] / math.sqrt(n)
-    N = model.lattice.sites
-    lam_sq = np.abs(branches(model.lattice, h.offsets, h.values)) ** 2
+    N, levels = model.shape
+    lam_sq = np.abs(branches(model.lattice, offsets, values)) ** 2
     coeffs = np.fft.fft(np.exp(-0.5 * lam_sq), norm="forward")
-    coeffs[np.arange(N) % math.gcd(N, *(q - h.offsets[0] for q in h.offsets)) != 0] = 0.0
-    return circulant(model.lattice, range(N), coeffs) @ acc
+    coeffs[..., np.arange(N) % math.gcd(N, *(q - offsets[0] for q in offsets)) != 0] = 0.0
+    acc = np.zeros(np.broadcast_shapes(np.shape(values)[:-1], np.shape(k0)) + model.shape, complex)
+    acc[..., 0] = np.arange(N) == np.expand_dims(k0, -1)
+    acc[..., 0] = (circulant(model.lattice, range(N), coeffs) @ acc[..., 0, None])[..., 0]
+    qp = circulant(model.lattice, offsets, values)
+    for n in range(1, levels):
+        acc[..., n] = (qp @ acc[..., n - 1, None])[..., 0] / math.sqrt(n)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -135,14 +137,24 @@ def _finish(model, h, k0, state) -> EcsState:
     return EcsState(model=model, h=h, k0=k0, state=state)
 
 
-def ecs_series(model: Model, h: CoefficientSet, k0: int) -> EcsState:
+def ecs_series(model: Model, h: CoefficientSet | list[CoefficientSet],
+               k0: int | list[int]) -> EcsState | tuple[EcsState, ...]:
     """Series construction of the extended coherent state, summed to the Fock
     cutoff; TRUNCATION_TOL bounds the coherent tail beyond it.  The
-    normalization prefactor is applied after the series; its placement is
-    immaterial because all particle factors involved commute.
-    """
-    _check_truncation(model, h)
-    return _finish(model, h, k0, _series_state(model, h, k0))
+    normalization prefactor is applied to |k0) first; its placement is
+    immaterial because all particle factors involved commute.  A list of
+    coefficient sets sharing their offsets (else ValueError), with one k0
+    each, gives one EcsState per member from one ``_series_state`` call;
+    each member passes its own truncation guard and norm check."""
+    one = isinstance(h, CoefficientSet)
+    hs, k0s = ((h,), (k0,)) if one else (h, k0)
+    if any(h_m.offsets != hs[0].offsets for h_m in hs):
+        raise ValueError("stacked coefficient sets must share their offsets")
+    for h_m in hs:
+        _check_truncation(model, h_m)
+    states = _series_state(model, hs[0].offsets, [h_m.values for h_m in hs], k0s)
+    family = tuple(_finish(model, *member) for member in zip(hs, k0s, states))
+    return family[0] if one else family
 
 
 def ecs_displacement(model: Model, h: CoefficientSet, k0: int) -> EcsState:
@@ -170,27 +182,27 @@ def overlap(ecs1: EcsState, ecs2: EcsState) -> complex:
     return complex(np.vdot(ecs1.state, ecs2.state))
 
 
-def overlap_single_mode(g: complex, g_prime: complex, k0: int, k0_prime: int) -> complex:
+def overlap_single_mode(g, g_prime, k0, k0_prime):
     """Closed-form overlap of two single-mode states sharing the mode offset:
-    exp(-(|g|^2 + |g'|^2 - 2 g* g')/2) * delta(k0 - k0')."""
-    if k0 != k0_prime:
-        return 0.0
-    return complex(np.exp(-0.5 * (abs(g) ** 2 + abs(g_prime) ** 2
-                                  - 2.0 * np.conj(g) * g_prime)))
+    exp(-(|g|^2 + |g'|^2 - 2 g* g')/2) * delta(k0 - k0'), broadcast over the
+    four arguments."""
+    return np.where(np.equal(k0, k0_prime), np.exp(-0.5 * (
+        np.abs(g) ** 2 + np.abs(g_prime) ** 2 - 2.0 * np.conj(g) * g_prime)), 0.0)[()]
 
 
-def momentum_shift_check(ecs: EcsState, q: int) -> tuple[float, float]:
+def momentum_shift_check(ecs: EcsState, q) -> tuple[float, float]:
     """The shift residual ||rho_q|h,k0> - |h,k0-q>|| and the round-trip
-    residual ||rho_q^dag rho_q|h,k0> - |h,k0>||; the series rebuilds |h,k0-q>.
+    residual ||rho_q^dag rho_q|h,k0> - |h,k0>||, each the worst over the shifts
+    `q` (one or an array); one guarded series call rebuilds every |h,k0-q>.
 
     Exact on the periodic lattice: rho_q acts on the particle factor only.
     """
-    model = ecs.model
-    sq = circulant(model.lattice, (q,), (1.0,))
+    N, q = ecs.model.lattice.sites, np.atleast_1d(q)
+    sq = circulant(ecs.model.lattice, range(N), np.eye(N)[q % N])
     shifted = sq @ ecs.state
-    rebuilt = _series_state(model, ecs.h, model.lattice.shift_index(ecs.k0, -q))
-    return (float(np.linalg.norm(shifted - rebuilt)),
-            float(np.linalg.norm(sq.conj().T @ shifted - ecs.state)))
+    rebuilt = [e.state for e in ecs_series(ecs.model, [ecs.h] * q.size, (ecs.k0 - q) % N)]
+    return (float(np.linalg.norm(shifted - rebuilt, axis=(-2, -1)).max()),
+            float(np.linalg.norm(sq.swapaxes(-2, -1) @ shifted - ecs.state, axis=(-2, -1)).max()))
 
 
 class SumRuleResult(NamedTuple):
@@ -200,9 +212,9 @@ class SumRuleResult(NamedTuple):
     fidelity: float
 
 
-def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
+def sum_rule(ecs: EcsState, s) -> SumRuleResult:
     """Contract the state with sum_k e^{isk} a_k and compare against the
-    coherent state e^{i s k0} |alpha), alpha = sum_q h_q e^{-isq}.
+    coherent state e^{i s k0} |alpha), alpha = sum_q h_q e^{-isq}, at each s.
 
     The identity is exact for positions s commensurate with the lattice
     (integer multiples of lattice.spacing); elsewhere momentum wrap-around
@@ -210,20 +222,27 @@ def sum_rule(ecs: EcsState, s: float) -> SumRuleResult:
     """
     model = ecs.model
     contracted = plane_waves(model, s, 0.0) @ ecs.state
-    alpha = complex(ecs.h.values @ np.exp(-1j * s * ecs.h.momenta))
-    k0_val = model.lattice.momenta[ecs.k0]
-    analytic = np.exp(1j * s * k0_val) * coherent_state_vector(alpha, model.osc.levels)
+    alpha = np.exp(-1j * np.multiply.outer(s, ecs.h.momenta)) @ ecs.h.values
+    phase = np.exp(1j * np.multiply(s, model.lattice.momenta[ecs.k0]))[..., None]
+    analytic = phase * coherent_state_vector(alpha, model.osc.levels)
     return SumRuleResult(alpha=alpha, contracted=contracted, analytic=analytic,
-                         fidelity=fidelity(contracted, analytic))
+                         fidelity=fidelity(contracted, analytic, axis=-1))
 
 
 @functools.cache
 def _laguerre_nodes(radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes u and the slopes L_n'(u) there, read-only: they
-    depend only on the node count, so each count is computed once."""
-    lag = np.polynomial.laguerre
-    u = lag.laggauss(radial_nodes)[0]
-    slope = lag.lagval(u, lag.lagder(np.eye(radial_nodes + 1)[-1]))
+    depend only on the node count, so each count is computed once.  The nodes
+    are the eigenvalues of the Jacobi matrix (Golub-Welsch), one Newton step on."""
+    n = radial_nodes
+    u = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
+    prev, value = np.ones_like(u), 1.0 - u   # (k+1) L_{k+1} = (2k+1-u) L_k - k L_{k-1}
+    for k in range(1, n):
+        prev, value = value, ((2 * k + 1 - u) * value - k * prev) / (k + 1)
+    slope = n * (value - prev) / u           # u L_n' = n (L_n - L_{n-1})
+    # the Newton step moves the slope by L_n'' = ((u - 1) L_n' - n L_n) / u (Laguerre's equation)
+    step = value / slope
+    u, slope = u - step, slope - step * ((u - 1.0) * slope - n * value) / u
     u.flags.writeable = slope.flags.writeable = False
     return u, slope
 
@@ -238,8 +257,8 @@ def _polar_nodes(radial_nodes: int, scale: float):
     if radial_nodes < 1:
         raise ValueError("radial_nodes must be positive")
     # Weights 1/(u L_n'(u)^2) from the Gauss-Laguerre nodes: they hold the
-    # moments int e^{-u} u^k/k! = 1 to 1e-14, the sum-normalised weights of
-    # `laggauss` only to 1e-13.
+    # moments int e^{-u} u^k/k! = 1 to 5e-15, the sum-normalised weights of
+    # `numpy.polynomial.laguerre.laggauss` only to 1e-13.
     u, slope = _laguerre_nodes(radial_nodes)
     radii = np.sqrt(u / scale)
     radial_weights = np.exp(u) / (u * slope ** 2) / (2.0 * scale)

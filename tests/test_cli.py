@@ -72,14 +72,16 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_properties_leaves_numpy_random_out(config_path, tmp_path):
-    """The suite draws its offsets and positions with the stdlib `random`, so
-    a fresh `properties` process does not pay for importing numpy.random."""
+    """The suite draws its offsets and positions with the stdlib `random`, and
+    computes its Gauss-Laguerre nodes with numpy.linalg alone, so a fresh
+    `properties` process does not pay for importing numpy.random or
+    numpy.polynomial."""
     code = ("import sys, contextlib, io, ecsim.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = ecsim.cli.main(['properties', '--config', {config_path!r}, "
             f"'--out', {str(tmp_path / 'o')!r}])\n"
-            "print(code, 'numpy.random' in sys.modules)")
-    assert _run_python(code).split() == ["0", "False"]
+            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)")
+    assert _run_python(code).split() == ["0", "False", "False"]
 
 
 def test_parse_complex():
@@ -443,6 +445,25 @@ def test_sweep_rejects_an_exact_split(tmp_path, capsys, monkeypatch, old, new):
         assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
         assert "split is exact" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("hopping,code", [("1e-300", 2), ("1e-12", 2), ("1e-9", 0)])
+def test_sweep_rejects_a_split_exact_up_to_round_off(tmp_path, capsys, hopping, code):
+    """A split that is not exact but within round-off of it (tiny hopping)
+    leaves the smallest factor's gap within ~100x of round-off, where the
+    order check would fail on noise: a configuration error naming the rule,
+    with nothing written.  At hopping 1e-9 the gaps are ~450x round-off and
+    the sweep runs and passes."""
+    p = tmp_path / "near.ini"
+    p.write_text(SMALL_CONFIG.replace("hopping = 1.0", f"hopping = {hopping}")
+                 .replace("t0 = -1.5", "t0 = -3.0").replace("steps = 250", "steps = 30"))
+    out = tmp_path / "near"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == code
+    if code == 2:
+        assert "exact up to round-off" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert "order_check = PASS" in (out / "sweep_summary.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [["properties"], ["evolve", "--compare-strategies"],

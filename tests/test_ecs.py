@@ -83,6 +83,10 @@ def test_single_mode_populations_are_poisson():
 
 
 small = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
+# values whose sum over three offsets keeps the coherent tail past cutoff 12
+# below TRUNCATION_TOL
+weak = st.builds(complex, st.floats(min_value=-0.2, max_value=0.2),
+                 st.floats(min_value=-0.2, max_value=0.2))
 
 
 @PINNED
@@ -99,12 +103,58 @@ def test_multi_offset_series_matches_dense_reference(data):
                                min_size=1, max_size=3))
     h = CoefficientSet(model.lattice, tuple(pairs))
     k0 = data.draw(st.integers(min_value=0, max_value=sites - 1))
-    got = ecs._series_state(model, h, k0)
+    got = ecs._series_state(model, h.offsets, h.values, k0)
     assert np.abs(got - series_dense_reference(model, h, k0)).max() < 1e-14
     q = np.array(h.offsets)
     orbit = math.gcd(sites, *(int(d) for d in q - q[0]))
     k, n = np.indices(model.shape)
     assert np.all(got[(k - k0 + n * q[0]) % orbit != 0] == 0)
+
+
+@PINNED
+@given(st.data())
+def test_stacked_series_matches_per_member_builds(data):
+    """One `_series_state` call over a stack of coefficient values on 1-3
+    shared offsets (drawn from [-N, N), so they wrap and merge), each member
+    at its own k0, equals the one-member builds to 1e-15, and amplitudes off
+    each member's momentum orbit are exactly zero; one coefficient set
+    against an array of k0 broadcasts alike.  `ecs_series` on a list gives the
+    same states as on each member."""
+    sites = data.draw(st.integers(min_value=2, max_value=8))
+    model = make_model(sites=sites, cutoff=data.draw(st.integers(min_value=12, max_value=16)))
+    offsets = CoefficientSet(model.lattice, tuple(
+        (q, 1.0) for q in data.draw(st.lists(st.integers(min_value=-sites, max_value=sites - 1),
+                                             min_size=1, max_size=3)))).offsets
+    members = data.draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(weak, min_size=len(offsets), max_size=len(offsets))
+    values = np.array(data.draw(st.lists(row, min_size=members, max_size=members)))
+    k0 = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=sites - 1),
+                                     min_size=members, max_size=members)))
+    orbit = math.gcd(sites, *(q - offsets[0] for q in offsets))
+    k, n = np.indices(model.shape)
+    for got, vals in ((ecs._series_state(model, offsets, values, k0), values),
+                      (ecs._series_state(model, offsets, values[0], k0), values[[0] * members])):
+        assert got.shape == (members,) + model.shape
+        for m in range(members):
+            one = ecs._series_state(model, offsets, vals[m], k0[m])
+            assert np.abs(got[m] - one).max() <= 1e-15
+            assert np.all(got[m][(k - k0[m] + n * offsets[0]) % orbit != 0] == 0)
+    hs = [CoefficientSet(model.lattice, tuple(zip(offsets, v))) for v in values]
+    for e, h, k0_m in zip(ecs_series(model, hs, k0), hs, k0):
+        assert (e.h, e.k0) == (h, k0_m)
+        assert np.abs(e.state - ecs_series(model, h, k0_m).state).max() <= 1e-15
+
+
+def test_stacked_series_guards_every_member():
+    """Each member of a stack passes its own truncation guard, and the
+    members must share their offsets."""
+    model = make_model(sites=5, cutoff=6)
+    fits, strong = single_mode(model, 1, 0.2), single_mode(model, 1, 1.0)
+    assert len(ecs_series(model, [fits, fits], [0, 1])) == 2
+    with pytest.raises(TruncationError):
+        ecs_series(model, [fits, strong], [0, 0])
+    with pytest.raises(ValueError, match="share their offsets"):
+        ecs_series(model, [fits, single_mode(model, 2, 0.2)], [0, 0])
 
 
 def test_series_displacement_equivalence():
@@ -155,7 +205,7 @@ def test_b_action_truncation_decay():
     for cutoff in (2, 6, 10, 14):
         model = make_model(sites=5, cutoff=cutoff)
         h = single_mode(model, 1, 0.4)
-        e = ecs.EcsState(model, h, 0, ecs._series_state(model, h, 0))
+        e = ecs.EcsState(model, h, 0, ecs._series_state(model, h.offsets, h.values, 0))
         residuals.append(check_b_action(e))
     assert all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
     assert residuals[0] > 1e-4  # the sweep probes a genuinely truncated regime
@@ -189,6 +239,16 @@ def test_overlap_against_closed_form():
     assert worst < 1e-8
 
 
+def test_overlap_single_mode_broadcasts():
+    g = 0.8 * np.exp(0.7j * np.arange(4))
+    gp = 0.5 * np.exp(-0.4j * np.arange(3))
+    got = overlap_single_mode(g[:, None], gp, 2, 2)
+    assert got.shape == (4, 3)
+    for i, j in np.ndindex(got.shape):
+        assert abs(got[i, j] - overlap_single_mode(g[i], gp[j], 2, 2)) <= 1e-15
+    assert np.all(overlap_single_mode(g[:, None], gp, 2, 3) == 0.0)
+
+
 def test_overlap_shape_mismatch():
     a = ecs_series(make_model(sites=5, cutoff=6),
                    single_mode(make_model(sites=5, cutoff=6), 1, 0.2), 0)
@@ -208,6 +268,31 @@ def test_momentum_shift_relations():
         shift, roundtrip = momentum_shift_check(e, q)
         assert shift < 1e-13
         assert roundtrip < 1e-13
+
+
+@PINNED
+@given(st.data())
+def test_array_arguments_give_the_worst_scalar_call(data):
+    """`momentum_shift_check` on an array of shifts returns the worst of the
+    scalar calls, and `sum_rule` on an array of positions gives the scalar
+    call's result per position, to 1e-15."""
+    sites = data.draw(st.integers(min_value=2, max_value=8))
+    model = make_model(sites=sites, cutoff=data.draw(st.integers(min_value=12, max_value=16)))
+    pairs = data.draw(st.lists(st.tuples(st.integers(min_value=-sites, max_value=sites - 1), weak),
+                               min_size=1, max_size=3))
+    e = ecs_series(model, CoefficientSet(model.lattice, tuple(pairs)),
+                   data.draw(st.integers(min_value=0, max_value=sites - 1)))
+    shifts = data.draw(st.lists(st.integers(min_value=-sites, max_value=2 * sites),
+                                min_size=1, max_size=4))
+    worst = np.max([momentum_shift_check(e, q) for q in shifts], axis=0)
+    assert np.abs(np.array(momentum_shift_check(e, shifts)) - worst).max() <= 1e-15
+    positions = model.lattice.spacing * np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=3 * sites), min_size=1, max_size=10)))
+    res = sum_rule(e, positions)
+    for i, s in enumerate(positions):
+        one = sum_rule(e, s)
+        for got, want in zip(res, one):
+            assert np.abs(got[i] - want).max() <= 1e-15
 
 
 def test_momentum_shift_composition():
@@ -282,8 +367,31 @@ def test_unity_resolution_at_the_properties_cutoff(coupling):
         assert res.deviation < 1e-12
 
 
+@PINNED
+@given(st.integers(min_value=1, max_value=RADIAL_NODES))
+def test_laguerre_nodes_match_laggauss(radial_nodes):
+    """The Golub-Welsch nodes (one Jacobi `eigvalsh`, one Newton step) match
+    `numpy.polynomial.laguerre.laggauss` to 1e-14 relative to the largest
+    node, and their slopes L_n'(u) match `lagval` to 1e-13 per node; the
+    weights 1/(u L_n'(u)^2) hold the Laguerre moments int e^{-u} u^k/k! = 1
+    (k < 30 and k < 2n, where the rule is exact) to 1e-14.  At the suite's
+    RADIAL_NODES: every node to 1e-14 relative, the moments to 5e-15."""
+    lag = np.polynomial.laguerre
+    u, slope = ecs._laguerre_nodes(radial_nodes)
+    want = lag.laggauss(radial_nodes)[0]
+    want_slope = lag.lagval(want, lag.lagder(np.eye(radial_nodes + 1)[-1]))
+    assert np.abs(u - want).max() <= 1e-14 * want.max()
+    assert np.abs(slope / want_slope - 1.0).max() <= 1e-13
+    weights = 1.0 / (u * slope ** 2)
+    moments = [weights @ u ** k / math.factorial(k) for k in range(min(2 * radial_nodes, 30))]
+    assert np.abs(np.array(moments) - 1.0).max() <= 1e-14
+    if radial_nodes == RADIAL_NODES:
+        assert np.abs(u / want - 1.0).max() <= 1e-14
+        assert np.abs(np.array(moments) - 1.0).max() <= 5e-15
+
+
 def test_laguerre_nodes_computed_once_per_node_count(monkeypatch):
-    """`laggauss` (one `eigvalsh`) runs once for any number of quadratures
+    """The Jacobi matrix's `eigvalsh` runs once for any number of quadratures
     with the same radial node count, and its cached nodes are read-only."""
     model = make_model(sites=4, cutoff=8)
     h = single_mode(model, 1, 1.0)
