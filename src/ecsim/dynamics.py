@@ -160,9 +160,9 @@ def _nested(nu: np.ndarray, t0: float, t) -> np.ndarray:
     j = np.where(q_larger, k, phi[..., None, :] * phi.conj()[..., :, None]
                  - k.swapaxes(-1, -2).conj())
     small = tiny[..., :, None] & tiny[..., None, :]
-    if small.any():
-        j = np.where(small, 0.5 + 1j * (xq / 6 - xp / 3) - xq ** 2 / 24 + xp * xq / 8
-                     - xp ** 2 / 8, j)
+    if small.any():   # the Taylor form only where it is used: elsewhere x may overflow it
+        xp, xq = np.broadcast_to(xp, small.shape)[small], np.broadcast_to(xq, small.shape)[small]
+        j[small] = 0.5 + 1j * (xq / 6 - xp / 3) - xq ** 2 / 24 + xp * xq / 8 - xp ** 2 / 8
     return np.exp(1j * (nu - nu[:, None]) * t0) * span[..., None] ** 2 * j
 
 

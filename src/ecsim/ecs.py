@@ -12,11 +12,11 @@ Q is a circulant, so every function of it is read off its Fourier branch
 values lam_j (``hilbert.branches``) and no eigensolver runs on it: the
 series prefactor is the circulant with branch values e^{-|lam_j|^2/2}, the
 displacement is one oscillator displacement D(lam_j) per branch
-(``hilbert.displacement``, U0's too), and the resolution of unity is one
-(levels x levels) quadrature per branch.  The coherent amplitude at
-z lam_j = r lam_j e^{i theta} factors into a radial part times e^{i n theta},
-so the angular sum is one numerically summed (levels x levels) matrix and
-the radial sum one contraction over all branches and radii.  Both
+(``hilbert.displacement``, U0's too), and every branch block of the
+resolution of unity is D_j B D_j^dag, D_j = diag(e^{i n arg lam_j}), for one
+(levels x levels) quadrature B.  Its coherent amplitude at r e^{i theta} is
+a radial part times e^{i n theta}: one numerically summed angular matrix,
+one contraction over the radii.  Both
 constructions are provided, the series batched over coefficient values and
 k0 (a family of states is one ``ecs_series`` call), with checks of
 b|h,k0> = Q|h,k0>, the momentum shifts and the plane-wave sum rule (each
@@ -288,16 +288,16 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     coherent amplitudes (exact at every retained level).  Polar quadrature:
     Gauss-Laguerre radially in u = |z|^2 |lam_j|^2, scaled per branch so
     every block is matched to its own Gaussian decay, uniform angularly.
-    The substitution absorbs |lam_j|^2, so block j is the unit-scale
-    quadrature at the amplitudes sqrt(u) e^{i arg lam_j}: with c_j(u) those
-    coherent amplitudes, sum_u w_u c_j(u)[n] c_j(u)[m]^* S[n, m], one
-    contraction over the radii for all branches, times the angular sum
-    S[n, m] = sum_a e^{i (n - m) theta_a}, one numerically summed
-    (levels x levels) matrix.  A vanishing branch (|lam_j|^2 <= 1e-14) keeps
-    its zero block.  The deviation from the identity is the largest over
-    branches on the reliable subspace: Fock levels whose coherent occupancy
-    at the largest quadrature amplitude stays below TRUNCATION_TOL, since
-    states at large |z| spill past the cutoff.
+    The substitution absorbs |lam_j|^2, so block j is D_j B D_j^dag with
+    D_j = diag(e^{i n arg lam_j}) and B the unit-phase block: with c(u) the
+    real coherent amplitudes at sqrt(u), B[n, m] = sum_u w_u c(u)[n] c(u)[m]
+    S[n, m], one contraction over the radii times the angular sum
+    S[n, m] = sum_a e^{i (n - m) theta_a}.  So every live block deviates from
+    the identity as B does and a vanishing branch (|lam_j|^2 <= 1e-14), a
+    zero block, by 1: one block and one norm, whatever the number of sites.
+    The deviation is taken on the reliable subspace: Fock levels whose
+    coherent occupancy at the largest quadrature amplitude stays below
+    TRUNCATION_TOL, since states at large |z| spill past the cutoff.
     """
     lam = branches(model.lattice, h.offsets, h.values)
     live = np.abs(lam) ** 2 > 1e-14
@@ -306,19 +306,18 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     radii, angles, weights = _polar_nodes(radial_nodes, 1.0)
 
     levels = model.osc.levels
-    amps = coherent_state_vector(np.exp(1j * np.angle(lam))[:, None] * radii, levels)
-    radial = (amps.swapaxes(-1, -2) * weights) @ amps.conj()   # [j, n, m]
-    blocks = live[:, None, None] * radial * _angular_sum(angles, levels)
-
+    amps = coherent_state_vector(radii, levels)   # [u, n], real
     # Poisson occupancy of each level at the largest quadrature amplitude
-    poisson = np.abs(coherent_state_vector(radii.max(), levels)) ** 2
+    poisson = np.abs(amps[radii.argmax()]) ** 2
     reliable = tuple(int(n) for n in np.flatnonzero(poisson < TRUNCATION_TOL))
     if not reliable:
         return UnityResolutionResult(deviation=float("inf"), reliable_levels=())
     rel = np.array(reliable)
-    block = blocks[:, rel[:, None], rel] - np.eye(rel.size)
-    deviation = float(np.linalg.norm(block, 2, axis=(-2, -1)).max())
-    return UnityResolutionResult(deviation=deviation, reliable_levels=reliable)
+    radial = (amps.T[rel] * weights) @ amps[:, rel]
+    block = radial * _angular_sum(angles, levels)[rel[:, None], rel] - np.eye(rel.size)
+    deviation = float(np.linalg.norm(block, 2))
+    return UnityResolutionResult(deviation=max(deviation, 0.0 if live.all() else 1.0),
+                                 reliable_levels=reliable)
 
 
 class MomentIdentityResult(NamedTuple):

@@ -177,6 +177,28 @@ class Model:
     dispersion: Dispersion
     osc: OscillatorSpec
 
+    def __post_init__(self):
+        """Reject finite inputs whose free problem leaves the floats: the lattice
+        momenta, the free spectrum eps_k + omega n (n <= cutoff) and its spread
+        (which bounds every energy difference the dynamics forms) must be
+        finite.  Overflow here is the verdict, not a warning."""
+        param = DISPERSION_PARAMETERS[self.dispersion.kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            momenta = self.lattice.momenta
+            eps = self.energies()
+            top = eps.max() + self.osc.omega * self.osc.cutoff
+            spread = top - eps.min()
+        if not np.isfinite(momenta).all():
+            raise ValueError(f"length = {self.lattice.length!r} makes the lattice momenta "
+                             "2 pi n / length overflow a float")
+        value = getattr(self.dispersion, param)
+        if not np.isfinite(eps).all():
+            raise ValueError(f"{param} = {value!r} on length = {self.lattice.length!r} makes "
+                             f"the {self.dispersion.kind} energies overflow a float")
+        if not np.isfinite(spread):
+            raise ValueError(f"{param} = {value!r} and omega = {self.osc.omega!r} make the free "
+                             "spectrum eps_k + omega n (n <= cutoff) or its spread overflow a float")
+
     @property
     def dim(self) -> int:
         return self.lattice.sites * self.osc.levels

@@ -1,14 +1,22 @@
 """Configuration loading and CLI commands."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ecsim
 import ecsim.cli
+import ecsim.hilbert
+from conftest import PINNED
 from ecsim.cli import TOLERANCES, main
 from ecsim.config import ConfigError, load_config, parse_complex
 
@@ -500,3 +508,81 @@ def test_strategy_override(tmp_path):
     assert main(["evolve", "--config", str(p), "--out", str(out)]) == 0
     assert (out / "evolve_static_unit.dat").exists()
     assert not (out / "evolve_recoil_phase.dat").exists()
+
+
+# The CI `small.ini` at 30 steps, as (section, key, value) lines; the fuzz
+# cases below pick its dispersion and cutoff and replace some of its fields.
+FUZZ_FIELDS = (
+    ("model", "sites", "5"), ("model", "length", "5.0"), ("model", "dispersion", None),
+    ("model", "param", "1.0"), ("model", "cutoff", None), ("model", "omega", "2.5"),
+    ("couplings", "1", "0.15, 0.0"), ("couplings", "-1", "0.15, 0.0"),
+    ("initial", "k0", "0"),
+    ("time", "t0", "-3.0"), ("time", "t_end", "0.0"), ("time", "steps", "30"),
+    ("positions", "count", "5"),
+)
+FUZZ_VALUES = ("0", "-0.0", "1e300", "-1e300", "1e-300", "5e-324", "abc")
+FUZZ_OFFSETS = ("0", "2", "6", "-6", "1.5", "abc")
+FUZZ_COMMANDS = {"properties": ["properties"], "evolve": ["evolve", "--compare-strategies"],
+                 "gamma": ["gamma"], "sweep": ["sweep"]}
+
+
+def fuzz_config(kind: str, cutoff: int, replace: dict) -> str:
+    """The INI text of FUZZ_FIELDS under dispersion `kind`, with `replace`
+    mapping a field index to a new value, or to ("offset", key) for a new
+    coupling offset."""
+    param = ecsim.hilbert.DISPERSION_PARAMETERS[kind]
+    lines, section = [], None
+    for i, (sec, key, value) in enumerate(FUZZ_FIELDS):
+        key = param if key == "param" else key
+        value = {"dispersion": kind, "cutoff": str(cutoff)}.get(key, value)
+        new = replace.get(i, value)
+        if isinstance(new, tuple):
+            key, new = new[1], value
+        if sec != section:
+            lines.append(f"\n[{sec}]")
+            section = sec
+        lines.append(f"{key} = {new}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_cases(draw):
+    fields = draw(st.lists(st.integers(0, len(FUZZ_FIELDS) - 1), min_size=1, max_size=3,
+                           unique=True))
+    replace = {}
+    for i in fields:
+        if FUZZ_FIELDS[i][0] == "couplings" and draw(st.booleans()):
+            replace[i] = ("offset", draw(st.sampled_from(FUZZ_OFFSETS)))
+        else:
+            replace[i] = draw(st.sampled_from(FUZZ_VALUES))
+    return (draw(st.sampled_from(sorted(FUZZ_COMMANDS))),
+            draw(st.sampled_from(sorted(ecsim.hilbert.DISPERSION_PARAMETERS))),
+            draw(st.sampled_from([12, 13])), replace)
+
+
+@settings(PINNED, max_examples=150)
+@given(fuzz_cases())
+@example(("properties", "tight_binding", 12, {6: "1e300, 0.0", 7: "1e300, 0.0"}))
+@example(("sweep", "tight_binding", 12, {3: "1e-12"}))
+@example(("gamma", "quadratic", 12, {3: "5e-324"}))
+@example(("evolve", "tight_binding", 12, {5: "1e300"}))
+def test_cli_fuzz_exits_cleanly(case):
+    """Every command on a small config with one to three fields replaced by
+    extreme, degenerate or malformed values: no exception or warning escapes
+    `main`, the exit code is 0, 1 or 2, and exit 2 writes no output.  Pinned:
+    +-1 = 1e300 (amplitude^2 overflows), a sweep exact up to round-off, a
+    quadratic spectrum that overflows, and evolve at omega = 1e300 (whose
+    huge phases once overflowed a discarded Taylor form)."""
+    command, kind, cutoff, replace = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "fuzz.ini"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(fuzz_config(kind, cutoff, replace))
+        sink = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            warnings.simplefilter("always")
+            code = main(FUZZ_COMMANDS[command] + ["--config", path, "--out", out])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        assert os.path.exists(out) == (code != 2)

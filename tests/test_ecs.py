@@ -344,6 +344,34 @@ def test_unity_resolution_matches_dense_reference(case):
         assert res.deviation == deviation == float("inf")
 
 
+@pytest.mark.parametrize("sites", [16, 2])
+def test_unity_resolution_takes_one_block_norm(monkeypatch, sites):
+    """Every live branch block is D_j B D_j^dag for one unit-phase block B, so
+    the check takes one spectral norm, of one 2-D (levels x levels) matrix,
+    whatever the number of sites."""
+    model = make_model(sites=sites, cutoff=24)
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or norm(a, *args, **kw))
+    res = unity_resolution_check(model, single_mode(model, 1, 1.0))
+    assert calls == [(25, 25)]
+    assert res.reliable_levels == tuple(range(25)) and res.deviation < 1e-12
+
+
+def test_unity_resolution_with_a_vanishing_branch_deviates_by_one():
+    """A Q with one Fourier branch projected out (as ``unity_cases`` builds it)
+    leaves that branch's block zero: the deviation is exactly 1."""
+    model = make_model(sites=5, cutoff=12)
+    rng = np.random.default_rng(3)
+    vals = 0.3 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    lam = branches(model.lattice, range(5), vals)
+    vals = vals - lam[2] * np.exp(-2j * np.pi * 2 * np.arange(5) / 5) / 5
+    h = CoefficientSet(model.lattice, tuple(zip(range(5), vals)))
+    assert np.abs(branches(model.lattice, h.offsets, h.values)[2]) ** 2 <= 1e-14
+    assert unity_resolution_check(model, h).deviation == 1.0
+
+
 @pytest.mark.parametrize("coupling", ["single_mode", "random_circulant"])
 def test_unity_resolution_at_the_properties_cutoff(coupling):
     """Cutoff 24 and the default radial nodes, as on the benchmark's

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import kron, make_model, random_coefficients, shift_matrix
 from ecsim.hilbert import (
+    DISPERSION_PARAMETERS,
     CoefficientSet,
     Dispersion,
     Lattice,
+    Model,
     OscillatorSpec,
     TruncationError,
     fidelity,
@@ -37,6 +39,23 @@ def test_truncation_rule_rejects_every_finite_amplitude_too_large(amplitude):
     osc.check_amplitude(3.0 ** 0.5)   # amplitude^2 = cutoff/4 fits
     with pytest.raises(TruncationError, match="exceeds cutoff/4 = 3"):
         osc.check_amplitude(amplitude)
+
+
+@pytest.mark.parametrize("kind,param,length,omega,field", [
+    ("quadratic", 5e-324, 5.0, 2.5, "mass"),
+    ("quadratic", 1.0, 1e-154, 2.5, "length"),
+    ("tight_binding", 1.0, 5e-324, 2.5, "length"),
+    ("tight_binding", 1.7e308, 5.0, 2.5, "hopping"),
+    ("flat", 1e308, 5.0, 1e308, "omega"),
+], ids=["tiny-mass", "tiny-length-quadratic", "tiny-length", "huge-hopping", "huge-omega"])
+def test_model_whose_free_spectrum_overflows_is_rejected(kind, param, length, omega, field):
+    """Finite inputs whose lattice momenta, free spectrum eps_k + omega n or
+    its spread overflow: Model raises ValueError naming the field, without a
+    RuntimeWarning (any warning fails a test)."""
+    disp = Dispersion(kind, **{DISPERSION_PARAMETERS[kind]: param})
+    with pytest.raises(ValueError, match=f"{field} = "):
+        Model(Lattice(sites=5, length=length), disp, OscillatorSpec(cutoff=12, omega=omega))
+    Model(Lattice(sites=5, length=5.0), Dispersion(kind), OscillatorSpec(cutoff=12, omega=2.5))
 
 
 def test_stacked_fidelity_matches_per_sample_calls():
