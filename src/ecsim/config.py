@@ -1,11 +1,12 @@
 """Run configuration: flat key = value sections, loaded from INI-style text.
 
 Complex values are written as "re,im" pairs.  The sections and keys of
-DEFAULT_CONFIG_TEXT (plus every dispersion parameter in [model] and any
-integer offset in [couplings]) are the whole schema: anything else is a
-ConfigError.  Every run writes its resolved configuration next to its
-outputs, floats in their shortest exact form, so rerunning from that file
-alone reproduces the run's outputs byte for byte.
+DEFAULT_CONFIG_TEXT (plus the dispersion kind's one parameter in [model],
+keyed and defaulted by DISPERSION_PARAMETERS, and any integer offset in
+[couplings]) are the whole schema: anything else, another kind's parameter
+included, is a ConfigError.  Every run writes its resolved configuration
+next to its outputs, floats in their shortest exact form, so rerunning from
+that file alone reproduces the run's outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ DEFAULT_CONFIG_TEXT = """\
 sites = 7
 length = 7.0
 dispersion = tight_binding
-hopping = 1.0
 cutoff = 16
 omega = 2.5
 
@@ -117,7 +117,7 @@ def _require_schema(cp: configparser.ConfigParser,
     """Reject any section or key outside the schema, so a misspelt or retired
     input fails loudly instead of leaving its default in force."""
     schema = {section: set(defaults[section]) for section in defaults.sections()}
-    schema["model"] |= set(DISPERSION_PARAMETERS.values())
+    schema["model"] |= {key for key, _ in DISPERSION_PARAMETERS.values()}
     for section in cp:  # includes [DEFAULT], whose keys would reach every section
         if section == configparser.DEFAULTSECT and not cp.defaults():
             continue
@@ -155,9 +155,12 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
         omega = float(get("model", "omega"))
         if kind not in DISPERSION_PARAMETERS:
             raise ConfigError(f"unknown dispersion kind {kind!r}")
-        param = DISPERSION_PARAMETERS[kind]  # absent, it keeps the Dispersion default
-        dispersion = Dispersion(kind, **({param: float(cp.get("model", param))}
-                                         if cp.has_option("model", param) else {}))
+        key, default = DISPERSION_PARAMETERS[kind]
+        for other, _ in DISPERSION_PARAMETERS.values():
+            if other != key and cp.has_option("model", other):
+                raise ConfigError(f"[model] key {other!r} is not a parameter of the {kind} "
+                                  f"dispersion; its parameter is {key!r}")
+        dispersion = Dispersion(kind, float(cp.get("model", key, fallback=default)))
         lattice = Lattice(sites=sites, length=length)
         model = Model(lattice, dispersion, OscillatorSpec(cutoff=cutoff, omega=omega))
 
@@ -202,14 +205,13 @@ def resolved_config_text(cfg: RunConfig) -> str:
     """Deterministic INI dump of the effective configuration."""
     cp = configparser.ConfigParser()
     d = cfg.model.dispersion
-    param = DISPERSION_PARAMETERS[d.kind]
     cp["model"] = {
         "sites": str(cfg.model.lattice.sites),
         "length": format_float(cfg.model.lattice.length),
         "dispersion": d.kind,
         "cutoff": str(cfg.model.osc.cutoff),
         "omega": format_float(cfg.model.osc.omega),
-        param: format_float(getattr(d, param)),
+        d.key: format_float(d.parameter),
     }
     cp["couplings"] = {str(q): format_complex(v) for q, v in cfg.couplings.items}
     cp["initial"] = {"k0": str(cfg.model.lattice.quanta[cfg.k0])}

@@ -175,13 +175,6 @@ def check_b_action(ecs: EcsState) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def overlap(ecs1: EcsState, ecs2: EcsState) -> complex:
-    """<ecs1|ecs2> on a common model."""
-    if ecs1.model.shape != ecs2.model.shape:
-        raise ValueError("states live on different spaces")
-    return complex(np.vdot(ecs1.state, ecs2.state))
-
-
 def overlap_single_mode(g, g_prime, k0, k0_prime):
     """Closed-form overlap of two single-mode states sharing the mode offset:
     exp(-(|g|^2 + |g'|^2 - 2 g* g')/2) * delta(k0 - k0'), broadcast over the

@@ -36,8 +36,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Each dispersion kind and the one Dispersion field that parameterises it.
-DISPERSION_PARAMETERS = {"quadratic": "mass", "tight_binding": "hopping", "flat": "value"}
+# Each dispersion kind -> (config key of its one parameter, value when absent).
+DISPERSION_PARAMETERS = {"quadratic": ("mass", 1.0), "tight_binding": ("hopping", 1.0),
+                         "flat": ("value", 0.0)}
 
 
 def require_finite(**fields: float) -> None:
@@ -111,30 +112,33 @@ class Lattice:
 class Dispersion:
     """Particle dispersion relation evaluated on the lattice momenta.
 
-    Kinds: ``quadratic`` (k^2/(2*mass), with the documented wrap-around
-    discontinuity at the zone edge), ``tight_binding``
-    (-hopping*cos(2*pi*n/N), exactly periodic), ``flat`` (constant `value`).
+    Kinds, each with the one `parameter` named in DISPERSION_PARAMETERS:
+    ``quadratic`` (k^2/(2*mass), with the documented wrap-around discontinuity
+    at the zone edge), ``tight_binding`` (-hopping*cos(2*pi*n/N), exactly
+    periodic), ``flat`` (constant `value`).
     """
 
     kind: str
-    mass: float = 1.0
-    hopping: float = 1.0
-    value: float = 0.0
+    parameter: float
 
     def __post_init__(self):
         if self.kind not in DISPERSION_PARAMETERS:
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
-        require_finite(mass=self.mass, hopping=self.hopping, value=self.value)
-        if self.kind == "quadratic" and self.mass <= 0:
+        require_finite(**{self.key: self.parameter})
+        if self.kind == "quadratic" and self.parameter <= 0:
             raise ValueError("mass must be positive")
+
+    @property
+    def key(self) -> str:   # mass, hopping or value
+        return DISPERSION_PARAMETERS[self.kind][0]
 
     def energies(self, lattice: Lattice) -> np.ndarray:
         """Energy per momentum index; always real."""
         if self.kind == "quadratic":
-            return lattice.momenta ** 2 / (2.0 * self.mass)
+            return lattice.momenta ** 2 / (2.0 * self.parameter)
         if self.kind == "tight_binding":
-            return -self.hopping * np.cos(TWO_PI * lattice.quanta / lattice.sites)
-        return np.full(lattice.sites, self.value, dtype=float)
+            return -self.parameter * np.cos(TWO_PI * lattice.quanta / lattice.sites)
+        return np.full(lattice.sites, self.parameter, dtype=float)
 
 
 class TruncationError(ValueError):
@@ -182,7 +186,7 @@ class Model:
         momenta, the free spectrum eps_k + omega n (n <= cutoff) and its spread
         (which bounds every energy difference the dynamics forms) must be
         finite.  Overflow here is the verdict, not a warning."""
-        param = DISPERSION_PARAMETERS[self.dispersion.kind]
+        d = self.dispersion
         with np.errstate(over="ignore", invalid="ignore"):
             momenta = self.lattice.momenta
             eps = self.energies()
@@ -191,13 +195,13 @@ class Model:
         if not np.isfinite(momenta).all():
             raise ValueError(f"length = {self.lattice.length!r} makes the lattice momenta "
                              "2 pi n / length overflow a float")
-        value = getattr(self.dispersion, param)
         if not np.isfinite(eps).all():
-            raise ValueError(f"{param} = {value!r} on length = {self.lattice.length!r} makes "
-                             f"the {self.dispersion.kind} energies overflow a float")
+            raise ValueError(f"{d.key} = {d.parameter!r} on length = {self.lattice.length!r} "
+                             f"makes the {d.kind} energies overflow a float")
         if not np.isfinite(spread):
-            raise ValueError(f"{param} = {value!r} and omega = {self.osc.omega!r} make the free "
-                             "spectrum eps_k + omega n (n <= cutoff) or its spread overflow a float")
+            raise ValueError(f"{d.key} = {d.parameter!r} and omega = {self.osc.omega!r} make "
+                             "the free spectrum eps_k + omega n (n <= cutoff) or its spread "
+                             "overflow a float")
 
     @property
     def dim(self) -> int:

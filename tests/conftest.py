@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from ecsim.dynamics import ModulatorStrategy, TimeGrid, zero_order_solution
 from ecsim.ecs import MOMENT_MAX_ORDER, RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
 from ecsim.hilbert import (
+    DISPERSION_PARAMETERS,
     CoefficientSet,
     Dispersion,
     Lattice,
@@ -27,9 +28,12 @@ values = st.builds(complex, finite, finite)
 
 
 def make_model(sites=5, length=None, cutoff=8, omega=1.0, kind="tight_binding",
-               **disp_kwargs) -> Model:
+               parameter=None) -> Model:
+    """A model whose dispersion parameter defaults as an absent config key does."""
     lat = Lattice(sites=sites, length=float(sites) if length is None else length)
-    return Model(lat, Dispersion(kind=kind, **disp_kwargs),
+    if parameter is None:
+        parameter = DISPERSION_PARAMETERS[kind][1]
+    return Model(lat, Dispersion(kind, parameter),
                  OscillatorSpec(cutoff=cutoff, omega=omega))
 
 

@@ -32,7 +32,6 @@ from ecsim.ecs import (
     ecs_series,
     moment_identity_check,
     momentum_shift_check,
-    overlap,
     overlap_single_mode,
     sum_rule,
     unity_resolution_check,
@@ -94,11 +93,11 @@ def test_criterion_1_state_algebra():
              for g in gs + gps}
     for g in gs:
         for gp in gps:
-            overlap_dev = max(overlap_dev, abs(overlap(cache[g], cache[gp])
+            overlap_dev = max(overlap_dev, abs(np.vdot(cache[g].state, cache[gp].state)
                                - overlap_single_mode(g, gp, 3, 3)))
     assert overlap_dev < 1e-8
-    ortho = abs(overlap(cache[gs[2]],
-                        ecs_series(model, CoefficientSet.single_mode(lat, 2, gps[2]), 4)))
+    ortho = abs(np.vdot(cache[gs[2]].state,
+                        ecs_series(model, CoefficientSet.single_mode(lat, 2, gps[2]), 4).state))
     assert ortho == 0.0
 
     _report(1, f"commutation={commutation_res:.2e} shifts={shift_res:.2e} "

@@ -432,7 +432,7 @@ def test_sweep_rejects_zero_couplings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old,new", [
-    ("dispersion = tight_binding", "dispersion = flat"),
+    ("dispersion = tight_binding\nhopping = 1.0", "dispersion = flat"),
     ("hopping = 1.0", "hopping = 0.0"),
     ("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0", "\n0 = 0.15, 0.0"),
 ], ids=["flat-dispersion", "zero-hopping", "couplings-only-at-q0"])
@@ -474,31 +474,69 @@ def test_sweep_rejects_a_split_exact_up_to_round_off(tmp_path, capsys, hopping, 
         assert "order_check = PASS" in (out / "sweep_summary.txt").read_text()
 
 
+SMALL_DISPERSION = "dispersion = tight_binding\nhopping = 1.0"
+# Each kind with its parameter's key (value as written) and without it (None).
+DISPERSION_VARIANTS = [("tight_binding", "1.0"), ("tight_binding", None),
+                       ("quadratic", "0.75"), ("quadratic", None),
+                       ("flat", "-0.4"), ("flat", None)]
+
+
 @pytest.mark.parametrize("argv", [["properties"], ["evolve", "--compare-strategies"],
                                   ["gamma"], ["sweep", "--factors", "1,0.5"]],
                          ids=["properties", "evolve", "gamma", "sweep"])
 def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
     """A run's resolved_config.ini alone reproduces its outputs and its
-    report: floats round-trip exactly and the --seed override is kept."""
+    report, under every dispersion kind with and without its parameter's key:
+    floats round-trip exactly, an absent parameter is written at its default
+    and the --seed override is kept."""
     rng = np.random.default_rng(17)
     g = complex(*(0.1 + 0.05 * rng.random(2)))
     t0 = -1.5 - rng.random()
     assert float(f"{g.real:.12e}") != g.real and float(f"{t0:.12e}") != t0
     text = SMALL_CONFIG.replace("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0",
                                 f"\n1 = {g.real!r}, {g.imag!r}\n-1 = {g.real!r}, {-g.imag!r}")
-    p = tmp_path / "run.ini"
-    p.write_text(text.replace("t0 = -1.5", f"t0 = {t0!r}").replace("steps = 250", "steps = 150"))
-    first, again = tmp_path / "first", tmp_path / "again"
-    code = main(argv + ["--config", str(p), "--out", str(first), "--seed", "5"])
-    report = capsys.readouterr().out
-    resolved = str(first / "resolved_config.ini")
-    assert "\nseed = 5\n" in read(resolved).decode()
-    assert main(argv + ["--config", resolved, "--out", str(again)]) == code
-    assert capsys.readouterr().out == report
-    names = sorted(os.listdir(first))
-    assert names == sorted(os.listdir(again))
-    for name in names:
-        assert read(first / name) == read(again / name), name
+    text = text.replace("t0 = -1.5", f"t0 = {t0!r}").replace("steps = 250", "steps = 150")
+    for kind, value in DISPERSION_VARIANTS:
+        if argv[0] == "sweep" and kind == "flat":
+            continue   # an exact split, which sweep rejects (test_sweep_rejects_an_exact_split)
+        key, default = ecsim.hilbert.DISPERSION_PARAMETERS[kind]
+        name = f"{kind}-{value}"
+        p = tmp_path / f"{name}.ini"
+        p.write_text(text.replace(SMALL_DISPERSION, f"dispersion = {kind}"
+                                  + (f"\n{key} = {value}" if value else "")))
+        first, again = tmp_path / name / "first", tmp_path / name / "again"
+        code = main(argv + ["--config", str(p), "--out", str(first), "--seed", "5"])
+        report = capsys.readouterr().out
+        resolved = read(first / "resolved_config.ini").decode()
+        assert "\nseed = 5\n" in resolved
+        assert f"\n{key} = {value or repr(default)}\n" in resolved, name
+        assert main(argv + ["--config", str(first / "resolved_config.ini"),
+                            "--out", str(again)]) == code
+        assert capsys.readouterr().out == report
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(again))
+        for out_name in names:
+            assert read(first / out_name) == read(again / out_name), (name, out_name)
+
+
+@pytest.mark.parametrize("kind,key,expected", [
+    ("quadratic", "hopping", "mass"),
+    ("tight_binding", "mass", "hopping"),
+    ("flat", "hopping", "value"),
+], ids=["quadratic-hopping", "tight_binding-mass", "flat-hopping"])
+def test_another_kinds_parameter_is_a_configuration_error(tmp_path, capsys, kind, key, expected):
+    """A [model] key that names another kind's parameter would otherwise leave
+    the kind's own parameter at its default: every command exits 2 naming
+    both keys, before any output."""
+    p = tmp_path / "other.ini"
+    p.write_text(SMALL_CONFIG.replace(SMALL_DISPERSION, f"dispersion = {kind}\n{key} = 2.0"))
+    for command in (["properties"], ["evolve", "--compare-strategies"], ["gamma"], ["sweep"]):
+        out = tmp_path / command[0]
+        assert main(command + ["--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r} is not a parameter of the {kind} dispersion" in err
+        assert f"its parameter is {expected!r}" in err
+        assert not out.exists()
 
 
 def test_strategy_override(tmp_path):
@@ -530,7 +568,7 @@ def fuzz_config(kind: str, cutoff: int, replace: dict) -> str:
     """The INI text of FUZZ_FIELDS under dispersion `kind`, with `replace`
     mapping a field index to a new value, or to ("offset", key) for a new
     coupling offset."""
-    param = ecsim.hilbert.DISPERSION_PARAMETERS[kind]
+    param = ecsim.hilbert.DISPERSION_PARAMETERS[kind][0]
     lines, section = [], None
     for i, (sec, key, value) in enumerate(FUZZ_FIELDS):
         key = param if key == "param" else key

@@ -29,7 +29,6 @@ from ecsim.ecs import (
     ecs_series,
     moment_identity_check,
     momentum_shift_check,
-    overlap,
     overlap_single_mode,
     sum_rule,
     unity_resolution_check,
@@ -215,10 +214,10 @@ def test_overlap_identical_and_orthogonal():
     model = make_model(sites=5, cutoff=20)
     h = single_mode(model, 1, 0.3)
     e = ecs_series(model, h, 1)
-    assert abs(overlap(e, e) - 1.0) < 1e-12
+    assert abs(np.vdot(e.state, e.state) - 1.0) < 1e-12
 
     e_other = ecs_series(model, h, 2)
-    assert overlap(e, e_other) == 0.0  # disjoint momentum support per level
+    assert np.vdot(e.state, e_other.state) == 0.0  # disjoint momentum support per level
 
 
 def test_overlap_against_closed_form():
@@ -226,7 +225,7 @@ def test_overlap_against_closed_form():
     g, gp = 0.3, 0.0
     e1 = ecs_series(model, single_mode(model, 1, g), 0)
     e2 = ecs_series(model, single_mode(model, 1, gp), 0)
-    assert abs(abs(overlap(e1, e2)) - np.exp(-0.045)) < 1e-10
+    assert abs(abs(np.vdot(e1.state, e2.state)) - np.exp(-0.045)) < 1e-10
 
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -235,7 +234,7 @@ def test_overlap_against_closed_form():
         gp = rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
         e1 = ecs_series(model, single_mode(model, 2, g), 1)
         e2 = ecs_series(model, single_mode(model, 2, gp), 1)
-        worst = max(worst, abs(overlap(e1, e2) - overlap_single_mode(g, gp, 1, 1)))
+        worst = max(worst, abs(np.vdot(e1.state, e2.state) - overlap_single_mode(g, gp, 1, 1)))
     assert worst < 1e-8
 
 
@@ -247,15 +246,6 @@ def test_overlap_single_mode_broadcasts():
     for i, j in np.ndindex(got.shape):
         assert abs(got[i, j] - overlap_single_mode(g[i], gp[j], 2, 2)) <= 1e-15
     assert np.all(overlap_single_mode(g[:, None], gp, 2, 3) == 0.0)
-
-
-def test_overlap_shape_mismatch():
-    a = ecs_series(make_model(sites=5, cutoff=6),
-                   single_mode(make_model(sites=5, cutoff=6), 1, 0.2), 0)
-    b = ecs_series(make_model(sites=4, cutoff=6),
-                   single_mode(make_model(sites=4, cutoff=6), 1, 0.2), 0)
-    with pytest.raises(ValueError):
-        overlap(a, b)
 
 
 def test_momentum_shift_relations():

@@ -52,10 +52,11 @@ def test_model_whose_free_spectrum_overflows_is_rejected(kind, param, length, om
     """Finite inputs whose lattice momenta, free spectrum eps_k + omega n or
     its spread overflow: Model raises ValueError naming the field, without a
     RuntimeWarning (any warning fails a test)."""
-    disp = Dispersion(kind, **{DISPERSION_PARAMETERS[kind]: param})
     with pytest.raises(ValueError, match=f"{field} = "):
-        Model(Lattice(sites=5, length=length), disp, OscillatorSpec(cutoff=12, omega=omega))
-    Model(Lattice(sites=5, length=5.0), Dispersion(kind), OscillatorSpec(cutoff=12, omega=2.5))
+        Model(Lattice(sites=5, length=length), Dispersion(kind, param),
+              OscillatorSpec(cutoff=12, omega=omega))
+    Model(Lattice(sites=5, length=5.0), Dispersion(kind, DISPERSION_PARAMETERS[kind][1]),
+          OscillatorSpec(cutoff=12, omega=2.5))
 
 
 def test_stacked_fidelity_matches_per_sample_calls():
@@ -185,18 +186,35 @@ def test_q_family_commutes():
 
 def test_dispersion_values():
     lat = Lattice(sites=5, length=10.0)
-    quad = Dispersion(kind="quadratic", mass=2.0).energies(lat)
+    quad = Dispersion("quadratic", 2.0).energies(lat)
     assert np.allclose(quad, lat.momenta ** 2 / 4.0)
 
-    tb = Dispersion(kind="tight_binding", hopping=1.5).energies(lat)
+    tb = Dispersion("tight_binding", 1.5).energies(lat)
     assert np.allclose(tb, -1.5 * np.cos(2 * np.pi * lat.quanta / 5))
     assert np.all(np.isreal(tb))
 
-    flat = Dispersion(kind="flat", value=0.7).energies(lat)
+    flat = Dispersion("flat", 0.7).energies(lat)
     assert np.all(flat == 0.7)
 
-    with pytest.raises(ValueError):
-        Dispersion(kind="cubic")
+
+@pytest.mark.parametrize("kind", sorted(DISPERSION_PARAMETERS))
+def test_dispersion_rejects_a_non_finite_parameter_by_its_name(kind):
+    key = DISPERSION_PARAMETERS[kind][0]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            Dispersion(kind, bad)
+
+
+def test_dispersion_rejects_a_non_positive_mass_and_an_unknown_kind():
+    for mass in (0.0, -0.0, -1.0, -5e-324):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            Dispersion("quadratic", mass)
+    Dispersion("quadratic", 5e-324)
+    for parameter in (0.0, -1.0):   # only the mass has a sign rule
+        Dispersion("tight_binding", parameter)
+        Dispersion("flat", parameter)
+    with pytest.raises(ValueError, match="unknown dispersion kind 'cubic'"):
+        Dispersion("cubic", 1.0)
 
 
 def test_lattice_window_and_wrapping():
