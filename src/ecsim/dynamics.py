@@ -28,9 +28,9 @@ the momentum axis, where U0m is diagonal on the branches
 exp(-i dt H1) is applied by its Taylor series, two matmuls and one
 stop-rule reduction per term for the whole stack; the midpoint branches are
 computed before the loop, and a step is a handful of small matmuls with no
-FFT, eigensolver or dense operator.  One loop steps a stack of solutions
-that share model, grid and offsets (a coupling sweep's scales, or both
-strategies).  No operator on the product space is formed anywhere in this
+change of basis, eigensolver or dense operator.  One loop steps a stack of
+solutions that share model, grid and offsets (a coupling sweep's scales, or
+both strategies).  No operator on the product space is formed anywhere in this
 module.
 """
 
@@ -49,6 +49,7 @@ from .hilbert import (
     branches,
     circulant,
     displacement,
+    fourier,
     ladder_quadrature,
     make_basis_state,
     oscillator_annihilation,
@@ -125,9 +126,10 @@ class TimeGrid:
 def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> None:
     """Reject grids at or beyond the stability guard, dt ||H_S|| >= STABILITY_LIMIT;
     both propagators (``zero_order_solution``, ``oracle.propagate_exact``) call
-    it.  On branch j, H_S = g_j b^dag + g_j^* b is unitarily |g_j| (b + b^dag)."""
-    b = oscillator_annihilation(model.osc)
-    hnorm = couplings.operator_amplitude() * np.linalg.norm(b + b.conj().T, 2)
+    it.  On branch j, H_S = g_j b^dag + g_j^* b is unitarily |g_j| (b + b^dag),
+    whose 2-norm is the largest |eigenvalue| of the real b + b^T."""
+    b = oscillator_annihilation(model.osc).real
+    hnorm = couplings.operator_amplitude() * np.abs(np.linalg.eigvalsh(b + b.T)).max()
     if grid.dt * hnorm >= STABILITY_LIMIT:
         raise ValueError(
             f"dt*||H_S|| = {grid.dt * hnorm:.3g} exceeds stability guard {STABILITY_LIMIT}")
@@ -270,9 +272,9 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
     ``ZeroOrderSolution.exact_split``) is not stepped: its states are |0,k0)
     exactly.  The others are stepped in one loop over the grid.
 
-    The states are stepped as phi = F psi, F the unitary DFT of the momentum
-    axis.  There U0m is ``branch_displacement`` at the midpoint branches, and
-    U0m^dag reuses U0m's ``branch_phases``.  H1 phi = e P~ phi b + e^* P~^dag
+    The states are stepped as phi = F psi, F the unitary DFT ``fourier`` of the
+    momentum axis.  There U0m is ``branch_displacement`` at the midpoint
+    branches, and U0m^dag reuses U0m's ``branch_phases``.  H1 phi = e P~ phi b + e^* P~^dag
     phi b^T, with e = e^{i w t_m}, P~ = F P F^dag and
     P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t} the particle
     factor of H1 in the momentum basis (delta the circulant of the strategy's
@@ -322,8 +324,8 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     x, w = ladder_quadrature(model.osc)
     b = oscillator_annihilation(model.osc)
     b_pair = -1j * grid.dt * np.concatenate([b, b.T], axis=1)      # (levels, 2 levels)
-    dft = np.fft.fft(np.eye(N), axis=0, norm="ortho")
-    dft_dag = dft.conj().T
+    dft = fourier(N)
+    dft_dag = dft.conj()
     tol = np.finfo(float).eps ** 2
 
     phi = np.repeat((dft @ make_basis_state(model, sols[0].k0, 0))[None], M, axis=0)
@@ -353,4 +355,4 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
         if i + 1 == stored[slot]:
             states[:, slot] = phi
             slot += 1
-    return np.fft.ifft(states, axis=-2, norm="ortho")
+    return dft_dag @ states

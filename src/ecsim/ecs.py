@@ -22,7 +22,7 @@ k0 (a family of states is one ``ecs_series`` call), with checks of
 b|h,k0> = Q|h,k0>, the momentum shifts and the plane-wave sum rule (each
 over an array of shifts or positions), the single-mode overlap formula
 (broadcast) and the quadrature test of the resolution of unity.  Only
-numpy, without numpy.polynomial, is needed at run time.
+numpy, without numpy.polynomial or numpy.fft, is needed at run time.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .hilbert import (
     circulant,
     displacement,
     fidelity,
+    fourier,
     make_basis_state,
     oscillator_annihilation,
     plane_waves,
@@ -98,14 +99,14 @@ def _series_state(model: Model, offsets, values, k0) -> np.ndarray:
     The prefactor, the circulant with branch values e^{-|lam_j|^2/2}, acts on
     the particle factor only and commutes with Q, so it is applied to |k0)
     first.  As a function of Q^dag Q its offsets are multiples of the gcd of
-    N and the differences of Q's offsets; the FFT's round-off on the other
+    N and the differences of Q's offsets; the DFT's round-off on the other
     offsets is dropped, so amplitudes off k0's momentum orbit stay exactly
     zero (states on disjoint orbits are exactly orthogonal).  Term n lands on
     level n alone: level n is Q level(n-1) / sqrt(n), exact under truncation.
     """
     N, levels = model.shape
     lam_sq = np.abs(branches(model.lattice, offsets, values)) ** 2
-    coeffs = np.fft.fft(np.exp(-0.5 * lam_sq), norm="forward")
+    coeffs = np.exp(-0.5 * lam_sq) @ fourier(N) / math.sqrt(N)
     coeffs[..., np.arange(N) % math.gcd(N, *(q - offsets[0] for q in offsets)) != 0] = 0.0
     acc = np.zeros(np.broadcast_shapes(np.shape(values)[:-1], np.shape(k0)) + model.shape, complex)
     acc[..., 0] = np.arange(N) == np.expand_dims(k0, -1)
@@ -287,7 +288,8 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     S[n, m], one contraction over the radii times the angular sum
     S[n, m] = sum_a e^{i (n - m) theta_a}.  So every live block deviates from
     the identity as B does and a vanishing branch (|lam_j|^2 <= 1e-14), a
-    zero block, by 1: one block and one norm, whatever the number of sites.
+    zero block, by 1: one block and one norm (its largest |eigenvalue|, as it
+    is Hermitian), whatever the number of sites.
     The deviation is taken on the reliable subspace: Fock levels whose
     coherent occupancy at the largest quadrature amplitude stays below
     TRUNCATION_TOL, since states at large |z| spill past the cutoff.
@@ -308,7 +310,7 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     rel = np.array(reliable)
     radial = (amps.T[rel] * weights) @ amps[:, rel]
     block = radial * _angular_sum(angles, levels)[rel[:, None], rel] - np.eye(rel.size)
-    deviation = float(np.linalg.norm(block, 2))
+    deviation = float(np.abs(np.linalg.eigvalsh(block)).max())
     return UnityResolutionResult(deviation=max(deviation, 0.0 if live.all() else 1.0),
                                  reliable_levels=reliable)
 

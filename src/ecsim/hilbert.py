@@ -13,7 +13,8 @@ sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (the one
 place offsets are canonicalised modulo the lattice) and ``circulant`` its one
 builder, batched over leading axes of the values; ``branches`` gives their
 eigenvalues on the shared Fourier vectors, which is how every function of a
-circulant is built.  ``displacement`` applies
+circulant is built, and ``fourier`` (the cached unitary DFT) is their one
+change of basis.  ``displacement`` applies
 exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
 to states without forming it: each branch displacement is a phase rotation of
 exp(-i |lam| (b + b^dag)), so one eigendecomposition of the constant
@@ -29,6 +30,8 @@ Natural units, hbar = 1.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -272,10 +275,22 @@ def circulant(lattice: Lattice, offsets, values) -> np.ndarray:
     return np.take(diagonals, (cols[None, :] - cols[:, None]) % lattice.sites, axis=-1)
 
 
+@functools.cache
+def fourier(sites: int) -> np.ndarray:
+    """The unitary DFT of the momentum axis, F[j, n] = e^{-2 pi i jn/N}/sqrt(N)
+    (exponent reduced mod N), computed once per N and read-only.  F is
+    symmetric: row j of F^dag = F.conj() is the Fourier vector f_j."""
+    j = np.arange(sites)
+    f = np.exp(-2j * np.pi * (np.outer(j, j) % sites) / sites) / math.sqrt(sites)
+    f.flags.writeable = False
+    return f
+
+
 def branches(lattice: Lattice, offsets, values) -> np.ndarray:
     """Eigenvalues sum_w v_w e^{2 pi i j w/N} of circulant(...), batched alike,
-    on the Fourier vectors f_j[n] = e^{2 pi i j n/N}/sqrt(N); one FFT."""
-    return np.fft.ifft(_offset_diagonals(lattice, offsets, values), norm="forward")
+    on the Fourier vectors f_j: one matmul with sqrt(N) F^dag."""
+    N = lattice.sites
+    return _offset_diagonals(lattice, offsets, values) @ fourier(N).conj() * math.sqrt(N)
 
 
 def ladder_quadrature(osc: OscillatorSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -328,15 +343,14 @@ def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
     phi_j = theta_j + pi/2, the truncated branch generator is exactly
     lam_j b^dag - lam_j^* b = -i |lam_j| R_j (b + b^dag) R_j^dag, so one
     eigendecomposition W diag(x) W^T of the real b + b^dag serves every branch:
-    an FFT of the momentum axis, ``branch_displacement``, the inverse FFT.
+    the DFT F of the momentum axis, ``branch_displacement``, then F^dag.
     `lam` and `mu` may carry leading axes (..., N) matching those of `states`,
     one set of branches per state.  Vanishing branches return `states` itself."""
     if not (np.any(lam) or np.any(mu)):
         return states
     x, w = ladder_quadrature(model.osc)
-    coeffs = branch_displacement(np.fft.fft(states, axis=-2, norm="ortho"),
-                                 branch_phases(lam, mu, x), w)
-    return np.fft.ifft(coeffs, axis=-2, norm="ortho")
+    f = fourier(model.lattice.sites)
+    return f.conj() @ branch_displacement(f @ states, branch_phases(lam, mu, x), w)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ from .hilbert import CoefficientSet, Model
 from .dynamics import TimeGrid, check_stability
 
 
-def _free_energies(model: Model) -> np.ndarray:
-    """eps_k + w n on the flattened product basis (index k * levels + n)."""
+def _free_energies(model: Model, origin: float = 0.0) -> np.ndarray:
+    """eps_k - origin + w n on the flattened product basis (index k * levels + n)."""
     n = np.arange(model.osc.levels)
-    return (model.energies()[:, None] + model.osc.omega * n[None, :]).reshape(-1)
+    return ((model.energies() - origin)[:, None] + model.osc.omega * n[None, :]).reshape(-1)
 
 
 def free_hamiltonian_dense(model: Model) -> np.ndarray:
@@ -82,7 +82,9 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
     S = e^{-i H_free dt/2} exp(-i dt H_S) e^{-i H_free dt/2}.  S is built
     once per call from the (sites, levels, levels) branch blocks of H_S and
     scaled in place; each step is one dense matvec S phi, and the free phase
-    e^{i H_free t} is applied only at the stored steps.  At zero coupling
+    e^{i H_free t} is applied only at the stored steps.  The free energies
+    are measured from min eps_k (a constant shift of H_free cancels), so an
+    |eps_k| that dwarfs w cutoff does not round w n away.  At zero coupling
     every stored state is the initial state, unchanged.
 
     Returns the final state; with `collect_every` also a pair (step indices,
@@ -95,7 +97,7 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
     if not np.any(couplings.values):
         states = np.repeat(psi[None], stored.size, axis=0)
     else:
-        energies = _free_energies(model)
+        energies = _free_energies(model, model.energies().min())
         step = _step_unitary(model, couplings, grid.dt)
         half = np.exp(-0.5j * grid.dt * energies)
         step *= half[:, None]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from ecsim.dynamics import ModulatorStrategy, TimeGrid, zero_order_solution
 from ecsim.ecs import MOMENT_MAX_ORDER, RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
@@ -258,6 +257,8 @@ def series_dense_reference(model: Model, h: CoefficientSet, k0: int) -> np.ndarr
     flattened product space, with Q summed entry by entry from
     ``shift_matrix``: the independent reference for the series state at any
     set of offsets."""
+    from scipy.linalg import expm   # here, so tests/test_cli.py runs without scipy
+
     N, levels = model.shape
     qp = sum((v * shift_matrix(model.lattice, q) for q, v in h.items),
              np.zeros((N, N), dtype=complex))

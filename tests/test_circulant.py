@@ -105,6 +105,27 @@ def test_branches_are_the_circulant_eigenvalues(case, rows, seed):
     assert np.abs(mats @ f - lam[:, None, :] * f).max() < 1e-12
 
 
+@PINNED
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+def test_branches_and_displacement_match_their_fft_references(sites, cutoff, batch, seed):
+    """The DFT-matrix forms of ``branches`` and ``displacement`` agree to
+    1e-13 with the FFT forms they replace, on random batched stacks."""
+    model = make_model(sites=sites, cutoff=cutoff)
+    lat, shape = model.lattice, (batch,) + model.shape
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((batch, sites)) + 1j * rng.standard_normal((batch, sites))
+    lam = branches(lat, range(sites), vals)
+    assert np.abs(lam - np.fft.ifft(vals, norm="forward")).max() < 1e-13
+    mu = rng.standard_normal((batch, sites))
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x, w = ladder_quadrature(model.osc)
+    coeffs = branch_displacement(np.fft.fft(states, axis=-2, norm="ortho"),
+                                 branch_phases(lam, mu, x), w)
+    want = np.fft.ifft(coeffs, axis=-2, norm="ortho")
+    assert np.abs(displacement(model, lam, mu, states) - want).max() < 1e-13
+
+
 @st.composite
 def small_terms(draw, lat):
     offsets = draw(st.lists(st.integers(min_value=-lat.sites, max_value=lat.sites),
@@ -192,6 +213,22 @@ def test_stability_guard_matches_the_dense_hamiltonian_norm(mc):
     check_stability(model, couplings, TimeGrid(-dt * (1 - 1e-9), 0.0, 1))
     with pytest.raises(ValueError):
         check_stability(model, couplings, TimeGrid(-dt * (1 + 1e-9), 0.0, 1))
+
+
+def test_stability_guard_takes_the_ladder_2_norm():
+    """The guard's ||b + b^dag||_2, the largest |eigenvalue| of b + b^T, is
+    the SVD 2-norm to 1e-14 relative for cutoff 1..60: on one site with unit
+    coupling, a grid 1e-14 inside the SVD norm's boundary passes and one
+    1e-14 outside it is rejected."""
+    for cutoff in range(1, 61):
+        model = make_model(sites=1, cutoff=cutoff)
+        couplings = CoefficientSet(model.lattice, ((0, 1.0),))
+        assert couplings.operator_amplitude() == 1.0
+        b = oscillator_annihilation(model.osc)
+        dt = STABILITY_LIMIT / np.linalg.norm(b + b.conj().T, 2)
+        check_stability(model, couplings, TimeGrid(-dt * (1 - 1e-14), 0.0, 1))
+        with pytest.raises(ValueError):
+            check_stability(model, couplings, TimeGrid(-dt * (1 + 1e-14), 0.0, 1))
 
 
 @PINNED

@@ -79,17 +79,46 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
-def test_properties_leaves_numpy_random_out(config_path, tmp_path):
-    """The suite draws its offsets and positions with the stdlib `random`, and
-    computes its Gauss-Laguerre nodes with numpy.linalg alone, so a fresh
-    `properties` process does not pay for importing numpy.random or
-    numpy.polynomial."""
+# Every command, with the flags that take it down all of its paths.
+COMMANDS = {"properties": ["properties"], "evolve": ["evolve", "--compare-strategies"],
+            "gamma": ["gamma"], "sweep": ["sweep", "--factors", "1,0.5"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_leave_optional_modules_out(config_path, tmp_path, command):
+    """A fresh process running any command imports neither scipy nor
+    numpy.fft, numpy.random or numpy.polynomial: the momentum axis changes
+    basis by the cached DFT matrix ``hilbert.fourier``, the property suite
+    draws with the stdlib `random`, and the Gauss-Laguerre nodes come from
+    numpy.linalg alone."""
+    argv = COMMANDS[command] + ["--config", config_path, "--out", str(tmp_path / "o")]
     code = ("import sys, contextlib, io, ecsim.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = ecsim.cli.main(['properties', '--config', {config_path!r}, "
-            f"'--out', {str(tmp_path / 'o')!r}])\n"
-            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)")
-    assert _run_python(code).split() == ["0", "False", "False"]
+            f"    code = ecsim.cli.main({argv!r})\n"
+            "print(code, [m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith(('numpy.fft', 'numpy.random', 'numpy.polynomial'))])")
+    assert _run_python(code) == "0 []\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_take_no_svd(config_path, tmp_path, monkeypatch, command):
+    """Every matrix 2-norm a command takes is of a Hermitian matrix, read off
+    the symmetric eigensolver: no SVD runs, and np.linalg.norm never takes
+    ord=2 of a matrix."""
+    def svd(*args, **kw):
+        raise AssertionError("np.linalg.svd called")
+
+    norm = np.linalg.norm
+
+    def no_matrix_2_norm(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and (np.ndim(x) == 2 if axis is None else np.size(axis) == 2):
+            raise AssertionError("matrix 2-norm taken")
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "norm", no_matrix_2_norm)
+    argv = COMMANDS[command] + ["--config", config_path, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
 
 
 def test_parse_complex():
@@ -308,6 +337,23 @@ def test_evolve_compare_strategies(config_path, tmp_path):
         state = np.loadtxt(out / f"state_{kind}.dat")
         norm = np.sqrt(np.sum(state[:, 1] ** 2 + state[:, 2] ** 2))
         assert abs(norm - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("value", ["1e16", "1e300"])
+def test_evolve_passes_at_a_huge_flat_energy(tmp_path, capsys, value):
+    """The oracle measures its free energies from min eps_k, so an |eps_k|
+    that dwarfs omega * cutoff does not round the oscillator energies away:
+    CI's small config under a flat dispersion of 1e16 or 1e300 passes both
+    strategies (1 - F = 5.1e-11; measured from zero it was 6.2e-2 and 1.4e-1)."""
+    text = (SMALL_CONFIG.replace(SMALL_DISPERSION, f"dispersion = flat\nvalue = {value}")
+            .replace(" = 0.12, 0.0", " = 0.15, 0.0").replace("t0 = -1.5", "t0 = -3.0")
+            .replace("steps = 250", "steps = 200"))
+    p = tmp_path / "flat.ini"
+    p.write_text(text)
+    assert main(["evolve", "--compare-strategies", "--config", str(p),
+                 "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(" PASS " in line for line in lines)
 
 
 def test_gamma_command(config_path, tmp_path):

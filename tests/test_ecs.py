@@ -337,13 +337,14 @@ def test_unity_resolution_matches_dense_reference(case):
 @pytest.mark.parametrize("sites", [16, 2])
 def test_unity_resolution_takes_one_block_norm(monkeypatch, sites):
     """Every live branch block is D_j B D_j^dag for one unit-phase block B, so
-    the check takes one spectral norm, of one 2-D (levels x levels) matrix,
-    whatever the number of sites."""
+    the check takes one spectral norm, the largest |eigenvalue| of one 2-D
+    (levels x levels) Hermitian matrix, whatever the number of sites."""
     model = make_model(sites=sites, cutoff=24)
+    ecs._laguerre_nodes(RADIAL_NODES)   # cached: the Jacobi matrix's solve is not the block's
     calls = []
-    norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm",
-                        lambda a, *args, **kw: calls.append(np.shape(a)) or norm(a, *args, **kw))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or eigvalsh(a, *args, **kw))
     res = unity_resolution_check(model, single_mode(model, 1, 1.0))
     assert calls == [(25, 25)]
     assert res.reliable_levels == tuple(range(25)) and res.deviation < 1e-12
@@ -421,13 +422,16 @@ def test_laguerre_nodes_computed_once_per_node_count(monkeypatch):
     unity_resolution_check(model, h, radial_nodes=RADIAL_NODES)
     unity_resolution_check(model, h, radial_nodes=RADIAL_NODES)
     moment_identity_check(0.6)
-    assert calls == [(RADIAL_NODES, RADIAL_NODES)]  # one for all three, after the cache_clear
+    # one Jacobi solve for all three, after the cache_clear (each unity check
+    # also solves its own (levels x levels) block)
+    assert [s for s in calls if s == (RADIAL_NODES, RADIAL_NODES)] == [(RADIAL_NODES, RADIAL_NODES)]
     assert not any(a.flags.writeable for a in ecs._laguerre_nodes(RADIAL_NODES))
 
 
 def test_no_eigensolver_on_a_circulant(monkeypatch):
     """displacement diagonalises only the constant b + b^dag; the series
-    construction and the unity quadrature diagonalise nothing."""
+    construction diagonalises nothing, and the unity quadrature takes only
+    the eigenvalues of its one (levels x levels) block (``eigvalsh``)."""
     model = make_model(sites=6, cutoff=12)
     h = CoefficientSet.from_dict(model.lattice, {1: 0.3, -2: 0.2j, 3: 0.1})
     lam = branches(model.lattice, h.offsets, h.values)

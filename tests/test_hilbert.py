@@ -13,9 +13,22 @@ from ecsim.hilbert import (
     OscillatorSpec,
     TruncationError,
     fidelity,
+    fourier,
     make_basis_state,
     oscillator_annihilation,
 )
+
+
+def test_fourier_is_the_cached_read_only_unitary_dft():
+    """fourier(N) is numpy's orthonormal DFT of the identity to 1e-14 and
+    unitary to 1e-14 for N = 1..40, computed once per N and read-only."""
+    for sites in range(1, 41):
+        f = fourier(sites)
+        assert np.abs(f - np.fft.fft(np.eye(sites), axis=0, norm="ortho")).max() < 1e-14
+        assert np.abs(f @ f.conj().T - np.eye(sites)).max() < 1e-14
+        assert fourier(sites) is f and not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
 
 
 def test_fidelity_never_exceeds_one():
