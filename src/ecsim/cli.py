@@ -366,6 +366,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
+        existing = os.path.abspath(args.out)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         if args.command == "properties":
             return cmd_properties(cfg, args.out)
         if args.command == "evolve":

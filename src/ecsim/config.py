@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import os
 from dataclasses import dataclass
 
 from .dynamics import ModulatorStrategy, TimeGrid
@@ -131,13 +130,12 @@ def _require_schema(cp: configparser.ConfigParser,
 
 
 def load_config(path: str, seed_override: int | None = None) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     defaults = configparser.ConfigParser()
     defaults.read_string(DEFAULT_CONFIG_TEXT)
     try:
-        cp.read(path)
+        if not cp.read(path):  # also a directory
+            raise ConfigError(f"cannot read config file: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     _require_schema(cp, defaults)

@@ -64,6 +64,23 @@ def read(path):
         return fh.read()
 
 
+def assert_same_outputs(first, again):
+    """The two output directories hold the same files, byte for byte."""
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(again))
+    for name in names:
+        path = os.path.join(first, name)
+        assert read(path) == read(os.path.join(again, name)), path
+
+
+def main_recording_warnings(argv):
+    """main(argv) with every warning recorded, not raised: (exit code, messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught]
+
+
 def _run_python(code: str) -> str:
     """stdout of `code` run in a fresh interpreter that imports this ecsim."""
     src = os.path.dirname(os.path.dirname(ecsim.__file__))
@@ -167,6 +184,33 @@ def test_config_errors(tmp_path, config_path):
         load_config(config_path, seed_override=-3)
 
 
+def test_config_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
+    """configparser skips a path it cannot open, so a directory would
+    otherwise run the default configuration."""
+    out = tmp_path / "o"
+    assert main(["properties", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_naming_a_file_is_a_configuration_error(config_path, tmp_path, capsys, monkeypatch,
+                                                     command, out):
+    """--out at an existing file, or below one, exits 2 naming --out before
+    any computation, and leaves the file as it was."""
+    def no_computation(*args, **kwargs):
+        raise AssertionError("--out must be rejected before any computation")
+
+    monkeypatch.setattr(ecsim.cli, "run_properties", no_computation)
+    monkeypatch.setattr(ecsim.cli, "zero_order_solution", no_computation)
+    (tmp_path / "afile").write_text("kept")
+    argv = COMMANDS[command] + ["--config", config_path, "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    assert "--out" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
 def test_non_hermitian_couplings_are_a_configuration_error(tmp_path, capsys):
     p = tmp_path / "unpaired.ini"
     p.write_text(SMALL_CONFIG.replace("-1 = 0.12, 0.0", "-1 = 0.12, 0.05"))
@@ -208,6 +252,23 @@ def test_unknown_tolerance_key_is_a_configuration_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert "unknown section [tolerances]" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_offsets_outside_the_window_give_the_canonical_output(tmp_path, capsys, command):
+    """Offsets 6 and -6 wrap onto 1 and -1 on 5 sites: every output, the
+    resolved_config.ini that writes canonical offsets included, and the
+    report are byte-identical."""
+    outs, reports = [], []
+    for q in (1, 6):
+        p = tmp_path / f"offset-{q}.ini"
+        p.write_text(SMALL_CONFIG.replace("\n1 = ", f"\n{q} = ").replace("\n-1 = ", f"\n-{q} = "))
+        assert p.read_text().count(f"{q} = 0.12, 0.0") == 2
+        outs.append(tmp_path / f"o{q}")
+        assert main(COMMANDS[command] + ["--config", str(p), "--out", str(outs[-1])]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert_same_outputs(*outs)
 
 
 def test_truncation_rule_rejected_before_computation(tmp_path):
@@ -339,6 +400,32 @@ def test_evolve_compare_strategies(config_path, tmp_path):
         assert abs(norm - 1.0) < 1e-8
 
 
+def test_evolve_stores_the_final_step_of_a_partial_last_stride(tmp_path):
+    """401 steps give stride 2: the stored steps are 0, 2, ..., 400 and the
+    final 401, so each series has 202 rows from t0 to t_end."""
+    p = tmp_path / "ragged.ini"
+    p.write_text(SMALL_CONFIG.replace("steps = 250", "steps = 401"))
+    out = tmp_path / "ev"
+    assert main(["evolve", "--compare-strategies", "--config", str(p), "--out", str(out)]) == 0
+    for kind in ("static_unit", "recoil_phase"):
+        times = np.loadtxt(out / f"evolve_{kind}.dat")[:, 0]
+        assert len(times) == 202
+        assert times[0] == -1.5 and times[-1] == 0.0
+
+
+def test_evolve_at_a_huge_omega_runs_and_warns_of_nothing(tmp_path):
+    """At omega = 1e300 the phases nu (t - t0) overflow any Taylor form of
+    the nested integrals: evolve still writes both strategies' series and
+    warns of nothing (its fidelity check may fail on round-off: exit 1)."""
+    p = tmp_path / "huge_omega.ini"
+    p.write_text(SMALL_CONFIG.replace("omega = 2.5", "omega = 1e300"))
+    out = tmp_path / "o"
+    code, caught = main_recording_warnings(["evolve", "--compare-strategies",
+                                            "--config", str(p), "--out", str(out)])
+    assert code in (0, 1) and caught == []
+    assert (out / "evolve_static_unit.dat").exists() and (out / "evolve_recoil_phase.dat").exists()
+
+
 @pytest.mark.parametrize("value", ["1e16", "1e300"])
 def test_evolve_passes_at_a_huge_flat_energy(tmp_path, capsys, value):
     """The oracle measures its free energies from min eps_k, so an |eps_k|
@@ -454,6 +541,24 @@ def test_huge_finite_couplings_are_a_configuration_error(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("dispersion", ["dispersion = quadratic\nmass = 5e-324",
+                                        "dispersion = tight_binding\nhopping = 1.7e308"],
+                         ids=["tiny-mass", "huge-hopping"])
+def test_overflowing_free_spectrum_is_a_configuration_error(tmp_path, capsys, command,
+                                                            dispersion):
+    """Finite parameters whose energies (mass 5e-324) or energy differences
+    (hopping 1.7e308) overflow a float: exit 2, no output and no warning."""
+    p = tmp_path / "overflow.ini"
+    p.write_text(SMALL_CONFIG.replace(SMALL_DISPERSION, dispersion))
+    out = tmp_path / "o"
+    code, caught = main_recording_warnings(COMMANDS[command] + ["--config", str(p),
+                                                                "--out", str(out)])
+    assert code == 2 and caught == []
+    assert "overflow a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_command(tmp_path):
     text = SMALL_CONFIG.replace("steps = 250", "steps = 200")
     p = tmp_path / "sw.ini"
@@ -521,10 +626,14 @@ def test_sweep_rejects_a_split_exact_up_to_round_off(tmp_path, capsys, hopping, 
 
 
 SMALL_DISPERSION = "dispersion = tight_binding\nhopping = 1.0"
-# Each kind with its parameter's key (value as written) and without it (None).
-DISPERSION_VARIANTS = [("tight_binding", "1.0"), ("tight_binding", None),
-                       ("quadratic", "0.75"), ("quadratic", None),
-                       ("flat", "-0.4"), ("flat", None)]
+# eps_{+-1} - eps_0 of SMALL_CONFIG: at k0 = 0, recoil_phase has nu_{+-1} = 0.
+RESONANT_OMEGA = "0.6909830056250525"
+# Each kind with its parameter's key (value as written) and without it (None)
+# at omega = 2.5, and the tight-binding model at RESONANT_OMEGA.
+RERUN_VARIANTS = [("tight_binding", "1.0", "2.5"), ("tight_binding", None, "2.5"),
+                  ("quadratic", "0.75", "2.5"), ("quadratic", None, "2.5"),
+                  ("flat", "-0.4", "2.5"), ("flat", None, "2.5"),
+                  ("tight_binding", "1.0", RESONANT_OMEGA)]
 
 
 @pytest.mark.parametrize("argv", [["properties"], ["evolve", "--compare-strategies"],
@@ -532,9 +641,10 @@ DISPERSION_VARIANTS = [("tight_binding", "1.0"), ("tight_binding", None),
                          ids=["properties", "evolve", "gamma", "sweep"])
 def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
     """A run's resolved_config.ini alone reproduces its outputs and its
-    report, under every dispersion kind with and without its parameter's key:
-    floats round-trip exactly, an absent parameter is written at its default
-    and the --seed override is kept."""
+    report, under every dispersion kind with and without its parameter's key
+    and at an exactly resonant omega: every run passes, floats round-trip
+    exactly, an absent parameter is written at its default and the --seed
+    override is kept."""
     rng = np.random.default_rng(17)
     g = complex(*(0.1 + 0.05 * rng.random(2)))
     t0 = -1.5 - rng.random()
@@ -542,27 +652,25 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, capsys, argv):
     text = SMALL_CONFIG.replace("\n1 = 0.12, 0.0\n-1 = 0.12, 0.0",
                                 f"\n1 = {g.real!r}, {g.imag!r}\n-1 = {g.real!r}, {-g.imag!r}")
     text = text.replace("t0 = -1.5", f"t0 = {t0!r}").replace("steps = 250", "steps = 150")
-    for kind, value in DISPERSION_VARIANTS:
+    for kind, value, omega in RERUN_VARIANTS:
         if argv[0] == "sweep" and kind == "flat":
             continue   # an exact split, which sweep rejects (test_sweep_rejects_an_exact_split)
         key, default = ecsim.hilbert.DISPERSION_PARAMETERS[kind]
-        name = f"{kind}-{value}"
+        name = f"{kind}-{value}-{omega}"
         p = tmp_path / f"{name}.ini"
         p.write_text(text.replace(SMALL_DISPERSION, f"dispersion = {kind}"
-                                  + (f"\n{key} = {value}" if value else "")))
+                                  + (f"\n{key} = {value}" if value else ""))
+                     .replace("omega = 2.5", f"omega = {omega}"))
         first, again = tmp_path / name / "first", tmp_path / name / "again"
-        code = main(argv + ["--config", str(p), "--out", str(first), "--seed", "5"])
+        assert main(argv + ["--config", str(p), "--out", str(first), "--seed", "5"]) == 0, name
         report = capsys.readouterr().out
         resolved = read(first / "resolved_config.ini").decode()
         assert "\nseed = 5\n" in resolved
         assert f"\n{key} = {value or repr(default)}\n" in resolved, name
         assert main(argv + ["--config", str(first / "resolved_config.ini"),
-                            "--out", str(again)]) == code
+                            "--out", str(again)]) == 0
         assert capsys.readouterr().out == report
-        names = sorted(os.listdir(first))
-        assert names == sorted(os.listdir(again))
-        for out_name in names:
-            assert read(first / out_name) == read(again / out_name), (name, out_name)
+        assert_same_outputs(first, again)
 
 
 @pytest.mark.parametrize("kind,key,expected", [
@@ -663,10 +771,9 @@ def test_cli_fuzz_exits_cleanly(case):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(fuzz_config(kind, cutoff, replace))
         sink = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            warnings.simplefilter("always")
-            code = main(FUZZ_COMMANDS[command] + ["--config", path, "--out", out])
-        assert [str(w.message) for w in caught] == []
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code, caught = main_recording_warnings(FUZZ_COMMANDS[command]
+                                                   + ["--config", path, "--out", out])
+        assert caught == []
         assert code in (0, 1, 2)
         assert os.path.exists(out) == (code != 2)
