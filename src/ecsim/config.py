@@ -1,12 +1,5 @@
-"""Run configuration: flat key = value sections, loaded from INI-style text.
-
-Complex values are written as "re,im" pairs.  The sections and keys of
-DEFAULT_CONFIG_TEXT (plus the dispersion kind's one parameter in [model],
-keyed and defaulted by DISPERSION_PARAMETERS, and any integer offset in
-[couplings]) are the whole schema: anything else, another kind's parameter
-included, is a ConfigError.  Every run writes its resolved configuration
-next to its outputs, floats in their shortest exact form, so rerunning from
-that file alone reproduces the run's outputs byte for byte.
+"""Run configuration: ``load_config`` reads and checks an INI file of flat
+key = value sections, and ``resolved_config_text`` writes the effective one.
 """
 
 from __future__ import annotations
@@ -114,7 +107,9 @@ def _require_paired(couplings: CoefficientSet) -> None:
 def _require_schema(cp: configparser.ConfigParser,
                     defaults: configparser.ConfigParser) -> None:
     """Reject any section or key outside the schema, so a misspelt or retired
-    input fails loudly instead of leaving its default in force."""
+    input fails loudly instead of leaving its default in force.  The schema is
+    the sections and keys of DEFAULT_CONFIG_TEXT, the dispersion parameters of
+    DISPERSION_PARAMETERS in [model] and any integer offset in [couplings]."""
     schema = {section: set(defaults[section]) for section in defaults.sections()}
     schema["model"] |= {key for key, _ in DISPERSION_PARAMETERS.values()}
     for section in cp:  # includes [DEFAULT], whose keys would reach every section
@@ -200,7 +195,9 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
-    """Deterministic INI dump of the effective configuration."""
+    """Deterministic INI dump of the effective configuration, floats in their
+    shortest exact form, so rerunning from it alone reproduces a run's
+    outputs byte for byte."""
     cp = configparser.ConfigParser()
     d = cfg.model.dispersion
     cp["model"] = {

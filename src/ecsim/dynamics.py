@@ -1,37 +1,10 @@
-"""Interaction Hamiltonian, its integrable/residual split, and propagation.
+"""The split of the interaction Hamiltonian, and its propagation.
 
 The interaction-picture Hamiltonian b^dag e^{i w t} sum_q g_q rho_q(t) + h.c.
-is split into an exactly solvable part H0 (operator phases replaced by a
-unimodular modulator f_q(t)) and a residual H1.  H0 generates the evolution
-
-    U0(t) = exp{ Q(t) b^dag - Q^dag(t) b - i chi(t) },
-    h_q(t) = -i g_q int_{t0}^t f_q(t') e^{i w t'} dt',
-    chi(t) = -(i/2) int_{t0}^t [ Qdot^dag Q - Q^dag Qdot ] dt',
-
-in closed form at any time, since f_q(t) e^{i w t} = e^{i nu_q t}
-(``ZeroOrderSolution``).  Every particle factor (G, A(t), Q(t), chi(t)) is a
-circulant built by ``hilbert.circulant``; the coupling G is a plain
-``CoefficientSet``, whose pairing g_{-q} = g_q^* is checked where couplings
-are read (``config.load_config``).  chi is kept as its real branch values, so
-U0(t) = sum_x |x><x| x D(alpha(x,t)) e^{-i Phi(x,t)} acts on states through
-``hilbert.displacement``, batched over a stack of steps.
-
-H1 has the form of H0 with the particle factor
-P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t}, delta the
-circulant of the modulator's detuning.  Whether H1 vanishes identically (an
-exact split) is a property of G and eps alone, decided before any step
-(``ZeroOrderSolution.exact_split``).  Otherwise the residual is integrated
-in the rotated frame |t> = U0^dag(t)|t) by midpoint steps
-U0m^dag exp(-i dt H1) U0m on the state kept in the Fourier-branch basis of
-the momentum axis, where U0m is diagonal on the branches
-(``hilbert.branch_displacement``; U0m^dag reuses U0m's phases) and
-exp(-i dt H1) is applied by its Taylor series, two matmuls and one
-stop-rule reduction per term for the whole stack; the midpoint branches are
-computed before the loop, and a step is a handful of small matmuls with no
-change of basis, eigensolver or dense operator.  One loop steps a stack of
-solutions that share model, grid and offsets (a coupling sweep's scales, or
-both strategies).  No operator on the product space is formed anywhere in this
-module.
+splits into H0, whose operator phases are replaced by a unimodular modulator
+f_q(t) (``ModulatorStrategy``), and the residual H1: ``zero_order_solution``
+solves H0 in closed form and ``propagate_residual`` integrates H1 in the
+rotated frame.
 """
 
 from __future__ import annotations
@@ -126,8 +99,9 @@ class TimeGrid:
 def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> None:
     """Reject grids at or beyond the stability guard, dt ||H_S|| >= STABILITY_LIMIT;
     both propagators (``zero_order_solution``, ``oracle.propagate_exact``) call
-    it.  On branch j, H_S = g_j b^dag + g_j^* b is unitarily |g_j| (b + b^dag),
-    whose 2-norm is the largest |eigenvalue| of the real b + b^T."""
+    it.  On branch j, H_S = g_j b^dag + g_j^* b is |g_j| (b + b^dag) up to the
+    rotation of ``hilbert.branch_displacement``, so ||H_S|| is max_j |g_j|
+    times the largest |eigenvalue| of the real b + b^T."""
     b = oscillator_annihilation(model.osc).real
     hnorm = couplings.operator_amplitude() * np.abs(np.linalg.eigvalsh(b + b.T)).max()
     if grid.dt * hnorm >= STABILITY_LIMIT:
@@ -170,10 +144,13 @@ def _nested(nu: np.ndarray, t0: float, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroOrderSolution:
-    """The closed-form zero-order solution: h_q(t), the branch values of Q and
-    chi, and U0(t), at any array of times, from the couplings and the
-    frequencies nu_q of f_q(t) e^{i w t} = e^{i nu_q t}.
+    """The closed-form solution of H0,
 
+        U0(t) = exp{ Q(t) b^dag - Q^dag(t) b - i chi(t) },
+        h_q(t) = -i g_q int_{t0}^t f_q(t') e^{i w t'} dt',
+        chi(t) = -(i/2) int_{t0}^t [ Qdot^dag Q - Q^dag Qdot ] dt',
+
+    at any array of times, with no quadrature: f_q(t) e^{i w t} = e^{i nu_q t}.
     chi is evaluated by its real branch values, so it is Hermitian by
     construction; U0 is only ever applied to states.  Nothing stored grows
     with the number of steps.
@@ -201,7 +178,8 @@ class ZeroOrderSolution:
         Im sum_{p,q} w_p^* w_q g_p^* g_q I_pq(t) = int_{t0}^t Im[lamdot^* lam] dt'
         for each row w of `weights` (rows, n_offsets), both of shape
         times.shape + (rows,).  Branch weights e^{2 pi i j q/N} give the branch
-        values of Q and chi, weights e^{-iqx} give alpha(x, t) and Phi(x, t)."""
+        values of Q and chi, weights e^{-iqx} give alpha(x, t) and Phi(x, t);
+        branch j = -m mod N is alpha and Phi at x_m = m length/N."""
         g = self.couplings.values
         amplitude = self.h(times) @ weights.T
         pair = g.conj()[:, None] * g * _nested(self.nu, self.grid.t0, times)
@@ -264,34 +242,16 @@ class ResidualResult(NamedTuple):
 
 def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
                        collect_every: int | None = None) -> tuple[ResidualResult, ...]:
-    """Integrate i d/dt |t> = U0^dag H1 U0 |t> from |0,k0) by midpoint steps
-    U0m^dag exp(-i dt H1) U0m for the stack of solutions `sol, *more`, one
-    result per solution, in order.  The solutions must share model, grid, k0
-    and coupling offsets (their coupling values and strategies may differ),
-    else ValueError.  A solution whose split is exact (H1 = 0 identically,
-    ``ZeroOrderSolution.exact_split``) is not stepped: its states are |0,k0)
-    exactly.  The others are stepped in one loop over the grid.
-
-    The states are stepped as phi = F psi, F the unitary DFT ``fourier`` of the
-    momentum axis.  There U0m is ``branch_displacement`` at the midpoint
-    branches, and U0m^dag reuses U0m's ``branch_phases``.  H1 phi = e P~ phi b + e^* P~^dag
-    phi b^T, with e = e^{i w t_m}, P~ = F P F^dag and
-    P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t} the particle
-    factor of H1 in the momentum basis (delta the circulant of the strategy's
-    ``detuning``), so a Taylor term of exp(-i dt H1)
-    is two matmuls for the whole stack: Z = term [b | b^T], one 2-D matmul
-    over every member's rows, viewed as (2N, levels) rows per member, then
-    [P~ | P~^dag] Z with the columns interleaved to match.  The series is
-    summed until the squared norm of a term over the whole stack falls below
-    machine epsilon squared: one reduction per term, at least as strict as a
-    rule per member relative to its norm, since every member starts as the
-    unit state |0,k0) and the step is unitary.  The midpoint branches are
-    computed before the loop, once per run.
-
-    States are stored at the steps ``TimeGrid.samples(collect_every)`` (by
-    default only the initial and the final one), the rule the oracle's
-    ``propagate_exact`` shares, and only the stored states are transformed
-    back to the momentum basis.
+    """Integrate i d/dt |t> = U0^dag H1 U0 |t> in the rotated frame
+    |t> = U0^dag(t)|t) from |0,k0) for the stack of solutions `sol, *more`,
+    one result per solution, in order.  The solutions must share model, grid,
+    k0 and coupling offsets (their coupling values and strategies may
+    differ), else ValueError.  A solution whose split is exact (H1 = 0
+    identically, ``ZeroOrderSolution.exact_split``) is not stepped: its
+    states are |0,k0) exactly.  The others are stepped in one loop over the
+    grid (``_midpoint_steps``).  States are stored at the steps
+    ``TimeGrid.samples(collect_every)`` (by default only the initial and the
+    final one), the rule the oracle's ``propagate_exact`` shares.
     """
     sols = (sol, *more)
     model, grid, k0, offsets = sol.model, sol.grid, sol.k0, sol.offsets
@@ -309,7 +269,23 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
 
 def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.ndarray:
     """The states of ``propagate_residual`` for the stack `sols` at the grid
-    steps `stored` (after step 0), shape (len(sols), stored.size, N, levels)."""
+    steps `stored` (after step 0), shape (len(sols), stored.size, N, levels).
+
+    Each step is U0m^dag exp(-i dt H1) U0m with U0m = U0 at the midpoint t_m,
+    on the states kept in the branch basis phi = F psi (F = ``fourier``).
+    There U0m is ``branch_displacement`` and U0m^dag reuses its phases;
+    H1 phi = e P~ phi b + e^* P~^dag phi b^T with e = e^{i w t_m},
+    P~ = F P F^dag formed once per step, and
+    P(t) = G o e^{i (eps_r - eps_c) t} - G o e^{i delta_{c-r} t} the particle
+    factor of H1 (delta the circulant of the strategy's ``detuning``).
+    exp(-i dt H1) is summed as a Taylor series until the squared norm of a
+    term over the whole stack falls below eps^2: one reduction per term, at
+    least as strict as a rule per member, since every member keeps the unit
+    norm of |0,k0) under the unitary step.  A term is two matmuls for the
+    whole stack, Z = term [b | b^T] then [P~ | P~^dag] Z.  The midpoint
+    branches are computed before the loop; only the stored states go back
+    to the momentum basis.  The one eigensolver is ``ladder_quadrature``'s
+    eigh, once per run, and no operator on the product space is formed."""
     model, grid = sols[0].model, sols[0].grid
     (N, levels), M = model.shape, len(sols)
     t_mid = grid.midpoint(np.arange(grid.steps))
@@ -334,7 +310,6 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     states = np.empty((M, stored.size, N, levels), dtype=complex)
     slot = 0
     for i in range(grid.steps):
-        # P(t_m) = G o e^{i (eps_r - eps_c) t_m} - G o e^{i delta t_m}, H1's particle factor
         p = g_mat * np.exp(i_diff * t_mid[i]) - g_mat * np.exp(i_delta * t_mid[i])
         pe = osc[i] * (dft @ p @ dft_dag)
         pe_pair[..., 0::2] = pe
@@ -343,7 +318,6 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
         term = branch_displacement(phi, phases, w)
         total = term.copy()
         n = 1
-        # the step is unitary, so every member keeps the unit norm of |0,k0)
         while np.vdot(term, term).real > tol:
             # one 2-D matmul for the whole stack, (M, 2N, levels) as a view
             z = term.reshape(M * N, levels) @ b_pair

@@ -1,28 +1,14 @@
 """Extended coherent states and their algebraic properties.
 
-An extended coherent state replaces the scalar displacement amplitude of an
-ordinary oscillator coherent state by the particle operator
-Q = sum_q h_q rho_q (a commuting family on the periodic lattice), entangling
-the particle with the oscillator:
+An extended coherent state replaces the scalar amplitude of an oscillator
+coherent state by the circulant Q = sum_q h_q rho_q, entangling the particle
+with the oscillator:
 
     |h, k0> = exp(-Q^dag Q / 2) sum_n (Q b^dag)^n / n!  |0, k0)
             = exp(Q b^dag - Q^dag b) |0, k0)
 
-Q is a circulant, so every function of it is read off its Fourier branch
-values lam_j (``hilbert.branches``) and no eigensolver runs on it: the
-series prefactor is the circulant with branch values e^{-|lam_j|^2/2}, the
-displacement is one oscillator displacement D(lam_j) per branch
-(``hilbert.displacement``, U0's too), and every branch block of the
-resolution of unity is D_j B D_j^dag, D_j = diag(e^{i n arg lam_j}), for one
-(levels x levels) quadrature B.  Its coherent amplitude at r e^{i theta} is
-a radial part times e^{i n theta}: one numerically summed angular matrix,
-one contraction over the radii.  Both
-constructions are provided, the series batched over coefficient values and
-k0 (a family of states is one ``ecs_series`` call), with checks of
-b|h,k0> = Q|h,k0>, the momentum shifts and the plane-wave sum rule (each
-over an array of shifts or positions), the single-mode overlap formula
-(broadcast) and the quadrature test of the resolution of unity.  Only
-numpy, without numpy.polynomial or numpy.fft, is needed at run time.
+``ecs_series`` and ``ecs_displacement`` build it; the functions below check
+its algebra.
 """
 
 from __future__ import annotations
@@ -140,13 +126,11 @@ def _finish(model, h, k0, state) -> EcsState:
 
 def ecs_series(model: Model, h: CoefficientSet | list[CoefficientSet],
                k0: int | list[int]) -> EcsState | tuple[EcsState, ...]:
-    """Series construction of the extended coherent state, summed to the Fock
-    cutoff; TRUNCATION_TOL bounds the coherent tail beyond it.  The
-    normalization prefactor is applied to |k0) first; its placement is
-    immaterial because all particle factors involved commute.  A list of
-    coefficient sets sharing their offsets (else ValueError), with one k0
-    each, gives one EcsState per member from one ``_series_state`` call;
-    each member passes its own truncation guard and norm check."""
+    """Series construction of the extended coherent state (``_series_state``),
+    summed to the Fock cutoff; TRUNCATION_TOL bounds the coherent tail beyond
+    it.  A list of coefficient sets sharing their offsets (else ValueError),
+    with one k0 each, gives one EcsState per member from one call; each
+    member passes its own truncation guard and norm check."""
     one = isinstance(h, CoefficientSet)
     hs, k0s = ((h,), (k0,)) if one else (h, k0)
     if any(h_m.offsets != hs[0].offsets for h_m in hs):
@@ -227,7 +211,9 @@ def sum_rule(ecs: EcsState, s) -> SumRuleResult:
 def _laguerre_nodes(radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes u and the slopes L_n'(u) there, read-only: they
     depend only on the node count, so each count is computed once.  The nodes
-    are the eigenvalues of the Jacobi matrix (Golub-Welsch), one Newton step on."""
+    are the eigenvalues of the (n x n) Jacobi matrix (Golub-Welsch) with one
+    Newton step, L_n and L_n' from the three-term recurrence, so
+    numpy.polynomial is not needed."""
     n = radial_nodes
     u = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
     prev, value = np.ones_like(u), 1.0 - u   # (k+1) L_{k+1} = (2k+1-u) L_k - k L_{k-1}
@@ -250,9 +236,8 @@ def _polar_nodes(radial_nodes: int, scale: float):
     """
     if radial_nodes < 1:
         raise ValueError("radial_nodes must be positive")
-    # Weights 1/(u L_n'(u)^2) from the Gauss-Laguerre nodes: they hold the
-    # moments int e^{-u} u^k/k! = 1 to 5e-15, the sum-normalised weights of
-    # `numpy.polynomial.laguerre.laggauss` only to 1e-13.
+    # The weights 1/(u L_n'(u)^2) hold the moments int e^{-u} u^k/k! = 1 to
+    # 5e-15, the sum-normalised weights of numpy's laggauss only to 1e-13.
     u, slope = _laguerre_nodes(radial_nodes)
     radii = np.sqrt(u / scale)
     radial_weights = np.exp(u) / (u * slope ** 2) / (2.0 * scale)

@@ -1,31 +1,11 @@
 """Truncated particle-ring x oscillator Hilbert space and its elementary operators.
 
-A single spinless particle lives on a periodic momentum lattice (``Lattice``),
-a harmonic oscillator on a truncated Fock ladder (``OscillatorSpec``, which
-also holds the one truncation rule |lam|^2 <= cutoff/4).  States
-are complex arrays of shape ``(sites, cutoff + 1)`` indexed by
-(momentum index, Fock level).  This module forms no operator on the product
-space: a particle matrix acts on the momentum axis, an oscillator matrix on
-the Fock axis.
-
-Every particle factor of the zero-order Hamiltonian is a circulant
-sum_q v_q rho_q.  ``CoefficientSet`` is its one representation (the one
-place offsets are canonicalised modulo the lattice) and ``circulant`` its one
-builder, batched over leading axes of the values; ``branches`` gives their
-eigenvalues on the shared Fourier vectors, which is how every function of a
-circulant is built, and ``fourier`` (the cached unitary DFT) is their one
-change of basis.  ``displacement`` applies
-exp(Q b^dag - Q^dag b - i chi) = sum_x |x><x| x D(alpha(x)) e^{-i Phi(x)}
-to states without forming it: each branch displacement is a phase rotation of
-exp(-i |lam| (b + b^dag)), so one eigendecomposition of the constant
-b + b^dag (the Gauss-Hermite basis, ``ladder_quadrature``) serves every
-branch and every state.  ``branch_displacement`` is that action (or its
-adjoint) on states already in the branch basis, from the diagonal factors of
-``branch_phases``, batched over leading axes of the branches.
-``plane_waves`` is the one plane-wave contraction of the particle axis,
-shared by the sum rule and the density matrices.
-
-Natural units, hbar = 1.
+States are complex arrays of shape ``(sites, cutoff + 1)`` indexed by
+(momentum index, Fock level); a particle matrix acts on the momentum axis and
+an oscillator matrix on the Fock axis, so no operator on the product space is
+formed here.  ``CoefficientSet`` represents the circulant particle operators
+and ``displacement`` applies their oscillator displacement.  Natural units,
+hbar = 1.
 """
 
 from __future__ import annotations
@@ -304,12 +284,9 @@ def ladder_quadrature(osc: OscillatorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def branch_phases(lam, mu, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonal factors of the branch displacement
-    e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag: the rotation
-    R_j = e^{i n (theta_j + pi/2)}, the Hermite phases e^{-i |lam_j| x} and
-    e^{-i mu_j}, for `lam` and `mu` of shape (..., N) and the nodes `x` of
-    ``ladder_quadrature``.  The adjoint has the same R_j and the conjugate
-    phases, so one set serves both."""
+    """The diagonal factors (R_j, e^{-i |lam_j| x}, e^{-i mu_j}) of
+    ``branch_displacement`` for `lam` and `mu` of shape (..., N) and the nodes
+    `x` of ``ladder_quadrature``; its adjoint takes the same factors."""
     lam, mu = np.asarray(lam)[..., None], np.asarray(mu)[..., None]
     rot = np.exp(1j * (np.angle(lam) + np.pi / 2) * np.arange(x.size))
     phase = -1j * np.abs(lam) * x
@@ -318,13 +295,18 @@ def branch_phases(lam, mu, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def branch_displacement(states: np.ndarray, phases, w: np.ndarray,
                         adjoint: bool = False) -> np.ndarray:
-    """The displacement of ``displacement`` (its adjoint if `adjoint`) on
-    states already in the branch basis (momentum axis Fourier transformed):
-    on branch j it applies e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag
-    with the factors `phases` of ``branch_phases`` and the Hermite values `w`
-    of ``ladder_quadrature``.  The phases broadcast against `states`
-    (..., N, levels), so one call applies a different displacement to each
-    state of a stack."""
+    """D(lam_j) e^{-i mu_j} on branch j (its adjoint if `adjoint`) of states
+    (..., N, levels) already in the branch basis, phi = F psi (F = ``fourier``).
+
+    With lam_j = |lam_j| e^{i theta_j} and R_j = diag(e^{i n (theta_j + pi/2)}),
+    the truncated generator is exactly
+    lam_j b^dag - lam_j^* b = -i |lam_j| R_j (b + b^dag) R_j^dag, so with
+    b + b^dag = W diag(x) W^T (``ladder_quadrature``, one eigh per run) every
+    branch is e^{-i mu_j} R_j W diag(e^{-i |lam_j| x}) W^T R_j^dag: phases and
+    two small matmuls, no eigensolver per branch.  The adjoint conjugates the
+    Hermite phases and e^{-i mu_j} and keeps R_j, so one ``branch_phases``
+    serves both.  The phases broadcast against `states`, so one call applies
+    a different displacement to each state of a stack."""
     rot, herm, emu = phases
     if adjoint:
         herm, emu = herm.conj(), emu.conj()
@@ -339,11 +321,7 @@ def branch_displacement(states: np.ndarray, phases, w: np.ndarray,
 def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
     """exp(Q b^dag - Q^dag b - i chi) = sum_j f_j f_j^dag x D(lam_j) e^{-i mu_j} on
     states (..., N, levels), for circulants with branch values `lam` (Q) and real
-    `mu` (chi).  With lam_j = |lam_j| e^{i theta_j} and R_j = diag(e^{i n phi_j}),
-    phi_j = theta_j + pi/2, the truncated branch generator is exactly
-    lam_j b^dag - lam_j^* b = -i |lam_j| R_j (b + b^dag) R_j^dag, so one
-    eigendecomposition W diag(x) W^T of the real b + b^dag serves every branch:
-    the DFT F of the momentum axis, ``branch_displacement``, then F^dag.
+    `mu` (chi): ``branch_displacement`` between the DFT F = ``fourier`` and F^dag.
     `lam` and `mu` may carry leading axes (..., N) matching those of `states`,
     one set of branches per state.  Vanishing branches return `states` itself."""
     if not (np.any(lam) or np.any(mu)):
@@ -357,10 +335,14 @@ def displacement(model: Model, lam, mu, states: np.ndarray) -> np.ndarray:
 class CoefficientSet:
     """Circulant particle operator sum_q h_q rho_q, stored as the map q -> h_q.
 
-    The one place offsets are canonicalized modulo the lattice: coefficients
-    landing on the same canonical offset are summed, and consumers read the
-    canonical ``offsets``, ``values`` and ``momenta``.  Absent offsets are
-    zero; every value must be finite.
+    Every particle factor of the zero-order Hamiltonian (G, A(t), Q(t),
+    chi(t)) is such a circulant; all share the Fourier vectors f_j, so every
+    function of one is read off its branch values (``branches``) and no
+    eigensolver runs on it.  This class is the one place offsets are
+    canonicalized modulo the lattice: coefficients landing on the same
+    canonical offset are summed, and consumers read the canonical
+    ``offsets``, ``values`` and ``momenta``.  Absent offsets are zero; every
+    value must be finite.
     """
 
     lattice: Lattice

@@ -1,21 +1,6 @@
-"""Particle density matrix in position representation, three ways.
-
-Gamma(x, x', t) = <t| psi~^dag(x,t) psi~(x',t) |t> with the wave operator
-psi(x,t) = sum_k a_k e^{ikx - i eps_k t} is evaluated at the final grid time
-exactly (from the residual-propagated state), in first approximation (|t>
-frozen to |0,k0)), and in the closed form
-
-    Gamma(x,x',0) = e^{-i k0 (x-x')} exp{ i Phi(x) - i Phi(x')
-                    - [|alpha(x,0)|^2 + |alpha(x',0)|^2 - 2 alpha*(x,0) alpha(x',0)]/2 }
-
-built from alpha(x,t) = sum_q h_q(t) e^{-iqx} and the accumulated phase
-Phi(x) = int Im[alphadot* alpha] dt'.  Both fields are the zero-order
-solution's closed form (``ZeroOrderSolution.accumulated``) with the weights
-e^{-iqx}, the same evaluation that gives U0 its branch values.
-
-Cross-method agreement is exact only at positions commensurate with the
-lattice (multiples of length/sites): momentum wrap-around otherwise breaks
-the plane-wave contraction identity the closed form rests on.
+"""Particle density matrix Gamma(x, x') in position representation at the
+final grid time, three ways: ``gamma_exact``, ``gamma_first_approx`` and
+``gamma_closed_form``.
 """
 
 from __future__ import annotations
@@ -87,7 +72,9 @@ class GammaGrid:
 
 def _gamma_at_end(sol: ZeroOrderSolution, state_tilde: np.ndarray,
                   grid: PositionGrid) -> GammaGrid:
-    """The density matrix of U0|state_tilde> at the final grid time."""
+    """Gamma(x, x') = <s| psi^dag(x,t) psi(x',t) |s> for |s> = U0(t)|state_tilde>
+    at the final grid time t, with the wave operator
+    psi(x,t) = sum_k a_k e^{ikx - i eps_k t}."""
     psi = sol.u0(sol.grid.steps, state_tilde)
     psi = plane_waves(sol.model, grid.points, sol.grid.times[-1]) @ psi  # (nx, levels)
     return GammaGrid(values=psi.conj() @ psi.T, grid=grid)
@@ -131,7 +118,8 @@ class AlphaField:
 def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
     """alpha(x, t) = sum_q h_q(t) e^{-iqx} and
     Phi(x) = int_{t0}^{t} Im[alphadot*(x,t') alpha(x,t')] dt' on the grid at
-    the final time t = 0, in closed form."""
+    the final time t = 0, in closed form (``ZeroOrderSolution.accumulated``
+    with the weights e^{-iqx})."""
     require_t_end_zero(sol.grid)
     weights = np.exp(-1j * np.outer(grid.points, sol.couplings.momenta))
     alpha, phi = sol.accumulated(weights, sol.grid.times[-1])
@@ -139,7 +127,14 @@ def alpha_phi(sol: ZeroOrderSolution, grid: PositionGrid) -> AlphaField:
 
 
 def gamma_closed_form(field: AlphaField, k0: int, grid: PositionGrid) -> GammaGrid:
-    """Closed-form density matrix at t = 0 from alpha(x,0) and Phi(x)."""
+    """Closed-form density matrix at t = 0 from alpha(x,0) and Phi(x),
+
+        Gamma(x,x',0) = e^{-i k0 (x-x')} exp{ i Phi(x) - i Phi(x')
+                        - [|alpha(x,0)|^2 + |alpha(x',0)|^2 - 2 alpha*(x,0) alpha(x',0)]/2 },
+
+    which agrees with the other two methods only at positions commensurate
+    with the lattice (multiples of length/sites): momentum wrap-around
+    otherwise breaks the plane-wave contraction identity it rests on."""
     if grid.size != field.grid.size or not np.allclose(grid.points, field.grid.points):
         raise ValueError("field was evaluated on a different grid")
     k0_val = field.model.lattice.momenta[int(k0)]

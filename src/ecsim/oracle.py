@@ -1,18 +1,10 @@
-"""Brute-force dense reference propagation, the ground truth of `evolve`.
+"""Brute-force dense reference propagation, the ground truth of `evolve`:
+``propagate_exact``.
 
-This module deliberately shares no machinery with the propagation code
-beyond the basis types, the time grid (whose ``samples`` rule picks the
-stored steps of both) and the stability guard ``check_stability`` (so both
-admit the same grids): it builds its own Fourier matrix, branch values and
-ladder matrix.  The free propagator is a diagonal phase on the flattened
-product basis, and the interaction-picture midpoint steps
-e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m} are, on
-phi = e^{-i H_free t} psi, one constant Strang step
-S = e^{-i H_free dt/2} exp(-i dt H_S) e^{-i H_free dt/2}: one matvec per
-step.  The particle factor of H_S is a circulant, so the Fourier matrix F
-splits H_S into one oscillator block H_j = gamma_j b^dag + gamma_j^* b per
-branch j, and exp(-i dt H_S) = (F x I) blockdiag_j exp(-i dt H_j) (F^dag x I),
-every block from one batched eigendecomposition.
+It deliberately shares nothing with the split propagator beyond the basis
+types, the time grid and the stability guard: it builds its own Fourier
+matrix, branch values and ladder matrix, and it is the one module that forms
+operators on the product space.
 """
 
 from __future__ import annotations
@@ -53,9 +45,11 @@ def schrodinger_hamiltonian_dense(model: Model, couplings: CoefficientSet) -> np
 
 
 def _step_unitary(model: Model, couplings: CoefficientSet, dt: float) -> np.ndarray:
-    """exp(-i dt H_S) on the flattened product basis, with
-    gamma_j = sum_q g_q e^{2 pi i j q/N} (rho_q's eigenvalue on the Fourier
-    vector e^{2 pi i j k/N}/sqrt(N)).  The result is block-circulant: its
+    """exp(-i dt H_S) on the flattened product basis.  The particle factor of
+    H_S is a circulant, so on the Fourier vector e^{2 pi i j k/N}/sqrt(N) it is
+    the oscillator block H_j = gamma_j b^dag + gamma_j^* b with
+    gamma_j = sum_q g_q e^{2 pi i j q/N}, and every exp(-i dt H_j) comes from
+    one batched (levels x levels) eigh.  The result is block-circulant: its
     particle block (k, l) is (1/N) sum_j e^{2 pi i j (k-l)/N} exp(-i dt H_j)."""
     N, levels = model.shape
     j = np.arange(N)
@@ -80,8 +74,8 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
     exactly e^{i H_free t_m} exp(-i dt H_S) e^{-i H_free t_m}, and on
     phi = e^{-i H_free t} psi the rule is one constant Strang step
     S = e^{-i H_free dt/2} exp(-i dt H_S) e^{-i H_free dt/2}.  S is built
-    once per call from the (sites, levels, levels) branch blocks of H_S and
-    scaled in place; each step is one dense matvec S phi, and the free phase
+    once per call (``_step_unitary``) and scaled in place; each step is one
+    dense matvec S phi, and the free phase
     e^{i H_free t} is applied only at the stored steps.  The free energies
     are measured from min eps_k (a constant shift of H_free cancels), so an
     |eps_k| that dwarfs w cutoff does not round w n away.  At zero coupling

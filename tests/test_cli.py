@@ -18,7 +18,13 @@ import ecsim.cli
 import ecsim.hilbert
 from conftest import PINNED
 from ecsim.cli import TOLERANCES, main
-from ecsim.config import ConfigError, load_config, parse_complex
+from ecsim.config import (
+    DEFAULT_CONFIG_TEXT,
+    ConfigError,
+    load_config,
+    parse_complex,
+    resolved_config_text,
+)
 
 SMALL_CONFIG = """\
 [model]
@@ -157,6 +163,20 @@ def test_load_config_roundtrip(config_path):
     assert TOLERANCES["density_commutation"] == 1e-13
 
 
+def test_readme_schema_block_is_the_default_config(tmp_path):
+    """README's ```ini block documents the schema: it loads, and it resolves
+    to the same run as DEFAULT_CONFIG_TEXT."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme.ini").write_text(block)
+    (tmp_path / "default.ini").write_text(DEFAULT_CONFIG_TEXT)
+    documented = load_config(str(tmp_path / "readme.ini"))
+    default = load_config(str(tmp_path / "default.ini"))
+    assert documented == default
+    assert resolved_config_text(documented) == resolved_config_text(default)
+
+
 def test_config_errors(tmp_path, config_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.ini"))
@@ -194,18 +214,19 @@ def test_config_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub", ""])
 def test_out_naming_a_file_is_a_configuration_error(config_path, tmp_path, capsys, monkeypatch,
                                                      command, out):
-    """--out at an existing file, or below one, exits 2 naming --out before
-    any computation, and leaves the file as it was."""
+    """--out at an existing file, below one, or empty (which os.makedirs
+    cannot create) exits 2 naming --out before any computation, and leaves
+    the file as it was."""
     def no_computation(*args, **kwargs):
         raise AssertionError("--out must be rejected before any computation")
 
     monkeypatch.setattr(ecsim.cli, "run_properties", no_computation)
     monkeypatch.setattr(ecsim.cli, "zero_order_solution", no_computation)
     (tmp_path / "afile").write_text("kept")
-    argv = COMMANDS[command] + ["--config", config_path, "--out", str(tmp_path / out)]
+    argv = COMMANDS[command] + ["--config", config_path, "--out", out and str(tmp_path / out)]
     assert main(argv) == 2
     assert "--out" in capsys.readouterr().err
     assert (tmp_path / "afile").read_text() == "kept"
@@ -448,6 +469,7 @@ def test_gamma_command(config_path, tmp_path):
     assert main(["gamma", "--config", config_path, "--out", str(out)]) == 0
     summary = (out / "gamma_summary.txt").read_text()
     assert "agreement_check = PASS" in summary
+    assert "norm_check = PASS" in summary
     assert "single_mode_coupling = no" in summary
     for name in ("exact", "first_approx", "closed_form"):
         data = np.loadtxt(out / f"gamma_{name}.dat")
@@ -456,6 +478,27 @@ def test_gamma_command(config_path, tmp_path):
     dev = float(next(line.split("=")[1] for line in summary.splitlines()
                      if line.startswith("max_dev_first_vs_closed")))
     assert dev < 1e-6
+
+
+def test_gamma_fails_on_a_non_unit_exact_state(config_path, tmp_path, capsys, monkeypatch):
+    """The exact route has its own check: a rotated-frame state whose norm
+    drifted from 1 fails norm_check and exits 1, with every output written,
+    although the other two routes still agree."""
+    propagate = ecsim.cli.propagate_residual
+
+    def shrunk(*sols, **kwargs):
+        return tuple(r._replace(states=0.9 * r.states) for r in propagate(*sols, **kwargs))
+
+    monkeypatch.setattr(ecsim.cli, "propagate_residual", shrunk)
+    out = tmp_path / "gm"
+    assert main(["gamma", "--config", config_path, "--out", str(out)]) == 1
+    assert sorted(os.listdir(out)) == ["gamma_closed_form.dat", "gamma_exact.dat",
+                                       "gamma_first_approx.dat", "gamma_summary.txt",
+                                       "resolved_config.ini"]
+    summary = (out / "gamma_summary.txt").read_text()
+    assert "agreement_check = PASS" in summary
+    assert "norm_check = FAIL (tol=1.0e-10)" in summary
+    assert "norm_check = FAIL" in capsys.readouterr().out
 
 
 def test_gamma_zero_coupling_flat_modulus(tmp_path):
