@@ -32,13 +32,7 @@ from .ecs import (
     unity_resolution_check,
 )
 from .hilbert import CoefficientSet, circulant, fidelity, make_basis_state
-from .observables import (
-    alpha_phi,
-    gamma_closed_form,
-    gamma_exact,
-    gamma_first_approx,
-    require_t_end_zero,
-)
+from .observables import GammaGrid, alpha_phi, gamma_closed_form, gamma_exact, require_t_end_zero
 
 FLOAT_FMT = "%.12e"
 
@@ -89,13 +83,12 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_table(path: str, meta: list[str], columns: list[str], rows: np.ndarray) -> None:
     """Write the float array `rows` (rows, columns) under '#' headers, one
-    line per row, every value in FLOAT_FMT."""
+    line per row, every value in FLOAT_FMT (one % for the whole table)."""
     line = " ".join([FLOAT_FMT] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {m}\n" for m in meta)
         fh.write("# " + " ".join(columns) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row.tolist()))
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _write_summary(path: str, lines: list[str]) -> None:
@@ -254,8 +247,9 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
     res, = propagate_residual(sol)
     pos = cfg.positions()
 
-    ge = gamma_exact(res.final, sol, pos)
-    gf = gamma_first_approx(sol, pos)
+    # the first approximation is the exact route on |0,k0): one U0 for both
+    ge, gf = (GammaGrid(g, pos) for g in gamma_exact(
+        np.array([res.final, make_basis_state(cfg.model, cfg.k0, 0)]), sol, pos).values)
     field = alpha_phi(sol, pos)
     gc = gamma_closed_form(field, cfg.k0, pos)
     _prepare_out(cfg, out_dir)
@@ -308,8 +302,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
                           "at q = 0), so the split is exact and every gap is round-off")
     results = propagate_residual(*sols)
     pos = cfg.positions()
-    gaps = [gamma_exact(res.final, res.sol, pos).max_deviation(
-                gamma_closed_form(alpha_phi(res.sol, pos), cfg.k0, pos)) for res in results]
+    gaps = gamma_exact(np.array([res.final for res in results]), sols, pos).max_deviation(
+        gamma_closed_form(alpha_phi(sols, pos), cfg.k0, pos)).tolist()
 
     floor = 100.0 * cfg.grid.steps * np.finfo(float).eps   # round-off: 1-5 eps per step
     if gaps[-1] < floor:

@@ -4,7 +4,9 @@ The interaction-picture Hamiltonian b^dag e^{i w t} sum_q g_q rho_q(t) + h.c.
 splits into H0, whose operator phases are replaced by a unimodular modulator
 f_q(t) (``ModulatorStrategy``), and the residual H1: ``zero_order_solution``
 solves H0 in closed form and ``propagate_residual`` integrates H1 in the
-rotated frame.
+rotated frame.  A stack of solutions (``solution_stack``) is evaluated in
+one call by ``accumulated``, ``branch_values``, ``u0`` and
+``propagate_residual``.
 """
 
 from __future__ import annotations
@@ -101,22 +103,28 @@ def check_stability(model: Model, couplings: CoefficientSet, grid: TimeGrid) -> 
     both propagators (``zero_order_solution``, ``oracle.propagate_exact``) call
     it.  On branch j, H_S = g_j b^dag + g_j^* b is |g_j| (b + b^dag) up to the
     rotation of ``hilbert.branch_displacement``, so ||H_S|| is max_j |g_j|
-    times the largest |eigenvalue| of the real b + b^T."""
-    b = oscillator_annihilation(model.osc).real
-    hnorm = couplings.operator_amplitude() * np.abs(np.linalg.eigvalsh(b + b.T)).max()
+    times the largest |x| of ``ladder_quadrature``."""
+    hnorm = couplings.operator_amplitude() * np.abs(ladder_quadrature(model.osc)[0]).max()
     if grid.dt * hnorm >= STABILITY_LIMIT:
         raise ValueError(
             f"dt*||H_S|| = {grid.dt * hnorm:.3g} exceeds stability guard {STABILITY_LIMIT}")
 
 
 def _phi(x):
-    """int_0^1 e^{i x y} dy = e^{i x/2} sinc(x/2), broadcast over `x`; exact at
-    x = 0.  E(nu; t) = int_{t0}^t e^{i nu s} ds = e^{i nu t0} (t - t0) phi(nu (t - t0))."""
+    """int_0^1 e^{i x y} dy = e^{i x/2} sinc(x/2), broadcast over `x`; exact at x = 0."""
     return np.exp(0.5j * x) * np.sinc(x / (2 * np.pi))
 
 
+def _ramp(nu: np.ndarray, t0: float, t) -> np.ndarray:
+    """E(nu_q; t) = int_{t0}^t e^{i nu_q s} ds = e^{i nu_q t0} (t - t0) phi(nu_q (t - t0)),
+    shape t.shape + (n,) broadcast against nu (..., n)."""
+    span = np.asarray(t, dtype=float)[..., None] - t0
+    return np.exp(1j * nu * t0) * span * _phi(nu * span)
+
+
 def _nested(nu: np.ndarray, t0: float, t) -> np.ndarray:
-    """I_pq(t) = int_{t0}^t e^{-i nu_p s} E(nu_q; s) ds, shape t.shape + (n, n).
+    """I_pq(t) = int_{t0}^t e^{-i nu_p s} E(nu_q; s) ds, shape t.shape + (n, n)
+    broadcast against the leading axes of nu (..., n).
 
     I_pq = e^{i (nu_q - nu_p) t0} T^2 J_pq with T = t - t0 and x = nu T.
     Integrating over s last gives K_pq = [phi(x_q - x_p) - phi(-x_p)] / (i x_q);
@@ -132,14 +140,14 @@ def _nested(nu: np.ndarray, t0: float, t) -> np.ndarray:
     phi = _phi(x)
     tiny = np.abs(x) < SMALL_PHASE
     k = (_phi(xq - xp) - phi.conj()[..., :, None]) / (1j * np.where(tiny, 1.0, x)[..., None, :])
-    q_larger = np.abs(nu) >= np.abs(nu)[:, None]
+    q_larger = np.abs(nu)[..., None, :] >= np.abs(nu)[..., :, None]
     j = np.where(q_larger, k, phi[..., None, :] * phi.conj()[..., :, None]
                  - k.swapaxes(-1, -2).conj())
     small = tiny[..., :, None] & tiny[..., None, :]
     if small.any():   # the Taylor form only where it is used: elsewhere x may overflow it
         xp, xq = np.broadcast_to(xp, small.shape)[small], np.broadcast_to(xq, small.shape)[small]
         j[small] = 0.5 + 1j * (xq / 6 - xp / 3) - xq ** 2 / 24 + xp * xq / 8 - xp ** 2 / 8
-    return np.exp(1j * (nu - nu[:, None]) * t0) * span[..., None] ** 2 * j
+    return np.exp(1j * (nu[..., None, :] - nu[..., :, None]) * t0) * span[..., None] ** 2 * j
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,8 @@ class ZeroOrderSolution:
     at any array of times, with no quadrature: f_q(t) e^{i w t} = e^{i nu_q t}.
     chi is evaluated by its real branch values, so it is Hermitian by
     construction; U0 is only ever applied to states.  Nothing stored grows
-    with the number of steps.
+    with the number of steps.  ``branch_values`` and ``u0`` are the one-member
+    case of the stacked functions of the same names.
     """
 
     model: Model
@@ -169,28 +178,10 @@ class ZeroOrderSolution:
 
     def h(self, times) -> np.ndarray:
         """h_q(t) = -i g_q E(nu_q; t), shape times.shape + (n_offsets,)."""
-        span = np.asarray(times, dtype=float)[..., None] - self.grid.t0
-        sweep = np.exp(1j * self.nu * self.grid.t0) * span * _phi(self.nu * span)  # E(nu_q; t)
-        return -1j * self.couplings.values * sweep
-
-    def accumulated(self, weights: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-        """The accumulated amplitude sum_q w_q h_q(t) and phase
-        Im sum_{p,q} w_p^* w_q g_p^* g_q I_pq(t) = int_{t0}^t Im[lamdot^* lam] dt'
-        for each row w of `weights` (rows, n_offsets), both of shape
-        times.shape + (rows,).  Branch weights e^{2 pi i j q/N} give the branch
-        values of Q and chi, weights e^{-iqx} give alpha(x, t) and Phi(x, t);
-        branch j = -m mod N is alpha and Phi at x_m = m length/N."""
-        g = self.couplings.values
-        amplitude = self.h(times) @ weights.T
-        pair = g.conj()[:, None] * g * _nested(self.nu, self.grid.t0, times)
-        phase = np.sum(weights.conj().T * (pair @ weights.T), axis=-2).imag
-        return amplitude, phase
+        return -1j * self.couplings.values * _ramp(self.nu, self.grid.t0, times)
 
     def branch_values(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, mu): the branch values of Q and chi at `times`, each of shape
-        times.shape + (N,)."""
-        weights = branches(self.model.lattice, self.offsets, np.eye(len(self.offsets))).T
-        return self.accumulated(weights, times)
+        return branch_values(self, times)
 
     @property
     def exact_split(self) -> bool:
@@ -204,11 +195,59 @@ class ZeroOrderSolution:
         return all(np.array_equal(eps, np.roll(eps, -q)) for q, g in self.couplings.items if g)
 
     def u0(self, step, states: np.ndarray) -> np.ndarray:
-        """U0 at a grid step, applied to states of shape (..., N, levels).
-        `step` may be an array of steps whose shape matches the leading axes
-        of `states`: then each state gets the U0 of its own step, in one call."""
-        lam, mu = self.branch_values(self.grid.times[step])
-        return displacement(self.model, lam, mu, states)
+        return u0(self, step, states)
+
+
+def solution_stack(sols) -> tuple[ZeroOrderSolution, ...]:
+    """A stack of solutions as a tuple, one solution as a one-member stack;
+    ValueError unless they share model, grid, k0 and coupling offsets
+    (coupling values and strategies may differ).  The stacked functions
+    below put the member axis first and drop it for one solution."""
+    stack = (sols,) if isinstance(sols, ZeroOrderSolution) else tuple(sols)
+    if len({(s.model, s.grid, s.k0, s.offsets) for s in stack}) > 1:
+        raise ValueError("stacked solutions must share model, grid, k0 and coupling offsets")
+    return stack
+
+
+def accumulated(sols, weights: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """The accumulated amplitude sum_q w_q h_q(t) and phase
+    Im sum_{p,q} w_p^* w_q g_p^* g_q I_pq(t) = int_{t0}^t Im[lamdot^* lam] dt'
+    of each member of the stack `sols` for each row w of `weights`
+    (rows, n_offsets), shape (M,) + times.shape + (rows,); E and I_pq
+    (``_nested``) are evaluated once per distinct nu.  Branch weights
+    e^{2 pi i j q/N} give the branch values of Q and chi, weights e^{-iqx}
+    give alpha(x, t) and Phi(x, t); branch j = -m mod N is alpha and Phi at
+    x_m = m length/N."""
+    stack = solution_stack(sols)
+    t0 = stack[0].grid.t0
+    lead = (slice(None),) + (None,) * np.ndim(times)   # members, then times
+    g = np.array([s.couplings.values for s in stack])[lead]
+    distinct = {s.nu.tobytes(): s.nu for s in stack}   # each nu once, first seen first
+    which = [list(distinct).index(s.nu.tobytes()) for s in stack]
+    nus = np.array(list(distinct.values()))
+    amplitude = (-1j * g * _ramp(nus[lead], t0, times)[which]) @ weights.T
+    pair = g.conj()[..., :, None] * g[..., None, :] * _nested(nus[lead], t0, times)[which]
+    phase = np.sum(weights.conj().T * (pair @ weights.T), axis=-2).imag
+    if isinstance(sols, ZeroOrderSolution):
+        return amplitude[0], phase[0]
+    return amplitude, phase
+
+
+def branch_values(sols, times) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, mu): the branch values of Q and chi of the stack `sols` at
+    `times`, each of shape (M,) + times.shape + (N,)."""
+    head = solution_stack(sols)[0]
+    weights = branches(head.model.lattice, head.offsets, np.eye(len(head.offsets))).T
+    return accumulated(sols, weights, times)
+
+
+def u0(sols, step, states: np.ndarray) -> np.ndarray:
+    """U0 of each member of the stack `sols` at grid steps `step`, applied to
+    states (M, ..., N, levels) in one call: `step` is one step, or an array
+    of the shape of `...` that gives each state its own step."""
+    head = solution_stack(sols)[0]
+    lam, mu = branch_values(sols, head.grid.times[step])
+    return displacement(head.model, lam, mu, states)
 
 
 def zero_order_solution(model: Model, couplings: CoefficientSet, strategy: ModulatorStrategy,
@@ -244,20 +283,15 @@ def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
                        collect_every: int | None = None) -> tuple[ResidualResult, ...]:
     """Integrate i d/dt |t> = U0^dag H1 U0 |t> in the rotated frame
     |t> = U0^dag(t)|t) from |0,k0) for the stack of solutions `sol, *more`,
-    one result per solution, in order.  The solutions must share model, grid,
-    k0 and coupling offsets (their coupling values and strategies may
-    differ), else ValueError.  A solution whose split is exact (H1 = 0
-    identically, ``ZeroOrderSolution.exact_split``) is not stepped: its
-    states are |0,k0) exactly.  The others are stepped in one loop over the
-    grid (``_midpoint_steps``).  States are stored at the steps
+    one result per solution, in order (``solution_stack``).  A solution whose
+    split is exact (H1 = 0 identically, ``ZeroOrderSolution.exact_split``) is
+    not stepped: its states are |0,k0) exactly.  The others are stepped in
+    one loop over the grid (``_midpoint_steps``).  States are stored at the steps
     ``TimeGrid.samples(collect_every)`` (by default only the initial and the
     final one), the rule the oracle's ``propagate_exact`` shares.
     """
-    sols = (sol, *more)
-    model, grid, k0, offsets = sol.model, sol.grid, sol.k0, sol.offsets
-    for other in more:
-        if (other.model, other.grid, other.k0, other.offsets) != (model, grid, k0, offsets):
-            raise ValueError("stacked solutions must share model, grid, k0 and coupling offsets")
+    sols = solution_stack((sol, *more))
+    model, grid, k0 = sol.model, sol.grid, sol.k0
     stored = grid.samples(collect_every)
     states = np.empty((len(sols), stored.size) + model.shape, dtype=complex)
     states[:] = make_basis_state(model, k0, 0)
@@ -286,17 +320,16 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     branches are computed before the loop; only the stored states go back
     to the momentum basis.  The one eigensolver is ``ladder_quadrature``'s
     eigh, once per run, and no operator on the product space is formed."""
-    model, grid = sols[0].model, sols[0].grid
+    model, grid, k0, offsets = sols[0].model, sols[0].grid, sols[0].k0, sols[0].offsets
     (N, levels), M = model.shape, len(sols)
     t_mid = grid.midpoint(np.arange(grid.steps))
-    lam, mu = (np.stack(v, axis=1)                                   # (steps, M, N)
-               for v in zip(*(s.branch_values(t_mid) for s in sols)))
+    lam, mu = branch_values(sols, t_mid)                            # (M, steps, N)
     osc = np.exp(1j * model.osc.omega * t_mid)
     eps = model.energies()
     i_diff = 1j * (eps[:, None] - eps[None, :])
-    i_delta = 1j * np.stack([circulant(model.lattice, s.offsets, s.strategy.detuning(
-        model, s.k0, s.offsets)).real for s in sols])
-    g_mat = np.stack([s.couplings.particle_matrix() for s in sols])
+    i_delta = 1j * circulant(model.lattice, offsets, [
+        s.strategy.detuning(model, k0, offsets) for s in sols]).real
+    g_mat = circulant(model.lattice, offsets, [s.couplings.values for s in sols])
     x, w = ladder_quadrature(model.osc)
     b = oscillator_annihilation(model.osc)
     b_pair = -1j * grid.dt * np.concatenate([b, b.T], axis=1)      # (levels, 2 levels)
@@ -304,7 +337,7 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     dft_dag = dft.conj()
     tol = np.finfo(float).eps ** 2
 
-    phi = np.repeat((dft @ make_basis_state(model, sols[0].k0, 0))[None], M, axis=0)
+    phi = np.repeat((dft @ make_basis_state(model, k0, 0))[None], M, axis=0)
     # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
     pe_pair = np.empty((M, N, 2 * N), dtype=complex)
     states = np.empty((M, stored.size, N, levels), dtype=complex)
@@ -314,7 +347,7 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
         pe = osc[i] * (dft @ p @ dft_dag)
         pe_pair[..., 0::2] = pe
         pe_pair[..., 1::2] = pe.conj().swapaxes(-2, -1)
-        phases = branch_phases(lam[i], mu[i], x)
+        phases = branch_phases(lam[:, i], mu[:, i], x)
         term = branch_displacement(phi, phases, w)
         total = term.copy()
         n = 1

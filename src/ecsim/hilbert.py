@@ -273,14 +273,18 @@ def branches(lattice: Lattice, offsets, values) -> np.ndarray:
     return _offset_diagonals(lattice, offsets, values) @ fourier(N).conj() * math.sqrt(N)
 
 
+@functools.cache
 def ladder_quadrature(osc: OscillatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """(x, W) with b + b^dag = W diag(x) W^T for the truncated ladder, from one
-    eigh: x / sqrt(2) are the roots of the Hermite polynomial H_levels and W
-    holds the normalised Hermite values at them.  The real W is returned as
-    complex, so products with complex states do not cast it per call."""
+    eigh per oscillator (cached, read-only): x / sqrt(2) are the roots of the
+    Hermite polynomial H_levels and W holds the normalised Hermite values at
+    them.  The real W is returned as complex, so products with complex states
+    do not cast it per call."""
     b = oscillator_annihilation(osc).real
     x, w = np.linalg.eigh(b + b.T)
-    return x, w.astype(complex)
+    w = w.astype(complex)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def branch_phases(lam, mu, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

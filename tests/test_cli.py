@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import ecsim
 import ecsim.cli
 import ecsim.hilbert
+import ecsim.observables
 from conftest import PINNED
 from ecsim.cli import TOLERANCES, main
 from ecsim.config import (
@@ -384,7 +385,7 @@ def test_properties_deterministic(config_path, tmp_path):
 
 
 def test_table_rows_keep_the_per_value_format(tmp_path):
-    """One format per row writes the bytes of formatting each value alone,
+    """One format for the whole table writes the bytes of formatting each value alone,
     also for negative zero, an integer index column and extreme exponents."""
     values = np.array([[-0.0, 1e-300, -1e300], [0.5, -1e-300, 1e300]])
     rows = np.column_stack((np.arange(len(values)), values))
@@ -527,6 +528,68 @@ def test_sweep_requires_t_end_zero(tmp_path, capsys):
     assert main(["sweep", "--config", str(p), "--out", str(out)]) == 2
     assert "t_end = 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+# CI's small.ini (.github/workflows/tests.yml)
+CI_SMALL_CONFIG = """\
+[model]
+sites = 5
+length = 5.0
+dispersion = tight_binding
+hopping = 1.0
+cutoff = 12
+omega = 2.5
+
+[couplings]
+1 = 0.15, 0.0
+-1 = 0.15, 0.0
+
+[initial]
+k0 = 0
+
+[time]
+t0 = -3.0
+t_end = 0.0
+steps = 200
+
+[positions]
+count = 5
+"""
+
+
+def test_sweep_gaps_on_the_ci_config_are_pinned(tmp_path, monkeypatch):
+    """The gaps of ``sweep`` on CI's small.ini, at full precision, equal the
+    gaps of one-member calls (one gamma_exact and one alpha_phi per factor)
+    to 1e-13 relative."""
+    pinned = [0.17578337574378405, 0.043949402639817156,
+              0.010984446640171223, 0.002745881583764271]
+    p = tmp_path / "small.ini"
+    p.write_text(CI_SMALL_CONFIG)
+    tables, write_table = {}, ecsim.cli._write_table
+
+    def recorded(path, meta, columns, rows):
+        tables[os.path.basename(path)] = rows
+        write_table(path, meta, columns, rows)
+
+    monkeypatch.setattr(ecsim.cli, "_write_table", recorded)
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    gaps = tables["sweep.dat"][:, 1]
+    assert np.abs(gaps / pinned - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("command", ["gamma", "sweep"])
+def test_gamma_routes_share_one_u0_evaluation(tmp_path, monkeypatch, command):
+    """``gamma`` evaluates U0 once, on the two-state stack [final, |0,k0)], for
+    the exact and the first-approximation Gamma; ``sweep`` once for the exact
+    Gamma of every member."""
+    p = tmp_path / "small.ini"
+    p.write_text(CI_SMALL_CONFIG.replace("steps = 200", "steps = 20"))
+    u0, calls = ecsim.observables.u0, []
+    monkeypatch.setattr(ecsim.observables, "u0",
+                        lambda sols, step, states: calls.append(states.shape)
+                        or u0(sols, step, states))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert calls == [(2 if command == "gamma" else 4, 5, 13)]
 
 
 @pytest.mark.parametrize("command", ["evolve", "gamma"])

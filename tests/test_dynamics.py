@@ -37,6 +37,7 @@ from ecsim.hilbert import (
     TruncationError,
     circulant,
     fidelity,
+    ladder_quadrature,
     make_basis_state,
 )
 from ecsim.observables import PositionGrid, alpha_phi
@@ -412,6 +413,7 @@ def test_residual_stepper_runs_one_eigh_and_no_fft_per_step(monkeypatch):
             eighs.clear()
             exps.clear()
             displaced.clear()
+            ladder_quadrature.cache_clear()
             results = propagate_residual(*sols)
             assert eighs == [(levels, levels)]
             for res in results:
@@ -505,6 +507,57 @@ def test_stacked_solutions_must_share_model_grid_k0_and_offsets():
                                ModulatorStrategy("recoil_phase"),
                                TimeGrid(t0=-1.0, t_end=0.0, steps=10), 2)
     assert len(propagate_residual(sol, twin)) == 2
+
+
+def stacked_family(family, grid):
+    """Solutions sharing nu (couplings scaled, as ``sweep`` stacks them) or
+    mixing nu (both strategies, as ``evolve --compare-strategies``; one nu
+    repeated, so members and distinct nu differ in order and number)."""
+    model = make_model(sites=5, cutoff=8, omega=2.5)
+    c = pair(model, 1, 0.2 + 0.05j)
+    if family == "scaled":
+        return [zero_order_solution(model, c.scaled(f), ModulatorStrategy("recoil_phase"),
+                                    grid, 2) for f in (1.0, 0.5, 0.25)]
+    return [zero_order_solution(model, c, ModulatorStrategy(kind), grid, 2)
+            for kind in ("recoil_phase", "static_unit", "recoil_phase")]
+
+
+@pytest.mark.parametrize("family, distinct_nu", [("scaled", 1), ("strategies", 2)])
+def test_stacked_evaluators_equal_a_loop_of_one_member_calls(monkeypatch, family, distinct_nu):
+    """``accumulated``, ``branch_values`` and ``u0`` on a stack give each
+    member its one-member result to 1e-13, with the member axis first; one
+    stacked call evaluates ``_nested`` once, on the distinct nu only."""
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=30)
+    sols = stacked_family(family, grid)
+    model = sols[0].model
+    rng = np.random.default_rng(3)
+    weights = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    times = grid.times[::7]
+    nested, rows = dynamics._nested, []
+    monkeypatch.setattr(dynamics, "_nested",
+                        lambda nu, *args: rows.append(nu.shape[0]) or nested(nu, *args))
+    amplitude, phase = dynamics.accumulated(sols, weights, times)
+    assert rows == [distinct_nu]
+    lam, mu = dynamics.branch_values(sols, times)
+    assert lam.shape == mu.shape == (3, times.size, 5)
+    states = rng.normal(size=(3,) + model.shape) + 1j * rng.normal(size=(3,) + model.shape)
+    displaced = dynamics.u0(sols, grid.steps, states)
+    steps = np.array([0, 11, grid.steps])
+    repeated = np.repeat(states[:, None], 3, axis=1)    # (member, step, N, levels)
+    sampled = dynamics.u0(sols, steps, repeated)
+    for m, sol in enumerate(sols):
+        checks = [((amplitude[m], phase[m]), dynamics.accumulated(sol, weights, times)),
+                  ((lam[m], mu[m]), sol.branch_values(times)),
+                  ((displaced[m], sampled[m]),
+                   (sol.u0(grid.steps, states[m]), sol.u0(steps, repeated[m])))]
+        for stacked, alone in checks:
+            for a, b in zip(stacked, alone):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() < 1e-13
+    other = zero_order_solution(model, sols[0].couplings, ModulatorStrategy("static_unit"),
+                                grid, 1)
+    with pytest.raises(ValueError, match="must share"):
+        dynamics.accumulated([sols[0], other], weights, times)
 
 
 def test_collect_every_samples_the_full_trajectory():

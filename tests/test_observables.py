@@ -260,3 +260,38 @@ def test_gamma_invariants_over_random_models(mc, kind):
     assert abs(ge.trace_mean() - 1.0) < 1e-10
     if sol.model.dispersion.kind == "flat":
         assert np.array_equal(ge.values, gf.values)
+
+
+@pytest.mark.parametrize("factors, kinds", [((1.0, 0.5, 0.25), ("recoil_phase",) * 3),
+                                            ((1.0, 1.0), ("static_unit", "recoil_phase"))])
+def test_stacked_gamma_routes_equal_a_loop_of_one_member_calls(factors, kinds):
+    """The three Gamma routes and alpha_phi on a stack of solutions give each
+    member its one-member result to 1e-13 on the leading axis, for couplings
+    scaled under one nu (``sweep``) and for both strategies (two nu); so do
+    the GammaGrid and AlphaField reductions.  One solution with a stack of
+    states gives one matrix per state."""
+    model = make_model(sites=5, cutoff=10, omega=2.5)
+    c = hermitian_pair(model.lattice, 1, 0.15 + 0.05j)
+    sols = [solved(model, c.scaled(f), ModulatorStrategy(kind), steps=60, k0=1)
+            for f, kind in zip(factors, kinds)]
+    results = propagate_residual(*sols)
+    pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
+    states = np.array([res.final for res in results])
+    ge, gf = gamma_exact(states, sols, pos), gamma_first_approx(sols, pos)
+    field = alpha_phi(sols, pos)
+    gc = gamma_closed_form(field, 1, pos)
+    for m, (sol, res) in enumerate(zip(sols, results)):
+        one_field = alpha_phi(sol, pos)
+        assert np.abs(field.alpha_final[m] - one_field.alpha_final).max() < 1e-13
+        assert np.abs(field.phi[m] - one_field.phi).max() < 1e-13
+        assert abs(field.phi_spread()[m] - one_field.phi_spread()) < 1e-13
+        alone = (gamma_exact(res.final, sol, pos), gamma_first_approx(sol, pos),
+                 gamma_closed_form(one_field, 1, pos))
+        for stacked, one in zip((ge, gf, gc), alone):
+            assert np.abs(stacked.values[m] - one.values).max() < 1e-13
+            assert abs(stacked.hermiticity_error()[m] - one.hermiticity_error()) < 1e-13
+            assert abs(stacked.trace_mean()[m] - one.trace_mean()) < 1e-13
+        assert abs(ge.max_deviation(gc)[m] - alone[0].max_deviation(alone[2])) < 1e-13
+    frozen = make_basis_state(model, 1, 0)
+    both = gamma_exact(np.array([results[0].final, frozen]), sols[0], pos)
+    assert np.abs(both.values - np.array([ge.values[0], gf.values[0]])).max() < 1e-13

@@ -19,7 +19,12 @@ from conftest import (
 )
 from ecsim import oracle
 from ecsim.dynamics import STABILITY_LIMIT, TimeGrid, check_stability
-from ecsim.hilbert import CoefficientSet, make_basis_state, oscillator_annihilation
+from ecsim.hilbert import (
+    CoefficientSet,
+    ladder_quadrature,
+    make_basis_state,
+    oscillator_annihilation,
+)
 
 
 def test_conjugate_free_trivials():
@@ -126,8 +131,10 @@ def test_propagate_exact_matches_per_step_dense_reference(case, stride):
 
 
 def test_one_eigendecomposition_per_run(monkeypatch):
-    # one batched eigh of the (sites, levels, levels) branch blocks of H_S, and
-    # never an eigensolver of the product-space dimension
+    # one batched eigh of the (sites, levels, levels) branch blocks of H_S, the
+    # stability guard's one (levels x levels) ladder eigh per oscillator
+    # (``ladder_quadrature``, cached), and never an eigensolver of the
+    # product-space dimension
     model = make_model(sites=5, cutoff=6)
     c = hermitian_pair(model.lattice, 2, 0.15)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
@@ -135,16 +142,17 @@ def test_one_eigendecomposition_per_run(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    ladder_quadrature.cache_clear()
     oracle.propagate_exact(model, c, grid, psi0, collect_every=7)
-    assert calls == [(5, 7, 7)]
+    assert calls == [(7, 7), (5, 7, 7)]
     oracle.propagate_exact(model, CoefficientSet(model.lattice), grid, psi0)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
     big = make_model(sites=16, cutoff=24)
     assert big.dim == 400
     oracle.propagate_exact(big, hermitian_pair(big.lattice, 1, 0.15),
                            TimeGrid(t0=-0.1, t_end=0.0, steps=2), make_basis_state(big, 0, 0))
-    assert calls[1:] == [(16, 25, 25)]
+    assert calls[2:] == [(25, 25), (16, 25, 25)]
     assert all(big.dim not in shape for shape in calls)
 
 
