@@ -1,6 +1,10 @@
 """Command line front end, ``main``: the property suite, propagation runs,
 density-matrix exports and coupling sweeps, each check judged at its fixed
 tolerance in TOLERANCES.
+
+Each ``cmd_<command>`` computes an Outcome and does no I/O. ``main`` alone
+then writes its files, prints its lines and turns its checks into the exit
+code.
 """
 
 from __future__ import annotations
@@ -64,6 +68,29 @@ class CheckResult(NamedTuple):
     passed: bool
     note: str = ""
 
+    @property
+    def status(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
+
+class Outcome(NamedTuple):
+    """A command's checks, its tables as (file name, meta lines, columns,
+    rows), its text files as (file name, text) and its stdout lines."""
+    checks: list[CheckResult]
+    tables: list[tuple]
+    texts: list[tuple[str, str]]
+    lines: list[str]
+
+
+def _judge(name: str, value: float, passed: bool | None = None, note: str = "") -> CheckResult:
+    """`value` at TOLERANCES[name]: it passes below it unless `passed` is given."""
+    tol = TOLERANCES[name]
+    return CheckResult(name, value, tol, value < tol if passed is None else passed, note)
+
+
+def _text(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
 
 def require_positive(name: str, value) -> float:
     """`value` as a float if it is a finite number > 0, else a ConfigError naming the input."""
@@ -85,30 +112,8 @@ def _write_table(path: str, meta: list[str], columns: list[str], rows: np.ndarra
     """Write the float array `rows` (rows, columns) under '#' headers, one
     line per row, every value in FLOAT_FMT (one % for the whole table)."""
     line = " ".join([FLOAT_FMT] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"# {m}\n" for m in meta)
-        fh.write("# " + " ".join(columns) + "\n")
-        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
-
-
-def _write_summary(path: str, lines: list[str]) -> None:
-    """Write a summary file and echo it, title line excluded, to stdout."""
-    _write_text(path, "\n".join(lines) + "\n")
-    print("\n".join(lines[1:]))
-
-
-def _emit_report(path: str, title: str, checks: list[CheckResult]) -> None:
-    lines = [f"# {title}"]
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        note = f"  {c.note}" if c.note else ""
-        lines.append(f"{c.name:<26s} value={c.value:.12e}  tol={c.tol:.1e}  {status}{note}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _write_text(os.path.join(out_dir, "resolved_config.ini"), resolved_config_text(cfg))
+    body = line * len(rows) % tuple(rows.ravel().tolist())
+    _write_text(path, _text([f"# {m}" for m in [*meta, " ".join(columns)]]) + body)
 
 
 def run_properties(cfg: RunConfig) -> list[CheckResult]:
@@ -127,9 +132,7 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     def add(name: str, value: float, passed=None, note: str = "") -> None:
-        tol = TOLERANCES[name]
-        checks.append(CheckResult(name, value, tol,
-                                  (value < tol) if passed is None else passed, note))
+        checks.append(_judge(name, value, passed, note))
 
     shifts = circulant(lat, range(lat.sites), np.eye(lat.sites))
     add("density_commutation",
@@ -172,48 +175,46 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     return checks
 
 
-def cmd_properties(cfg: RunConfig, out_dir: str) -> int:
+def _check_line(c: CheckResult, digits: int) -> str:
+    return f"{c.name:<26s} value={c.value:.{digits}e}  tol={c.tol:.1e}  {c.status}"
+
+
+def cmd_properties(cfg: RunConfig) -> Outcome:
     if cfg.model.osc.cutoff < 12:
         raise ConfigError("the property suite scans amplitudes up to 1 and "
                           "needs cutoff >= 12")
     checks = run_properties(cfg)
-    _prepare_out(cfg, out_dir)
-    _emit_report(os.path.join(out_dir, "properties_report.txt"),
-                 "ecsim properties report", checks)
-    for c in checks:
-        print(f"{c.name:<26s} value={c.value:.6e}  tol={c.tol:.1e}  "
-              f"{'PASS' if c.passed else 'FAIL'}")
-    return 0 if all(c.passed for c in checks) else 1
+    report = _text(["# ecsim properties report", *(
+        _check_line(c, 12) + (f"  {c.note}" if c.note else "") for c in checks)])
+    return Outcome(checks, [], [("properties_report.txt", report)],
+                   [_check_line(c, 6) for c in checks])
 
 
-def _evolve_one(cfg: RunConfig, res: ResidualResult, out_dir: str,
-                oracle_states: np.ndarray) -> tuple[float, str]:
+def _evolve_one(cfg: RunConfig, res: ResidualResult,
+                oracle_states: np.ndarray) -> tuple[float, list]:
     """Compare one strategy's propagation with the oracle states sampled at
-    the same steps; returns (min fidelity vs oracle, series file path)."""
-    sol, strategy = res.sol, res.sol.strategy
+    the same steps; returns (min fidelity vs oracle, [series, final state] tables)."""
+    sol, kind = res.sol, res.sol.strategy.kind
     physical = sol.u0(res.steps, res.states)
-
     times = cfg.grid.times[res.steps]
     fids = fidelity(physical, oracle_states, axis=(-2, -1))
     rows = np.column_stack((times, fids,
                             np.linalg.norm(res.states - res.states[0], axis=(-2, -1)),
                             np.linalg.norm(sol.h(times), axis=-1)))
-    series_path = os.path.join(out_dir, f"evolve_{strategy.kind}.dat")
-    _write_table(series_path,
-                 [f"ecsim evolve series, strategy={strategy.kind}",
-                  "fidelity compares U0(t)|t> with the dense oracle propagation"],
-                 ["t", "fidelity", "residual_norm", "h_norm"], rows)
-
     final = physical[-1].reshape(-1)
     state_rows = np.column_stack((np.arange(final.size), final.real, final.imag))
-    _write_table(os.path.join(out_dir, f"state_{strategy.kind}.dat"),
-                 [f"final interaction-picture state U0(t_end)|t_end>, strategy={strategy.kind}",
-                  "flat index = momentum_index * (cutoff+1) + fock_level"],
-                 ["index", "re", "im"], state_rows)
-    return float(fids.min()), series_path
+    return float(fids.min()), [
+        (f"evolve_{kind}.dat",
+         [f"ecsim evolve series, strategy={kind}",
+          "fidelity compares U0(t)|t> with the dense oracle propagation"],
+         ["t", "fidelity", "residual_norm", "h_norm"], rows),
+        (f"state_{kind}.dat",
+         [f"final interaction-picture state U0(t_end)|t_end>, strategy={kind}",
+          "flat index = momentum_index * (cutoff+1) + fock_level"],
+         ["index", "re", "im"], state_rows)]
 
 
-def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -> int:
+def cmd_evolve(cfg: RunConfig, compare_strategies: bool = False) -> Outcome:
     kinds = ("static_unit", "recoil_phase") if compare_strategies else (cfg.strategy_kind,)
     sols = [zero_order_solution(cfg.model, cfg.couplings, ModulatorStrategy(kind=kind),
                                 cfg.grid, cfg.k0) for kind in kinds]
@@ -222,26 +223,18 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, compare_strategies: bool = False) -
     _, (_, oracle_states) = oracle.propagate_exact(
         cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
     results = propagate_residual(*sols, collect_every=stride)
-    _prepare_out(cfg, out_dir)
-    ok = True
+    checks, tables, lines = [], [], []
     for kind, res in zip(kinds, results):
-        min_fid, path = _evolve_one(cfg, res, out_dir, oracle_states)
-        err = 1.0 - min_fid
-        passed = err < TOLERANCES["evolve_fidelity"]
-        ok = ok and passed
-        print(f"strategy={kind:<12s} min_fidelity_error={err:.6e}  "
-              f"tol={TOLERANCES['evolve_fidelity']:.1e}  "
-              f"{'PASS' if passed else 'FAIL'}  ({os.path.basename(path)})")
-    return 0 if ok else 1
+        min_fid, strategy_tables = _evolve_one(cfg, res, oracle_states)
+        c = _judge("evolve_fidelity", 1.0 - min_fid, note=f"strategy={kind}")
+        checks.append(c)
+        tables += strategy_tables
+        lines.append(f"strategy={kind:<12s} min_fidelity_error={c.value:.6e}  "
+                     f"tol={c.tol:.1e}  {c.status}  (evolve_{kind}.dat)")
+    return Outcome(checks, tables, [], lines)
 
 
-def _write_gamma(path: str, gamma, meta: list[str]) -> None:
-    x, xp = np.meshgrid(gamma.grid.points, gamma.grid.points, indexing="ij")
-    rows = np.stack([x, xp, gamma.values.real, gamma.values.imag], axis=-1).reshape(-1, 4)
-    _write_table(path, meta, ["x", "x_prime", "re", "im"], rows)
-
-
-def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
+def cmd_gamma(cfg: RunConfig) -> Outcome:
     require_t_end_zero(cfg.grid)
     sol = zero_order_solution(cfg.model, cfg.couplings, cfg.strategy(), cfg.grid, cfg.k0)
     res, = propagate_residual(sol)
@@ -252,24 +245,16 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
         np.array([res.final, make_basis_state(cfg.model, cfg.k0, 0)]), sol, pos).values)
     field = alpha_phi(sol, pos)
     gc = gamma_closed_form(field, cfg.k0, pos)
-    _prepare_out(cfg, out_dir)
-    for g, name in ((ge, "exact"), (gf, "first_approx"), (gc, "closed_form")):
-        _write_gamma(os.path.join(out_dir, f"gamma_{name}.dat"), g,
-                     [f"ecsim gamma, method={name}", "density matrix at t = 0"])
-
-    dev_fc = gf.max_deviation(gc)
-    dev_ef = ge.max_deviation(gf)
-    dev_ec = ge.max_deviation(gc)
     phi_spread = field.phi_spread()
     single_mode = np.count_nonzero(cfg.couplings.values) == 1
-    agree = dev_fc < TOLERANCES["gamma_agreement"]
     # the rotated-frame step is unitary: its drift is round-off, 1.3e-12 after 2500 steps
-    norm_ok = abs(float(np.linalg.norm(res.final)) - 1.0) < TOLERANCES["gamma_norm"]
+    checks = [_judge("gamma_agreement", gf.max_deviation(gc)),
+              _judge("gamma_norm", abs(float(np.linalg.norm(res.final)) - 1.0))]
+    agree, norm = checks
     lines = [
-        "# ecsim gamma summary",
-        f"max_dev_first_vs_closed = {dev_fc:.12e}",
-        f"max_dev_exact_vs_first = {dev_ef:.12e}",
-        f"max_dev_exact_vs_closed = {dev_ec:.12e}",
+        f"max_dev_first_vs_closed = {agree.value:.12e}",
+        f"max_dev_exact_vs_first = {ge.max_deviation(gf):.12e}",
+        f"max_dev_exact_vs_closed = {ge.max_deviation(gc):.12e}",
         f"hermiticity_exact = {ge.hermiticity_error():.12e}",
         f"hermiticity_first = {gf.hermiticity_error():.12e}",
         f"hermiticity_closed = {gc.hermiticity_error():.12e}",
@@ -278,15 +263,19 @@ def cmd_gamma(cfg: RunConfig, out_dir: str) -> int:
         f"phi_spread = {phi_spread:.12e}",
         f"single_mode_coupling = {'yes' if single_mode else 'no'}",
         f"phi_constant = {'yes' if phi_spread < TOLERANCES['phi_const'] else 'no'}",
-        f"agreement_check = {'PASS' if agree else 'FAIL'} "
-        f"(tol={TOLERANCES['gamma_agreement']:.1e})",
-        f"norm_check = {'PASS' if norm_ok else 'FAIL'} (tol={TOLERANCES['gamma_norm']:.1e})",
+        f"agreement_check = {agree.status} (tol={agree.tol:.1e})",
+        f"norm_check = {norm.status} (tol={norm.tol:.1e})",
     ]
-    _write_summary(os.path.join(out_dir, "gamma_summary.txt"), lines)
-    return 0 if agree and norm_ok else 1
+    x, xp = np.meshgrid(pos.points, pos.points, indexing="ij")
+    tables = [(f"gamma_{name}.dat", [f"ecsim gamma, method={name}", "density matrix at t = 0"],
+               ["x", "x_prime", "re", "im"],
+               np.stack([x, xp, g.values.real, g.values.imag], axis=-1).reshape(-1, 4))
+              for g, name in ((ge, "exact"), (gf, "first_approx"), (gc, "closed_form"))]
+    summary = _text(["# ecsim gamma summary", *lines])
+    return Outcome(checks, tables, [("gamma_summary.txt", summary)], lines)
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
+def cmd_sweep(cfg: RunConfig, factors: list[str | float]) -> Outcome:
     require_t_end_zero(cfg.grid)
     factors = [require_positive("--factors", f) for f in factors]
     if len(factors) < 2 or any(factors[i] <= factors[i + 1] for i in range(len(factors) - 1)):
@@ -312,19 +301,15 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, factors: list[str | float]) -> int:
     orders = [float(np.log(gaps[i] / gaps[i + 1]) / np.log(factors[i] / factors[i + 1]))
               for i in range(len(gaps) - 1)]
     min_order = min(orders)
-    tol = TOLERANCES["sweep_order"]
-    passed = min_order >= tol
-    _prepare_out(cfg, out_dir)
-    _write_table(os.path.join(out_dir, "sweep.dat"),
-                 ["ecsim coupling sweep",
-                  "gap = max |Gamma_exact - Gamma_closed| at the scaled coupling"],
-                 ["factor", "gap"], np.column_stack((factors, gaps)))
-    lines = ["# ecsim sweep summary"]
-    lines += [f"order_{i} = {o:.6f}" for i, o in enumerate(orders)]
-    lines.append(f"min_order = {min_order:.6f}")
-    lines.append(f"order_check = {'PASS' if passed else 'FAIL'} (threshold {tol})")
-    _write_summary(os.path.join(out_dir, "sweep_summary.txt"), lines)
-    return 0 if passed else 1
+    c = _judge("sweep_order", min_order, passed=min_order >= TOLERANCES["sweep_order"])
+    table = ("sweep.dat", ["ecsim coupling sweep",
+                           "gap = max |Gamma_exact - Gamma_closed| at the scaled coupling"],
+             ["factor", "gap"], np.column_stack((factors, gaps)))
+    lines = [f"order_{i} = {o:.6f}" for i, o in enumerate(orders)]
+    lines += [f"min_order = {min_order:.6f}",
+              f"order_check = {c.status} (threshold {c.tol})"]
+    summary = _text(["# ecsim sweep summary", *lines])
+    return Outcome([c], [table], [("sweep_summary.txt", summary)], lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,20 +345,32 @@ def main(argv: list[str] | None = None) -> int:
         if not args.out:
             raise ConfigError("--out must name a directory, got an empty path")
         existing = os.path.abspath(args.out)
-        while not os.path.exists(existing):
+        while not os.path.lexists(existing):   # a dangling link is not a directory
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         if args.command == "properties":
-            return cmd_properties(cfg, args.out)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.out, compare_strategies=args.compare_strategies)
-        if args.command == "gamma":
-            return cmd_gamma(cfg, args.out)
-        return cmd_sweep(cfg, args.out, args.factors.split(","))
+            outcome = cmd_properties(cfg)
+        elif args.command == "evolve":
+            outcome = cmd_evolve(cfg, compare_strategies=args.compare_strategies)
+        elif args.command == "gamma":
+            outcome = cmd_gamma(cfg)
+        else:
+            outcome = cmd_sweep(cfg, args.factors.split(","))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in [("resolved_config.ini", resolved_config_text(cfg)), *outcome.texts]:
+            _write_text(os.path.join(args.out, name), text)
+        for name, meta, columns, rows in outcome.tables:
+            _write_table(os.path.join(args.out, name), meta, columns, rows)
+    except OSError as exc:
+        print(f"output error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return 3
+    print(*outcome.lines, sep="\n")
+    return 0 if all(c.passed for c in outcome.checks) else 1
 
 
 if __name__ == "__main__":

@@ -161,8 +161,8 @@ class ZeroOrderSolution:
     at any array of times, with no quadrature: f_q(t) e^{i w t} = e^{i nu_q t}.
     chi is evaluated by its real branch values, so it is Hermitian by
     construction; U0 is only ever applied to states.  Nothing stored grows
-    with the number of steps.  ``branch_values`` and ``u0`` are the one-member
-    case of the stacked functions of the same names.
+    with the number of steps.  ``u0`` is the one-member case of the stacked
+    function of the same name.
     """
 
     model: Model
@@ -179,9 +179,6 @@ class ZeroOrderSolution:
     def h(self, times) -> np.ndarray:
         """h_q(t) = -i g_q E(nu_q; t), shape times.shape + (n_offsets,)."""
         return -1j * self.couplings.values * _ramp(self.nu, self.grid.t0, times)
-
-    def branch_values(self, times) -> tuple[np.ndarray, np.ndarray]:
-        return branch_values(self, times)
 
     @property
     def exact_split(self) -> bool:

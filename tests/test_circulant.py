@@ -26,6 +26,7 @@ from ecsim.dynamics import (
     STABILITY_LIMIT,
     ModulatorStrategy,
     TimeGrid,
+    branch_values,
     check_stability,
     propagate_residual,
     zero_order_solution,
@@ -238,7 +239,7 @@ def test_branches_of_h_and_chi_are_alpha_and_phi(mc, kind):
     lat = sol.model.lattice
     field = alpha_phi(sol, PositionGrid.uniform(lat, lat.sites))  # x_m = m * spacing
     branch = -np.arange(lat.sites) % lat.sites        # f_{-m} peaks at x_m
-    lam, mu = sol.branch_values(sol.grid.times[-1])
+    lam, mu = branch_values(sol, sol.grid.times[-1])
     assert np.abs(lam[branch] - field.alpha_final).max() < 1e-13
     assert np.abs(mu[branch] - field.phi).max() < 1e-13
 
@@ -252,7 +253,7 @@ def test_u0_adjoint_is_the_conjugate_transpose(mc, kind, step, mid):
     midpoints alike."""
     sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 5))
     model = sol.model
-    lam, mu = sol.branch_values(sol.grid.t0 + sol.grid.dt * (step + 0.5 * mid))
+    lam, mu = branch_values(sol, sol.grid.t0 + sol.grid.dt * (step + 0.5 * mid))
     x, w = ladder_quadrature(model.osc)
     phases = branch_phases(lam, mu, x)
     u = dense_from_action(model, lambda states: branch_displacement(states, phases, w))
@@ -290,7 +291,7 @@ def test_residual_step_matches_dense_conjugated_exponential(mc, kind):
     for i in range(grid.steps):
         # reference: the dense conjugated exponential, one eigh at full dimension
         _, h1 = split_hamiltonian(model, sol.couplings, sol.strategy, grid.midpoint(i), sol.k0)
-        lam_m, mu_m = sol.branch_values(grid.midpoint(i))
+        lam_m, mu_m = branch_values(sol, grid.midpoint(i))
         u0m = dense_from_action(model, lambda states: displacement(model, lam_m, mu_m, states))
         step = unitary_exponential(u0m.conj().T @ h1 @ u0m, grid.dt)
         want = (step @ res.states[i].reshape(-1)).reshape(model.shape)

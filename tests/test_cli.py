@@ -1,6 +1,7 @@
 """Configuration loading and CLI commands."""
 
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -215,22 +216,84 @@ def test_config_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("out", ["afile", "afile/sub", ""])
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "", "alink"])
 def test_out_naming_a_file_is_a_configuration_error(config_path, tmp_path, capsys, monkeypatch,
                                                      command, out):
-    """--out at an existing file, below one, or empty (which os.makedirs
-    cannot create) exits 2 naming --out before any computation, and leaves
-    the file as it was."""
+    """--out at an existing file, below one, at a dangling symlink, or empty
+    (none of which os.makedirs can create) exits 2 naming --out before any
+    computation, and leaves the file and the link as they were."""
     def no_computation(*args, **kwargs):
         raise AssertionError("--out must be rejected before any computation")
 
     monkeypatch.setattr(ecsim.cli, "run_properties", no_computation)
     monkeypatch.setattr(ecsim.cli, "zero_order_solution", no_computation)
     (tmp_path / "afile").write_text("kept")
+    os.symlink(tmp_path / "missing", tmp_path / "alink")
     argv = COMMANDS[command] + ["--config", config_path, "--out", out and str(tmp_path / out)]
     assert main(argv) == 2
     assert "--out" in capsys.readouterr().err
     assert (tmp_path / "afile").read_text() == "kept"
+    assert os.readlink(tmp_path / "alink") == str(tmp_path / "missing")
+    assert not (tmp_path / "missing").exists()
+
+
+# Each command's cmd_* call with the arguments main passes for COMMANDS.
+CMD_CALLS = {"properties": lambda cfg: ecsim.cli.cmd_properties(cfg),
+             "evolve": lambda cfg: ecsim.cli.cmd_evolve(cfg, compare_strategies=True),
+             "gamma": lambda cfg: ecsim.cli.cmd_gamma(cfg),
+             "sweep": lambda cfg: ecsim.cli.cmd_sweep(cfg, ["1", "0.5"])}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_compute_and_main_alone_writes_and_prints(config_path, tmp_path, capsys,
+                                                           monkeypatch, command):
+    """cmd_<command> returns its Outcome without creating a directory, writing
+    a file or printing; main then writes exactly the Outcome's tables and
+    texts plus resolved_config.ini, and prints exactly its lines."""
+    monkeypatch.chdir(tmp_path)
+    outcome = CMD_CALLS[command](load_config(config_path))
+    assert os.listdir(tmp_path) == ["run.ini"]
+    assert capsys.readouterr() == ("", "")
+    out = tmp_path / "o"
+    assert main(COMMANDS[command] + ["--config", config_path, "--out", str(out)]) == 0
+    names = [table[0] for table in outcome.tables] + [name for name, _ in outcome.texts]
+    assert sorted(os.listdir(out)) == sorted(names + ["resolved_config.ini"])
+    for name, text in outcome.texts:
+        assert (out / name).read_text() == text
+    assert capsys.readouterr() == ("".join(f"{line}\n" for line in outcome.lines), "")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fault", ["makedirs-refused", "disk-full-after-one-file"])
+def test_write_errors_exit_3_with_one_line(config_path, tmp_path, capsys, monkeypatch,
+                                           command, fault):
+    """An OSError while main prepares or writes --out, here os.makedirs
+    refused or the disk filling after the first file, prints one line naming
+    --out and the reason to stderr, no traceback and nothing on stdout, and
+    exits 3."""
+    written, write_text = [], ecsim.cli._write_text
+
+    def refused(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    def fills_up(path, text):
+        if written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        written.append(os.path.basename(path))
+        write_text(path, text)
+
+    if fault == "makedirs-refused":
+        monkeypatch.setattr(os, "makedirs", refused)
+    else:
+        monkeypatch.setattr(ecsim.cli, "_write_text", fills_up)
+    out = tmp_path / "o"
+    assert main(COMMANDS[command] + ["--config", config_path, "--out", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    reason = os.strerror(errno.EACCES if fault == "makedirs-refused" else errno.ENOSPC)
+    assert stderr.startswith(f"output error: cannot write --out {out}: ")
+    assert reason in stderr and stderr.count("\n") == 1
+    assert written == ([] if fault == "makedirs-refused" else ["resolved_config.ini"])
 
 
 def test_non_hermitian_couplings_are_a_configuration_error(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_truncation_guard_reads_the_closed_form_amplitude():
     strat = ModulatorStrategy("static_unit")
     model = make_model(sites=5, cutoff=12, omega=0.5)
     sol = zero_order_solution(model, pair(model, 1, 0.2), strat, grid, 2)
-    assert abs(np.abs(sol.branch_values(grid.t_end)[0]).max() - 1.6) < 1e-12
+    assert abs(np.abs(dynamics.branch_values(sol, grid.t_end)[0]).max() - 1.6) < 1e-12
     model = make_model(sites=5, cutoff=8, omega=0.5)
     with pytest.raises(TruncationError, match="exceeds cutoff/4 = 2"):
         zero_order_solution(model, pair(model, 1, 0.2), strat, grid, 2)
@@ -197,7 +197,7 @@ def test_zero_order_initial_values():
     c = pair(model, 1, 0.2)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=50)
     sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 2)
-    lam, mu = sol.branch_values(grid.t0)
+    lam, mu = dynamics.branch_values(sol, grid.t0)
     assert not np.any(sol.h(grid.t0)) and not np.any(lam) and not np.any(mu)
     u0 = dense_from_action(model, lambda states: sol.u0(0, states))
     assert np.abs(u0 - np.eye(model.dim)).max() < 1e-14
@@ -212,7 +212,7 @@ def test_h_and_chi_match_closed_form():
     for t in (grid.t0, grid.midpoint(37), grid.t_end):
         h_ref, chi_ref = static_unit_reference(model, c, grid.t0, t)
         h = sol.h(t)
-        _, mu = sol.branch_values(t)
+        _, mu = dynamics.branch_values(sol, t)
         assert max(abs(h[i] - h_ref[q]) for i, q in enumerate(sol.offsets)) < 1e-12
         assert np.abs((f * mu) @ f.conj().T - chi_ref).max() < 1e-12
 
@@ -225,7 +225,7 @@ def assert_matches_refined_trapezoid(sol):
     assert np.abs(sol.h(sol.grid.times) - h_ref).max() < 1e-10
 
     branch_w = np.exp(2j * np.pi * np.outer(np.arange(lat.sites), offsets) / lat.sites)
-    lam, mu = sol.branch_values(sol.grid.times)
+    lam, mu = dynamics.branch_values(sol, sol.grid.times)
     lam_ref, mu_ref = refined_trapezoid(sol, branch_w)
     assert np.abs(lam - lam_ref).max() < 1e-10
     assert np.abs(mu - mu_ref).max() < 1e-10
@@ -302,7 +302,7 @@ def test_chi_hermitian_and_u0_unitary():
     c = pair(model, 2, 0.2)
     grid = TimeGrid(t0=-1.5, t_end=0.0, steps=150)
     sol = zero_order_solution(model, c, ModulatorStrategy("recoil_phase"), grid, 1)
-    assert np.isrealobj(sol.branch_values(grid.times)[1])   # chi Hermitian by construction
+    assert np.isrealobj(dynamics.branch_values(sol, grid.times)[1])   # chi Hermitian by construction
     for step in (0, 75, 150):
         u = dense_from_action(model, lambda states: sol.u0(step, states))
         assert np.linalg.norm(u.conj().T @ u - np.eye(model.dim), 2) < 1e-8
@@ -547,7 +547,7 @@ def test_stacked_evaluators_equal_a_loop_of_one_member_calls(monkeypatch, family
     sampled = dynamics.u0(sols, steps, repeated)
     for m, sol in enumerate(sols):
         checks = [((amplitude[m], phase[m]), dynamics.accumulated(sol, weights, times)),
-                  ((lam[m], mu[m]), sol.branch_values(times)),
+                  ((lam[m], mu[m]), dynamics.branch_values(sol, times)),
                   ((displaced[m], sampled[m]),
                    (sol.u0(grid.steps, states[m]), sol.u0(steps, repeated[m])))]
         for stacked, alone in checks:
