@@ -248,9 +248,12 @@ def _polar_nodes(radial_nodes: int, scale: float):
 
 def _angular_sum(angles: np.ndarray, orders: int) -> np.ndarray:
     """S[n, m] = sum_a e^{i (n - m) theta_a} for n, m < orders, summed over
-    the quadrature angles rather than replaced by a Kronecker delta."""
+    the quadrature angles rather than replaced by a Kronecker delta.  Only
+    the real part, the cosine sum, is returned: for uniform angles
+    theta_a = 2 pi a / A the sine sum vanishes exactly (a -> A - a flips its
+    sign), so what is dropped is round-off and S is real symmetric."""
     phases = np.exp(1j * np.outer(angles, np.arange(orders)))
-    return phases.T @ phases.conj()
+    return (phases.T @ phases.conj()).real
 
 
 class UnityResolutionResult(NamedTuple):
@@ -270,11 +273,12 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     The substitution absorbs |lam_j|^2, so block j is D_j B D_j^dag with
     D_j = diag(e^{i n arg lam_j}) and B the unit-phase block: with c(u) the
     real coherent amplitudes at sqrt(u), B[n, m] = sum_u w_u c(u)[n] c(u)[m]
-    S[n, m], one contraction over the radii times the angular sum
-    S[n, m] = sum_a e^{i (n - m) theta_a}.  So every live block deviates from
-    the identity as B does and a vanishing branch (|lam_j|^2 <= 1e-14), a
-    zero block, by 1: one block and one norm (its largest |eigenvalue|, as it
-    is Hermitian), whatever the number of sites.
+    S[n, m], one contraction over the radii times the real angular sum
+    S[n, m] = sum_a cos((n - m) theta_a) (``_angular_sum``).  So every live
+    block deviates from the identity as the real symmetric B does and a
+    vanishing branch (|lam_j|^2 <= 1e-14), a zero block, by 1: one block and
+    one norm (its largest |eigenvalue|, from the real symmetric eigensolver),
+    whatever the number of sites.
     The deviation is taken on the reliable subspace: Fock levels whose
     coherent occupancy at the largest quadrature amplitude stays below
     TRUNCATION_TOL, since states at large |z| spill past the cutoff.
@@ -286,7 +290,7 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     radii, angles, weights = _polar_nodes(radial_nodes, 1.0)
 
     levels = model.osc.levels
-    amps = coherent_state_vector(radii, levels)   # [u, n], real
+    amps = coherent_state_vector(radii, levels).real   # [u, n]: real at real radii
     # Poisson occupancy of each level at the largest quadrature amplitude
     poisson = np.abs(amps[radii.argmax()]) ** 2
     reliable = tuple(int(n) for n in np.flatnonzero(poisson < TRUNCATION_TOL))
@@ -321,11 +325,11 @@ def moment_identity_check(c: complex) -> MomentIdentityResult:
     radii, angles, weights = _polar_nodes(RADIAL_NODES, scale)
     orders = np.arange(MOMENT_MAX_ORDER + 1)
     # (z*)^n z^m = r^{n+m} e^{-i (n - m) theta}: the radial sum of
-    # pi w_r e^{-r^2 |c|^2} r^{n+m} times the conjugate angular sum
+    # pi w_r e^{-r^2 |c|^2} r^{n+m} times the (real) angular sum
     rp = radii[:, None] ** orders
     radial = (np.pi * weights * np.exp(-radii ** 2 * scale) * rp.T) @ rp
-    values = radial * _angular_sum(angles, orders.size).conj()
-    values *= np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1)
+    values = (radial * _angular_sum(angles, orders.size)
+              * np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1))
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1, MOMENT_MAX_ORDER + 1))))
     target = np.pi * np.diag(fact)
     diff = values - target

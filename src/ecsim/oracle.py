@@ -3,8 +3,9 @@
 
 It deliberately shares nothing with the split propagator beyond the basis
 types, the time grid and the stability guard: it builds its own Fourier
-matrix, branch values and ladder matrix, and it is the one module that forms
-operators on the product space.
+matrix, branch values and ladder matrix, diagonalises that ladder itself
+(a real symmetric eigh, not the split's cached ``ladder_quadrature``), and
+it is the one module that forms operators on the product space.
 """
 
 from __future__ import annotations
@@ -48,20 +49,28 @@ def _step_unitary(model: Model, couplings: CoefficientSet, dt: float) -> np.ndar
     """exp(-i dt H_S) on the flattened product basis.  The particle factor of
     H_S is a circulant, so on the Fourier vector e^{2 pi i j k/N}/sqrt(N) it is
     the oscillator block H_j = gamma_j b^dag + gamma_j^* b with
-    gamma_j = sum_q g_q e^{2 pi i j q/N}, and every exp(-i dt H_j) comes from
-    one batched (levels x levels) eigh.  The result is block-circulant: its
-    particle block (k, l) is (1/N) sum_j e^{2 pi i j (k-l)/N} exp(-i dt H_j)."""
+    gamma_j = sum_q g_q e^{2 pi i j q/N}.  With R_j = diag(e^{i n arg gamma_j}),
+    H_j = |gamma_j| R_j (b + b^dag) R_j^dag, so one real eigh of the ladder
+    b + b^dag = W diag(x) W^T gives every branch step
+    exp(-i dt H_j) = R_j W diag(e^{-i dt |gamma_j| x}) W^T R_j^dag.  The result
+    is block-circulant: its particle block (k, l) is
+    C_{(k-l) mod N} = (1/N) sum_j e^{2 pi i j (k-l)/N} exp(-i dt H_j), read
+    from windows over the blocks C_{N-1}, ..., C_0, C_{N-1}, ..., C_1 and
+    copied once into the product space."""
     N, levels = model.shape
     j = np.arange(N)
     fourier = np.exp(2j * np.pi * (np.outer(j, j) % N) / N)   # [j, k] = e^{2 pi i jk/N}
     gamma = fourier[:, np.mod(couplings.offsets, N)] @ couplings.values
     raise_op = np.diag(np.sqrt(np.arange(1.0, levels)), -1)   # b^dag: (n+1) <- n
-    blocks = gamma[:, None, None] * raise_op
-    w, v = np.linalg.eigh(blocks + blocks.conj().transpose(0, 2, 1))
-    branch_steps = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    x, w = np.linalg.eigh(raise_op + raise_op.T)
+    rot = np.exp(1j * np.angle(gamma)[:, None] * np.arange(levels))   # [j, n] of R_j
+    left = rot[:, :, None] * w * np.exp(-1j * dt * np.abs(gamma)[:, None] * x)[:, None, :]
+    branch_steps = left @ (w.T * rot.conj()[:, None, :])
     circ = (fourier @ branch_steps.reshape(N, -1) / N).reshape(N, levels, levels)
-    step = circ[(j[:, None] - j[None, :]) % N]   # [k, l, n, m]
-    return step.transpose(0, 2, 1, 3).reshape(model.dim, model.dim)
+    # windows[s, n, m, l] = C_{(N-1-s-l) mod N}, so block (k, l) is windows[N-1-k, ..., l]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((circ[::-1], circ[:0:-1])), N, axis=0)
+    return windows[::-1].transpose(0, 1, 3, 2).copy().reshape(model.dim, model.dim)
 
 
 def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,

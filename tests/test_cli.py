@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ecsim
 import ecsim.cli
+import ecsim.ecs
 import ecsim.hilbert
 import ecsim.observables
 from conftest import PINNED
@@ -144,6 +145,29 @@ def test_commands_take_no_svd(config_path, tmp_path, monkeypatch, command):
     monkeypatch.setattr(np.linalg, "norm", no_matrix_2_norm)
     argv = COMMANDS[command] + ["--config", config_path, "--out", str(tmp_path / "o")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_run_only_real_eigensolvers(config_path, tmp_path, monkeypatch, command):
+    """Every Hermitian problem a command solves is real symmetric: the
+    ladder b + b^dag (the stability guard's and the oracle's own), the
+    Gauss-Laguerre Jacobi matrix and the unity block.  The caches are cleared
+    so each command's first solves are seen."""
+    dtypes = []
+
+    def recording(solver):
+        def solve(a, *args, **kw):
+            dtypes.append(np.asarray(a).dtype)
+            return solver(a, *args, **kw)
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    ecsim.hilbert.ladder_quadrature.cache_clear()
+    ecsim.ecs._laguerre_nodes.cache_clear()
+    argv = COMMANDS[command] + ["--config", config_path, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes), dtypes
 
 
 def test_parse_complex():

@@ -338,16 +338,29 @@ def test_unity_resolution_matches_dense_reference(case):
 def test_unity_resolution_takes_one_block_norm(monkeypatch, sites):
     """Every live branch block is D_j B D_j^dag for one unit-phase block B, so
     the check takes one spectral norm, the largest |eigenvalue| of one 2-D
-    (levels x levels) Hermitian matrix, whatever the number of sites."""
+    (levels x levels) real symmetric matrix, whatever the number of sites."""
     model = make_model(sites=sites, cutoff=24)
     ecs._laguerre_nodes(RADIAL_NODES)   # cached: the Jacobi matrix's solve is not the block's
     calls = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a, *args, **kw: calls.append(np.shape(a)) or eigvalsh(a, *args, **kw))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw:
+                        calls.append((np.shape(a), np.asarray(a).dtype)) or eigvalsh(a, *args, **kw))
     res = unity_resolution_check(model, single_mode(model, 1, 1.0))
-    assert calls == [(25, 25)]
+    assert calls == [((25, 25), np.float64)]
     assert res.reliable_levels == tuple(range(25)) and res.deviation < 1e-12
+
+
+def test_angular_sum_drops_only_round_off():
+    """The unity and moment quadratures keep only the cosine sum of
+    sum_a e^{i (n - m) theta_a}: on the uniform angles the sine sum it drops
+    stays below 1e-12 for every order up to 25."""
+    _, angles, _ = ecs._polar_nodes(RADIAL_NODES, 1.0)
+    got = ecs._angular_sum(angles, 26)
+    assert got.dtype == np.float64
+    n = np.arange(26)
+    full = np.exp(1j * np.subtract.outer(n, n)[..., None] * angles).sum(axis=-1)
+    assert np.abs(full.imag).max() < 1e-12
+    assert np.abs(got - full.real).max() < 1e-12
 
 
 def test_unity_resolution_with_a_vanishing_branch_deviates_by_one():

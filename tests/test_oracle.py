@@ -17,7 +17,7 @@ from conftest import (
     midpoint_propagate,
     shift_matrix,
 )
-from ecsim import oracle
+from ecsim import dynamics, hilbert, oracle
 from ecsim.dynamics import STABILITY_LIMIT, TimeGrid, check_stability
 from ecsim.hilbert import (
     CoefficientSet,
@@ -131,10 +131,10 @@ def test_propagate_exact_matches_per_step_dense_reference(case, stride):
 
 
 def test_one_eigendecomposition_per_run(monkeypatch):
-    # one batched eigh of the (sites, levels, levels) branch blocks of H_S, the
-    # stability guard's one (levels x levels) ladder eigh per oscillator
-    # (``ladder_quadrature``, cached), and never an eigensolver of the
-    # product-space dimension
+    # the oracle's own real (levels x levels) ladder eigh and the stability
+    # guard's (``ladder_quadrature``, cached): every branch step is the ladder's
+    # eigenbasis rotated by R_j, so no branch stack is diagonalised, and never
+    # an eigensolver of the product-space dimension
     model = make_model(sites=5, cutoff=6)
     c = hermitian_pair(model.lattice, 2, 0.15)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
@@ -144,7 +144,7 @@ def test_one_eigendecomposition_per_run(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     ladder_quadrature.cache_clear()
     oracle.propagate_exact(model, c, grid, psi0, collect_every=7)
-    assert calls == [(7, 7), (5, 7, 7)]
+    assert calls == [(7, 7), (7, 7)]
     oracle.propagate_exact(model, CoefficientSet(model.lattice), grid, psi0)
     assert len(calls) == 2
 
@@ -152,8 +152,33 @@ def test_one_eigendecomposition_per_run(monkeypatch):
     assert big.dim == 400
     oracle.propagate_exact(big, hermitian_pair(big.lattice, 1, 0.15),
                            TimeGrid(t0=-0.1, t_end=0.0, steps=2), make_basis_state(big, 0, 0))
-    assert calls[2:] == [(25, 25), (16, 25, 25)]
+    assert calls[2:] == [(25, 25), (25, 25)]
     assert all(big.dim not in shape for shape in calls)
+
+
+def test_oracle_shares_no_branch_code_with_the_split(monkeypatch):
+    """The oracle is the split propagator's independent reference: beyond the
+    stability guard the two share by design (which reads the branch values
+    through ``hilbert.branches``, and is stood in for here), it builds its own
+    Fourier matrix, branch values and ladder, and never calls the split's DFT,
+    branch rotation or displacement."""
+    def refuse(name):
+        def fail(*args, **kw):
+            raise AssertionError(f"hilbert.{name} called")
+        return fail
+
+    for module in (hilbert, dynamics, oracle):   # wherever the names are bound
+        for name in ("fourier", "branch_phases", "branch_displacement", "displacement"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    guarded = []
+    monkeypatch.setattr(oracle, "check_stability", lambda *args: guarded.append(args))
+    model = make_model(sites=5, cutoff=6)
+    c = hermitian_pair(model.lattice, 2, 0.15 - 0.05j)
+    grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
+    final = oracle.propagate_exact(model, c, grid, make_basis_state(model, 1, 0))
+    assert guarded == [(model, c, grid)]
+    assert abs(np.linalg.norm(final) - 1.0) < 1e-12
 
 
 def test_each_step_is_one_matvec(monkeypatch):
