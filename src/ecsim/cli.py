@@ -3,8 +3,8 @@ density-matrix exports and coupling sweeps, each check judged at its fixed
 tolerance in TOLERANCES.
 
 Each ``cmd_<command>`` computes an Outcome and does no I/O. ``main`` alone
-then writes its files, prints its lines and turns its checks into the exit
-code.
+then writes its files, prints one ``_check_line`` per check and turns the
+checks into the exit code.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from . import oracle
 from .config import ConfigError, RunConfig, load_config, resolved_config_text
 from .dynamics import (
+    STRATEGY_KINDS,
     ModulatorStrategy,
     ResidualResult,
     propagate_residual,
@@ -75,11 +76,10 @@ class CheckResult(NamedTuple):
 
 class Outcome(NamedTuple):
     """A command's checks, its tables as (file name, meta lines, columns,
-    rows), its text files as (file name, text) and its stdout lines."""
+    rows) and its text files as (file name, text)."""
     checks: list[CheckResult]
     tables: list[tuple]
     texts: list[tuple[str, str]]
-    lines: list[str]
 
 
 def _judge(name: str, value: float, passed: bool | None = None, note: str = "") -> CheckResult:
@@ -162,7 +162,7 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     add("overlap_formula", max(float(np.abs(num - ana).max()), abs(vecs[2].conj() @ vecs[10])))
 
     unity = unity_resolution_check(model, CoefficientSet.single_mode(lat, q0, 1.0))
-    moments = moment_identity_check(1.0)
+    moments = moment_identity_check()
     unity_ok = (unity.deviation < TOLERANCES["unity_resolution"]
                 and moments.max_diagonal_error < TOLERANCES["unity_moment_diag"]
                 and moments.max_offdiagonal < TOLERANCES["unity_moment_offdiag"])
@@ -176,7 +176,9 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _check_line(c: CheckResult, digits: int) -> str:
-    return f"{c.name:<26s} value={c.value:.{digits}e}  tol={c.tol:.1e}  {c.status}"
+    """`name value=... tol=... PASS|FAIL`, then the check's note if it has one."""
+    line = f"{c.name:<26s} value={c.value:.{digits}e}  tol={c.tol:.1e}  {c.status}"
+    return f"{line}  {c.note}" if c.note else line
 
 
 def cmd_properties(cfg: RunConfig) -> Outcome:
@@ -184,10 +186,8 @@ def cmd_properties(cfg: RunConfig) -> Outcome:
         raise ConfigError("the property suite scans amplitudes up to 1 and "
                           "needs cutoff >= 12")
     checks = run_properties(cfg)
-    report = _text(["# ecsim properties report", *(
-        _check_line(c, 12) + (f"  {c.note}" if c.note else "") for c in checks)])
-    return Outcome(checks, [], [("properties_report.txt", report)],
-                   [_check_line(c, 6) for c in checks])
+    report = _text(["# ecsim properties report", *(_check_line(c, 12) for c in checks)])
+    return Outcome(checks, [], [("properties_report.txt", report)])
 
 
 def _evolve_one(cfg: RunConfig, res: ResidualResult,
@@ -215,7 +215,7 @@ def _evolve_one(cfg: RunConfig, res: ResidualResult,
 
 
 def cmd_evolve(cfg: RunConfig, compare_strategies: bool = False) -> Outcome:
-    kinds = ("static_unit", "recoil_phase") if compare_strategies else (cfg.strategy_kind,)
+    kinds = STRATEGY_KINDS if compare_strategies else (cfg.strategy_kind,)
     sols = [zero_order_solution(cfg.model, cfg.couplings, ModulatorStrategy(kind=kind),
                                 cfg.grid, cfg.k0) for kind in kinds]
     psi0 = make_basis_state(cfg.model, cfg.k0, 0)
@@ -223,15 +223,12 @@ def cmd_evolve(cfg: RunConfig, compare_strategies: bool = False) -> Outcome:
     _, (_, oracle_states) = oracle.propagate_exact(
         cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
     results = propagate_residual(*sols, collect_every=stride)
-    checks, tables, lines = [], [], []
+    checks, tables = [], []
     for kind, res in zip(kinds, results):
         min_fid, strategy_tables = _evolve_one(cfg, res, oracle_states)
-        c = _judge("evolve_fidelity", 1.0 - min_fid, note=f"strategy={kind}")
-        checks.append(c)
+        checks.append(_judge("evolve_fidelity", 1.0 - min_fid, note=f"strategy={kind}"))
         tables += strategy_tables
-        lines.append(f"strategy={kind:<12s} min_fidelity_error={c.value:.6e}  "
-                     f"tol={c.tol:.1e}  {c.status}  (evolve_{kind}.dat)")
-    return Outcome(checks, tables, [], lines)
+    return Outcome(checks, tables, [])
 
 
 def cmd_gamma(cfg: RunConfig) -> Outcome:
@@ -251,7 +248,8 @@ def cmd_gamma(cfg: RunConfig) -> Outcome:
     checks = [_judge("gamma_agreement", gf.max_deviation(gc)),
               _judge("gamma_norm", abs(float(np.linalg.norm(res.final)) - 1.0))]
     agree, norm = checks
-    lines = [
+    summary = _text([
+        "# ecsim gamma summary",
         f"max_dev_first_vs_closed = {agree.value:.12e}",
         f"max_dev_exact_vs_first = {ge.max_deviation(gf):.12e}",
         f"max_dev_exact_vs_closed = {ge.max_deviation(gc):.12e}",
@@ -265,14 +263,13 @@ def cmd_gamma(cfg: RunConfig) -> Outcome:
         f"phi_constant = {'yes' if phi_spread < TOLERANCES['phi_const'] else 'no'}",
         f"agreement_check = {agree.status} (tol={agree.tol:.1e})",
         f"norm_check = {norm.status} (tol={norm.tol:.1e})",
-    ]
+    ])
     x, xp = np.meshgrid(pos.points, pos.points, indexing="ij")
     tables = [(f"gamma_{name}.dat", [f"ecsim gamma, method={name}", "density matrix at t = 0"],
                ["x", "x_prime", "re", "im"],
                np.stack([x, xp, g.values.real, g.values.imag], axis=-1).reshape(-1, 4))
               for g, name in ((ge, "exact"), (gf, "first_approx"), (gc, "closed_form"))]
-    summary = _text(["# ecsim gamma summary", *lines])
-    return Outcome(checks, tables, [("gamma_summary.txt", summary)], lines)
+    return Outcome(checks, tables, [("gamma_summary.txt", summary)])
 
 
 def cmd_sweep(cfg: RunConfig, factors: list[str | float]) -> Outcome:
@@ -301,15 +298,16 @@ def cmd_sweep(cfg: RunConfig, factors: list[str | float]) -> Outcome:
     orders = [float(np.log(gaps[i] / gaps[i + 1]) / np.log(factors[i] / factors[i + 1]))
               for i in range(len(gaps) - 1)]
     min_order = min(orders)
-    c = _judge("sweep_order", min_order, passed=min_order >= TOLERANCES["sweep_order"])
+    c = _judge("sweep_order", min_order, passed=min_order >= TOLERANCES["sweep_order"],
+               note="lower bound")
     table = ("sweep.dat", ["ecsim coupling sweep",
                            "gap = max |Gamma_exact - Gamma_closed| at the scaled coupling"],
              ["factor", "gap"], np.column_stack((factors, gaps)))
-    lines = [f"order_{i} = {o:.6f}" for i, o in enumerate(orders)]
-    lines += [f"min_order = {min_order:.6f}",
-              f"order_check = {c.status} (threshold {c.tol})"]
-    summary = _text(["# ecsim sweep summary", *lines])
-    return Outcome([c], [table], [("sweep_summary.txt", summary)], lines)
+    summary = _text(["# ecsim sweep summary",
+                     *(f"order_{i} = {o:.6f}" for i, o in enumerate(orders)),
+                     f"min_order = {min_order:.6f}",
+                     f"order_check = {c.status} (threshold {c.tol})"])
+    return Outcome([c], [table], [("sweep_summary.txt", summary)])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"output error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return 3
-    print(*outcome.lines, sep="\n")
+    for c in outcome.checks:
+        print(_check_line(c, 6))
     return 0 if all(c.passed for c in outcome.checks) else 1
 
 

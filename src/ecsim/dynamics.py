@@ -36,6 +36,8 @@ STABILITY_LIMIT = 0.5
 # Taylor form (error ~ SMALL_PHASE^3); above it the closed form divides by the
 # larger |nu| (relative error ~ eps / SMALL_PHASE).
 SMALL_PHASE = 1e-5
+# The modulator kinds, in the order `evolve --compare-strategies` runs them.
+STRATEGY_KINDS = ("static_unit", "recoil_phase")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class ModulatorStrategy:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("static_unit", "recoil_phase"):
+        if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown modulator kind {self.kind!r}")
 
     def detuning(self, model: Model, k0: int, offsets) -> np.ndarray:

@@ -35,8 +35,8 @@ from .hilbert import (
 )
 
 TRUNCATION_TOL = 1e-10
-# Polar quadrature of the resolution-of-unity and moment checks (radial nodes
-# by default), and the highest order n, m of the moment integral.
+# The one polar quadrature of the resolution-of-unity and moment checks
+# (``_polar_nodes``), and the highest order n, m of the moment integral.
 RADIAL_NODES = 40
 ANGULAR_NODES = 64
 MOMENT_MAX_ORDER = 4
@@ -45,12 +45,11 @@ MOMENT_MAX_ORDER = 4
 def coherent_state_vector(alpha, levels: int) -> np.ndarray:
     """Ordinary (Schroedinger) coherent state amplitudes on levels 0..levels-1:
     exp(-|alpha|^2/2) alpha^n / sqrt(n!), batched over the axes of `alpha`
-    (the levels form a new last axis)."""
+    (the levels form a new last axis); real at real `alpha`."""
     alpha = np.asarray(alpha)[..., None]
     n = np.arange(levels)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(levels)])
-    amps = np.exp(-0.5 * np.abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
-    return amps.astype(complex)
+    return np.exp(-0.5 * np.abs(alpha) ** 2 - 0.5 * log_fact) * alpha ** n
 
 
 def coherent_truncation_tail(amplitude_sq: float, cutoff: int) -> float:
@@ -208,13 +207,12 @@ def sum_rule(ecs: EcsState, s) -> SumRuleResult:
 
 
 @functools.cache
-def _laguerre_nodes(radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes u and the slopes L_n'(u) there, read-only: they
     depend only on the node count, so each count is computed once.  The nodes
     are the eigenvalues of the (n x n) Jacobi matrix (Golub-Welsch) with one
     Newton step, L_n and L_n' from the three-term recurrence, so
     numpy.polynomial is not needed."""
-    n = radial_nodes
     u = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
     prev, value = np.ones_like(u), 1.0 - u   # (k+1) L_{k+1} = (2k+1-u) L_k - k L_{k-1}
     for k in range(1, n):
@@ -227,20 +225,18 @@ def _laguerre_nodes(radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, slope
 
 
-def _polar_nodes(radial_nodes: int, scale: float):
+def _polar_nodes():
     """Quadrature for (1/pi) * int d^2 z, with the radial direction mapped to
-    Gauss-Laguerre nodes in u = |z|^2 * scale and ANGULAR_NODES uniform
-    angles.  Returns (radii, angles, weights) where weights absorb the 1/pi
-    and the Laguerre weight compensation e^{+u} (the integrand must supply its
-    own Gaussian decay).
+    the RADIAL_NODES Gauss-Laguerre nodes in u = |z|^2 and ANGULAR_NODES
+    uniform angles.  Returns (radii, angles, weights) where weights absorb
+    the 1/pi and the Laguerre weight compensation e^{+u} (the integrand must
+    supply its own Gaussian decay).
     """
-    if radial_nodes < 1:
-        raise ValueError("radial_nodes must be positive")
     # The weights 1/(u L_n'(u)^2) hold the moments int e^{-u} u^k/k! = 1 to
     # 5e-15, the sum-normalised weights of numpy's laggauss only to 1e-13.
-    u, slope = _laguerre_nodes(radial_nodes)
-    radii = np.sqrt(u / scale)
-    radial_weights = np.exp(u) / (u * slope ** 2) / (2.0 * scale)
+    u, slope = _laguerre_nodes(RADIAL_NODES)
+    radii = np.sqrt(u)
+    radial_weights = np.exp(u) / (u * slope ** 2) / 2.0
     angles = 2.0 * np.pi * np.arange(ANGULAR_NODES) / ANGULAR_NODES
     weights = radial_weights * (2.0 * np.pi / ANGULAR_NODES) / np.pi
     return radii, angles, weights
@@ -261,15 +257,15 @@ class UnityResolutionResult(NamedTuple):
     reliable_levels: tuple[int, ...]
 
 
-def unity_resolution_check(model: Model, h: CoefficientSet,
-                           radial_nodes: int = RADIAL_NODES) -> UnityResolutionResult:
+def unity_resolution_check(model: Model, h: CoefficientSet) -> UnityResolutionResult:
     """Quadrature test of sum_k (1/pi) int d^2z  Q |zh,k><zh,k| Q^dag = 1.
 
     Summed over k the integrand is block-diagonal on the Fourier branches of
     Q: on branch j it is |lam_j|^2 |z lam_j><z lam_j|, with the truncated
-    coherent amplitudes (exact at every retained level).  Polar quadrature:
-    Gauss-Laguerre radially in u = |z|^2 |lam_j|^2, scaled per branch so
-    every block is matched to its own Gaussian decay, uniform angularly.
+    coherent amplitudes (exact at every retained level).  The fixed polar
+    quadrature (``_polar_nodes``) is Gauss-Laguerre radially in
+    u = |z|^2 |lam_j|^2, scaled per branch so every block is matched to its
+    own Gaussian decay, and uniform angularly.
     The substitution absorbs |lam_j|^2, so block j is D_j B D_j^dag with
     D_j = diag(e^{i n arg lam_j}) and B the unit-phase block: with c(u) the
     real coherent amplitudes at sqrt(u), B[n, m] = sum_u w_u c(u)[n] c(u)[m]
@@ -287,15 +283,13 @@ def unity_resolution_check(model: Model, h: CoefficientSet,
     live = np.abs(lam) ** 2 > 1e-14
     if not live.any():
         raise ValueError("Q vanishes; the resolution of unity has no support")
-    radii, angles, weights = _polar_nodes(radial_nodes, 1.0)
+    radii, angles, weights = _polar_nodes()
 
     levels = model.osc.levels
-    amps = coherent_state_vector(radii, levels).real   # [u, n]: real at real radii
+    amps = coherent_state_vector(radii, levels)   # [u, n]: real at real radii
     # Poisson occupancy of each level at the largest quadrature amplitude
-    poisson = np.abs(amps[radii.argmax()]) ** 2
+    poisson = amps[radii.argmax()] ** 2
     reliable = tuple(int(n) for n in np.flatnonzero(poisson < TRUNCATION_TOL))
-    if not reliable:
-        return UnityResolutionResult(deviation=float("inf"), reliable_levels=())
     rel = np.array(reliable)
     radial = (amps.T[rel] * weights) @ amps[:, rel]
     block = radial * _angular_sum(angles, levels)[rel[:, None], rel] - np.eye(rel.size)
@@ -311,25 +305,21 @@ class MomentIdentityResult(NamedTuple):
     max_offdiagonal: float
 
 
-def moment_identity_check(c: complex) -> MomentIdentityResult:
+def moment_identity_check() -> MomentIdentityResult:
     """Quadrature check of the scalar Gaussian moment integral
 
-        int d^2z (z*)^n z^m exp(-|z|^2 |c|^2) c^{m+1} (c*)^{n+1} = pi n! delta_nm
+        int d^2z (z*)^n z^m exp(-|z|^2) = pi n! delta_nm
 
     for n, m = 0..MOMENT_MAX_ORDER, using the same polar quadrature as the
     resolution-of-unity test, factored the same way into a radial sum and
     an angular sum."""
-    if abs(c) == 0.0:
-        raise ValueError("c must be nonzero")
-    scale = abs(c) ** 2
-    radii, angles, weights = _polar_nodes(RADIAL_NODES, scale)
+    radii, angles, weights = _polar_nodes()
     orders = np.arange(MOMENT_MAX_ORDER + 1)
     # (z*)^n z^m = r^{n+m} e^{-i (n - m) theta}: the radial sum of
-    # pi w_r e^{-r^2 |c|^2} r^{n+m} times the (real) angular sum
+    # pi w_r e^{-r^2} r^{n+m} times the (real) angular sum
     rp = radii[:, None] ** orders
-    radial = (np.pi * weights * np.exp(-radii ** 2 * scale) * rp.T) @ rp
-    values = (radial * _angular_sum(angles, orders.size)
-              * np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1))
+    radial = (np.pi * weights * np.exp(-radii ** 2) * rp.T) @ rp
+    values = radial * _angular_sum(angles, orders.size)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1, MOMENT_MAX_ORDER + 1))))
     target = np.pi * np.diag(fact)
     diff = values - target

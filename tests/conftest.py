@@ -7,7 +7,7 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from ecsim.dynamics import ModulatorStrategy, TimeGrid, zero_order_solution
-from ecsim.ecs import MOMENT_MAX_ORDER, RADIAL_NODES, TRUNCATION_TOL, _polar_nodes
+from ecsim.ecs import MOMENT_MAX_ORDER, TRUNCATION_TOL, _polar_nodes
 from ecsim.hilbert import (
     DISPERSION_PARAMETERS,
     CoefficientSet,
@@ -272,7 +272,7 @@ def series_dense_reference(model: Model, h: CoefficientSet, k0: int) -> np.ndarr
     return (kron(expm(-0.5 * qp.conj().T @ qp), np.eye(levels)) @ acc).reshape(model.shape)
 
 
-def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = RADIAL_NODES):
+def unity_dense_reference(model: Model, h: CoefficientSet):
     """(deviation, reliable_levels) of the resolution-of-unity quadrature,
     accumulated as one dim x dim matrix over every momentum shift of the
     scaled series states.  Scaling the quadrature per branch (u = |z|^2
@@ -286,7 +286,7 @@ def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = R
     inv_sqrt = np.where(live, 1 / np.sqrt(np.where(live, lam_sq, 1.0)), 0.0)
     qp = qp @ (v_eig * inv_sqrt) @ v_eig.conj().T
     lam_sq = live.astype(float)   # the eigenvalues of U^dag U
-    radii, angles, weights = _polar_nodes(radial_nodes, 1.0)
+    radii, angles, weights = _polar_nodes()
     N, levels = model.shape
     n_arr = np.arange(levels)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
@@ -307,26 +307,22 @@ def unity_dense_reference(model: Model, h: CoefficientSet, radial_nodes: int = R
     mu_max = float(radii.max() ** 2 * lam_sq.max())
     poisson = np.exp(-mu_max + n_arr * np.log(max(mu_max, 1e-300)) - log_fact)
     reliable = tuple(int(n) for n in n_arr[poisson < TRUNCATION_TOL])
-    if not reliable:
-        return float("inf"), ()
     idx = np.array([k * levels + n for k in range(N) for n in reliable])
     block = result[np.ix_(idx, idx)]
     return float(np.linalg.norm(block - np.eye(idx.size), 2)), reliable
 
 
-def moment_loop_reference(c: complex) -> np.ndarray:
+def moment_loop_reference() -> np.ndarray:
     """values[n, m] of the scalar moment quadrature, accumulated one radius at
-    a time over every quadrature angle, pi w (z*)^n z^m e^{-|z|^2 |c|^2}
-    c^{m+1} (c*)^{n+1}, without splitting (z*)^n z^m into radial and angular
-    factors."""
-    scale = abs(c) ** 2
-    radii, angles, weights = _polar_nodes(RADIAL_NODES, scale)
+    a time over every quadrature angle, pi w (z*)^n z^m e^{-|z|^2}, without
+    splitting (z*)^n z^m into radial and angular factors."""
+    radii, angles, weights = _polar_nodes()
     orders = np.arange(MOMENT_MAX_ORDER + 1)
     values = np.zeros((orders.size, orders.size), dtype=complex)
     for r, wgt in zip(radii, weights):
         zp = (r * np.exp(1j * angles))[:, None] ** orders
-        values += np.pi * wgt * np.exp(-r ** 2 * scale) * np.einsum("an,am->nm", zp.conj(), zp)
-    return values * np.conj(c) ** (orders[:, None] + 1) * c ** (orders[None, :] + 1)
+        values += np.pi * wgt * np.exp(-r ** 2) * np.einsum("an,am->nm", zp.conj(), zp)
+    return values
 
 
 def midpoint_propagate(model: Model, hamiltonian, grid, initial: np.ndarray) -> np.ndarray:

@@ -111,7 +111,7 @@ def test_criterion_2_resolution_of_unity():
     res = unity_resolution_check(model, CoefficientSet.single_mode(model.lattice, 1, 1.0))
     assert res.deviation < 1e-6
 
-    mom = moment_identity_check(1.0)
+    mom = moment_identity_check()
     assert mom.max_diagonal_error < 1e-8
     assert mom.max_offdiagonal < 1e-10
 

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -230,6 +231,35 @@ def test_config_errors(tmp_path, config_path):
         load_config(config_path, seed_override=-3)
 
 
+@pytest.mark.parametrize("text", [
+    "sites = 5\n" + SMALL_CONFIG,
+    SMALL_CONFIG.replace("count = 5", "count = 5\ncount"),
+    SMALL_CONFIG + "\n[initial]\nk0 = 1\n",
+], ids=["no-section-header", "key-without-equals", "repeated-section"])
+def test_unparsable_config_is_a_configuration_error(tmp_path, capsys, text):
+    """Text that configparser rejects exits 2 naming the parse, with nothing written."""
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
+    assert "cannot parse config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["absent", "empty"])
+def test_couplings_without_a_section_are_the_default(tmp_path, section):
+    """A config with no [couplings] section takes the default couplings; an
+    empty [couplings] section means zero coupling."""
+    pairs = "\n1 = 0.12, 0.0\n-1 = 0.12, 0.0"
+    text = SMALL_CONFIG.replace(pairs, "")
+    p = tmp_path / "run.ini"
+    p.write_text(text.replace("[couplings]\n", "") if section == "absent" else text)
+    (tmp_path / "default.ini").write_text(DEFAULT_CONFIG_TEXT)
+    couplings = load_config(str(p)).couplings
+    default = load_config(str(tmp_path / "default.ini")).couplings.items
+    assert couplings.items == (default if section == "absent" else ()) and default != ()
+
+
 def test_config_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
     """configparser skips a path it cannot open, so a directory would
     otherwise run the default configuration."""
@@ -273,7 +303,8 @@ def test_commands_compute_and_main_alone_writes_and_prints(config_path, tmp_path
                                                            monkeypatch, command):
     """cmd_<command> returns its Outcome without creating a directory, writing
     a file or printing; main then writes exactly the Outcome's tables and
-    texts plus resolved_config.ini, and prints exactly its lines."""
+    texts plus resolved_config.ini, and prints exactly one check line per
+    check."""
     monkeypatch.chdir(tmp_path)
     outcome = CMD_CALLS[command](load_config(config_path))
     assert os.listdir(tmp_path) == ["run.ini"]
@@ -284,7 +315,37 @@ def test_commands_compute_and_main_alone_writes_and_prints(config_path, tmp_path
     assert sorted(os.listdir(out)) == sorted(names + ["resolved_config.ini"])
     for name, text in outcome.texts:
         assert (out / name).read_text() == text
-    assert capsys.readouterr() == ("".join(f"{line}\n" for line in outcome.lines), "")
+    lines = [ecsim.cli._check_line(c, 6) for c in outcome.checks]
+    assert capsys.readouterr() == ("".join(f"{line}\n" for line in lines), "")
+
+
+# stdout of a command: one `name value=... tol=... PASS|FAIL [note]` line per check
+CHECK_LINE = re.compile(r"(\S+) +value=(\S+)  tol=(\S+)  (PASS|FAIL)(?:  (.+))?")
+
+
+@pytest.mark.parametrize("argv,checks", [
+    (["properties"], [(name, "") for name in (
+        "density_commutation", "construction_equivalence", "annihilation_action",
+        "momentum_shift", "shift_roundtrip", "overlap_formula")]
+     + [("unity_resolution", "moments"), ("sum_rule_check", "")]),
+    (["evolve", "--compare-strategies"], [("evolve_fidelity", "strategy=static_unit"),
+                                          ("evolve_fidelity", "strategy=recoil_phase")]),
+    (["evolve"], [("evolve_fidelity", "strategy=recoil_phase")]),
+    (["gamma"], [("gamma_agreement", ""), ("gamma_norm", "")]),
+    (["sweep", "--factors", "1,0.5"], [("sweep_order", "lower bound")]),
+], ids=["properties", "evolve-compare", "evolve", "gamma", "sweep"])
+def test_stdout_is_one_check_line_per_check(config_path, tmp_path, capsys, argv, checks):
+    """Every command prints its checks in one format and nothing else: one
+    line per check, in report order, with the value, the tolerance, the
+    verdict and the check's note (for evolve the strategy, for sweep that
+    the tolerance is a lower bound)."""
+    assert main(argv + ["--config", config_path, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(checks)
+    for line, (name, note) in zip(lines, checks):
+        m = CHECK_LINE.fullmatch(line)
+        assert m and m[1] == name and m[3] == f"{TOLERANCES[name]:.1e}" and m[4] == "PASS", line
+        assert (m[5] or "").startswith(note) and bool(m[5]) == bool(note), line
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -429,15 +490,20 @@ def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, old, new, f
     assert not out.exists()  # rejected while loading, before any output or propagation
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["sweep", "--factors", "1,nan"], "--factors"),
-    (["sweep", "--factors", "1,abc"], "--factors"),
-], ids=["factors-nan", "factors-not-a-number"])
-def test_non_positive_flag_is_a_configuration_error(config_path, tmp_path, capsys, argv, flag):
+@pytest.mark.parametrize("argv,error", [
+    (["sweep", "--factors", "1,nan"], "--factors must be finite and positive"),
+    (["sweep", "--factors", "1,abc"], "--factors must be finite and positive"),
+    (["sweep", "--factors", "1"], "strictly decreasing"),
+    (["sweep", "--factors", "0.5,1"], "strictly decreasing"),
+    (["sweep", "--factors", "1,1"], "strictly decreasing"),
+], ids=["factors-nan", "factors-not-a-number", "factors-one", "factors-increasing",
+        "factors-repeated"])
+def test_non_positive_flag_is_a_configuration_error(config_path, tmp_path, capsys, argv, error):
+    """--factors must be finite positive numbers, at least two of them and
+    strictly decreasing."""
     out = tmp_path / "o"
     assert main(argv + ["--config", config_path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert flag in err and "must be finite and positive" in err
+    assert error in capsys.readouterr().err
     assert not out.exists()  # rejected before any output or computation
 
 
@@ -586,7 +652,9 @@ def test_gamma_fails_on_a_non_unit_exact_state(config_path, tmp_path, capsys, mo
     summary = (out / "gamma_summary.txt").read_text()
     assert "agreement_check = PASS" in summary
     assert "norm_check = FAIL (tol=1.0e-10)" in summary
-    assert "norm_check = FAIL" in capsys.readouterr().out
+    agree, norm = capsys.readouterr().out.splitlines()
+    assert agree.startswith("gamma_agreement ") and agree.endswith("  PASS")
+    assert norm.startswith("gamma_norm ") and norm.endswith("tol=1.0e-10  FAIL")
 
 
 def test_gamma_zero_coupling_flat_modulus(tmp_path):

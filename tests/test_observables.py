@@ -16,6 +16,7 @@ from ecsim.dynamics import (
 from ecsim.ecs import coherent_state_vector
 from ecsim.hilbert import CoefficientSet, fidelity, make_basis_state, plane_waves
 from ecsim.observables import (
+    GammaGrid,
     PositionGrid,
     alpha_phi,
     gamma_closed_form,
@@ -63,6 +64,31 @@ def test_position_grid_validation():
     g = PositionGrid.uniform(model.lattice, model.lattice.sites)
     assert g.size == 5
     assert np.array_equal(g.points, np.arange(5) * model.lattice.spacing)
+
+
+# Library calls given inputs of another model or grid, each with its error.
+MISMATCHES = {
+    "k0-above-range": (lambda sol, grid, other: solved(sol.model, sol.couplings, k0=6),
+                       "momentum index 6 out of range"),
+    "k0-negative": (lambda sol, grid, other: solved(sol.model, sol.couplings, k0=-1),
+                    "momentum index -1 out of range"),
+    "state-of-another-shape": (lambda sol, grid, other: gamma_exact(
+        np.zeros((7, sol.model.osc.levels), complex), sol, grid), "state incompatible"),
+    "field-of-another-grid": (lambda sol, grid, other: gamma_closed_form(
+        alpha_phi(sol, other), sol.k0, grid), "different grid"),
+    "non-square-values": (lambda sol, grid, other: GammaGrid(
+        np.zeros((6, 3)), grid), "square"),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHES)
+def test_inputs_of_another_model_or_grid_raise_value_error(case):
+    model = make_model(sites=6, cutoff=4)
+    sol = solved(model, hermitian_pair(model.lattice, 1, 0.1), steps=20)
+    grid, other = (PositionGrid.uniform(model.lattice, n) for n in (6, 3))
+    call, error = MISMATCHES[case]
+    with pytest.raises(ValueError, match=error):
+        call(sol, grid, other)
 
 
 def test_free_particle_gamma_is_plane_wave():
