@@ -36,7 +36,7 @@ from .ecs import (
     sum_rule,
     unity_resolution_check,
 )
-from .hilbert import CoefficientSet, circulant, fidelity, make_basis_state
+from .hilbert import CoefficientSet, branches, circulant, fidelity, fourier, make_basis_state
 from .observables import GammaGrid, alpha_phi, gamma_closed_form, gamma_exact, require_t_end_zero
 
 FLOAT_FMT = "%.12e"
@@ -117,15 +117,13 @@ def _write_table(path: str, meta: list[str], columns: list[str], rows: np.ndarra
 
 
 def run_properties(cfg: RunConfig) -> list[CheckResult]:
-    """State-algebra suite over the configured model.
-
-    Fixed contents, one report line each: density-component commutation,
-    series/displacement equivalence, annihilation action, momentum shift and
-    its unitary round trip, the single-mode overlap formula (with
-    orthogonality across initial momenta), the resolution of unity with its
-    moment integral, and the plane-wave sum rule.  The seed draws 3 shifts,
-    then 10 positions; each family of states or inputs is one stacked call.
-    """
+    """State-algebra suite over the configured model, one report line each:
+    every rho_q diagonal on the Fourier vectors with the values ``branches``
+    gives (so all commute), series/displacement equivalence, annihilation
+    action, momentum shift and its round trip, single-mode overlaps (and
+    orthogonality across initial momenta), resolution of unity with its
+    moments, plane-wave sum rule.  The seed draws 3 shifts, then 10
+    positions; each family of states or inputs is one stacked call."""
     model = cfg.model
     lat = model.lattice
     rng = random.Random(cfg.seed)
@@ -134,11 +132,11 @@ def run_properties(cfg: RunConfig) -> list[CheckResult]:
     def add(name: str, value: float, passed=None, note: str = "") -> None:
         checks.append(_judge(name, value, passed, note))
 
-    shifts = circulant(lat, range(lat.sites), np.eye(lat.sites))
-    add("density_commutation",
-        max(float(np.linalg.norm(a @ shifts - shifts @ a, axis=(-2, -1)).max())
-            for a in shifts))
-    del shifts   # N^3 entries: not held through the state families below
+    j, f = np.arange(lat.sites), fourier(lat.sites)
+    fsf = f @ circulant(lat, j, np.eye(j.size)) @ f.conj()   # F rho_q F^dag, every q
+    fsf[:, j, j] -= branches(lat, j, np.eye(j.size))
+    add("density_commutation", float(np.linalg.norm(fsf, axis=(-2, -1)).max()))
+    del fsf   # N^3 entries, not held below
 
     e_ser = ecs_series(model, cfg.couplings, cfg.k0)
     e_dis = ecs_displacement(model, cfg.couplings, cfg.k0)

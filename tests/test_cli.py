@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 
 import ecsim
 import ecsim.cli
+import ecsim.dynamics
 import ecsim.ecs
 import ecsim.hilbert
 import ecsim.observables
-from conftest import PINNED
+from conftest import PINNED, hermitian_pair, make_model, shift_matrix
 from ecsim.cli import TOLERANCES, main
 from ecsim.config import (
     DEFAULT_CONFIG_TEXT,
     ConfigError,
+    RunConfig,
     load_config,
     parse_complex,
     resolved_config_text,
@@ -527,6 +529,55 @@ def test_properties_command(config_path, tmp_path, capsys):
     assert report.count("PASS") == 8
     assert "FAIL" not in report
     assert (out / "resolved_config.ini").exists()
+
+
+def test_density_commutation_fails_on_a_transposed_circulant(config_path, tmp_path, capsys,
+                                                           monkeypatch):
+    """Every rho_q transposed (the shift direction flipped) still commutes
+    with every other, but is no longer diagonal on the Fourier vectors with
+    the values `branches` gives: density_commutation fails by far more than
+    round-off, the other 7 checks pass, and every output file is written."""
+    circulant = ecsim.cli.circulant
+    monkeypatch.setattr(ecsim.cli, "circulant", lambda *args: np.swapaxes(circulant(*args), -1, -2))
+    out = tmp_path / "props"
+    assert main(["properties", "--config", config_path, "--out", str(out)]) == 1
+    first = CHECK_LINE.fullmatch(capsys.readouterr().out.splitlines()[0])
+    assert first[1] == "density_commutation" and first[4] == "FAIL" and float(first[2]) > 1.0
+    assert sorted(os.listdir(out)) == ["properties_report.txt", "resolved_config.ini"]
+    report = (out / "properties_report.txt").read_text()
+    assert report.count("FAIL") == 1 and report.count("PASS") == 7
+
+
+def fourier_reference(sites: int) -> float:
+    """max_q ||F rho_q F^dag - diag(e^{2 pi i jq/N})||_F, one q at a time, with
+    rho_q entry by entry (conftest.shift_matrix) and the DFT written here
+    (exponents reduced mod N, as hilbert.fourier does)."""
+    lat, j = ecsim.hilbert.Lattice(sites, float(sites)), np.arange(sites)
+    dft = np.exp(-2j * np.pi * (np.outer(j, j) % sites) / sites) / np.sqrt(sites)
+    return max(float(np.linalg.norm(dft @ shift_matrix(lat, q) @ dft.conj().T
+                                    - np.diag(np.exp(2j * np.pi * (j * q % sites) / sites))))
+               for q in range(sites))
+
+
+@PINNED
+@given(st.integers(min_value=2, max_value=64))
+@example(2)
+@example(3)
+@example(63)
+@example(64)
+def test_density_commutation_matches_a_per_shift_reference(sites):
+    """On lattices of 2-64 sites, even and odd, density_commutation reads
+    round-off below its tolerance and agrees to 1e-15 with a per-shift loop
+    that shares no code with it."""
+    model = make_model(sites=sites, cutoff=12, omega=2.5)
+    lat = model.lattice
+    cfg = RunConfig(model=model, couplings=hermitian_pair(lat, 1, 0.12), k0=lat.index_of(0),
+                    grid=ecsim.dynamics.TimeGrid(-1.5, 0.0, 250), strategy_kind="recoil_phase",
+                    position_count=sites, seed=3)
+    check = ecsim.cli.run_properties(cfg)[0]
+    assert check.name == "density_commutation"
+    assert check.value < TOLERANCES["density_commutation"]
+    assert abs(check.value - fourier_reference(sites)) <= 1e-15
 
 
 def test_properties_deterministic(config_path, tmp_path):
