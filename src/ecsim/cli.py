@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config, resolved_config_text
 from .dynamics import (
     STRATEGY_KINDS,
     ModulatorStrategy,
-    ResidualResult,
+    ZeroOrderSolution,
     propagate_residual,
     zero_order_solution,
 )
@@ -188,16 +188,16 @@ def cmd_properties(cfg: RunConfig) -> Outcome:
     return Outcome(checks, [], [("properties_report.txt", report)])
 
 
-def _evolve_one(cfg: RunConfig, res: ResidualResult,
+def _evolve_one(cfg: RunConfig, sol: ZeroOrderSolution, steps: np.ndarray, states: np.ndarray,
                 oracle_states: np.ndarray) -> tuple[float, list]:
-    """Compare one strategy's propagation with the oracle states sampled at
-    the same steps; returns (min fidelity vs oracle, [series, final state] tables)."""
-    sol, kind = res.sol, res.sol.strategy.kind
-    physical = sol.u0(res.steps, res.states)
-    times = cfg.grid.times[res.steps]
+    """Compare one strategy's rotated-frame `states` with the oracle states,
+    both stored at the grid `steps`; returns (min fidelity vs oracle,
+    [series, final state] tables)."""
+    kind = sol.strategy.kind
+    physical = sol.u0(steps, states)
+    times = cfg.grid.times[steps]
     fids = fidelity(physical, oracle_states, axis=(-2, -1))
-    rows = np.column_stack((times, fids,
-                            np.linalg.norm(res.states - res.states[0], axis=(-2, -1)),
+    rows = np.column_stack((times, fids, np.linalg.norm(states - states[0], axis=(-2, -1)),
                             np.linalg.norm(sol.h(times), axis=-1)))
     final = physical[-1].reshape(-1)
     state_rows = np.column_stack((np.arange(final.size), final.real, final.imag))
@@ -218,12 +218,13 @@ def cmd_evolve(cfg: RunConfig, compare_strategies: bool = False) -> Outcome:
                                 cfg.grid, cfg.k0) for kind in kinds]
     psi0 = make_basis_state(cfg.model, cfg.k0, 0)
     stride = max(1, cfg.grid.steps // 200)
-    _, (_, oracle_states) = oracle.propagate_exact(
-        cfg.model, cfg.couplings, cfg.grid, psi0, collect_every=stride)
+    oracle_states = oracle.propagate_exact(cfg.model, cfg.couplings, cfg.grid, psi0,
+                                           collect_every=stride)
     results = propagate_residual(*sols, collect_every=stride)
     checks, tables = [], []
-    for kind, res in zip(kinds, results):
-        min_fid, strategy_tables = _evolve_one(cfg, res, oracle_states)
+    steps = cfg.grid.samples(stride)
+    for kind, sol, states in zip(kinds, sols, results):
+        min_fid, strategy_tables = _evolve_one(cfg, sol, steps, states, oracle_states)
         checks.append(_judge("evolve_fidelity", 1.0 - min_fid, note=f"strategy={kind}"))
         tables += strategy_tables
     return Outcome(checks, tables, [])
@@ -232,19 +233,19 @@ def cmd_evolve(cfg: RunConfig, compare_strategies: bool = False) -> Outcome:
 def cmd_gamma(cfg: RunConfig) -> Outcome:
     require_t_end_zero(cfg.grid)
     sol = zero_order_solution(cfg.model, cfg.couplings, cfg.strategy(), cfg.grid, cfg.k0)
-    res, = propagate_residual(sol)
+    final = propagate_residual(sol)[0, -1]
     pos = cfg.positions()
 
     # the first approximation is the exact route on |0,k0): one U0 for both
     ge, gf = (GammaGrid(g, pos) for g in gamma_exact(
-        np.array([res.final, make_basis_state(cfg.model, cfg.k0, 0)]), sol, pos).values)
+        np.array([final, make_basis_state(cfg.model, cfg.k0, 0)]), sol, pos).values)
     field = alpha_phi(sol, pos)
     gc = gamma_closed_form(field, cfg.k0, pos)
     phi_spread = field.phi_spread()
     single_mode = np.count_nonzero(cfg.couplings.values) == 1
     # the rotated-frame step is unitary: its drift is round-off, 1.3e-12 after 2500 steps
     checks = [_judge("gamma_agreement", gf.max_deviation(gc)),
-              _judge("gamma_norm", abs(float(np.linalg.norm(res.final)) - 1.0))]
+              _judge("gamma_norm", abs(float(np.linalg.norm(final)) - 1.0))]
     agree, norm = checks
     summary = _text([
         "# ecsim gamma summary",
@@ -284,9 +285,8 @@ def cmd_sweep(cfg: RunConfig, factors: list[str | float]) -> Outcome:
         raise ConfigError("sweep needs a residual: the dispersion is invariant under every "
                           "coupled momentum shift (e.g. flat, zero hopping, or couplings only "
                           "at q = 0), so the split is exact and every gap is round-off")
-    results = propagate_residual(*sols)
     pos = cfg.positions()
-    gaps = gamma_exact(np.array([res.final for res in results]), sols, pos).max_deviation(
+    gaps = gamma_exact(propagate_residual(*sols)[:, -1], sols, pos).max_deviation(
         gamma_closed_form(alpha_phi(sols, pos), cfg.k0, pos)).tolist()
 
     floor = 100.0 * cfg.grid.steps * np.finfo(float).eps   # round-off: 1-5 eps per step

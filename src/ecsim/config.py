@@ -157,10 +157,12 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
         lattice = Lattice(sites=sites, length=length)
         model = Model(lattice, dispersion, OscillatorSpec(cutoff=cutoff, omega=omega))
 
-        if cp.has_section("couplings"):
-            pairs = {int(q): parse_complex(v) for q, v in cp.items("couplings")}
-        else:
-            pairs = {int(q): parse_complex(v) for q, v in defaults.items("couplings")}
+        keys, pairs = {}, {}
+        for key, v in (cp if cp.has_section("couplings") else defaults).items("couplings"):
+            q = int(key)
+            if q in keys:
+                raise ConfigError(f"[couplings] keys {keys[q]!r} and {key!r} name offset {q}")
+            keys[q], pairs[q] = key, parse_complex(v)
         couplings = CoefficientSet.from_dict(lattice, pairs)
         _require_paired(couplings)
 

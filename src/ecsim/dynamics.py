@@ -12,7 +12,6 @@ one call by ``accumulated``, ``branch_values``, ``u0`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +91,10 @@ class TimeGrid:
         return self.t0 + self.dt * (i + 0.5)
 
     def samples(self, every: int | None = None) -> np.ndarray:
-        """The steps a propagator stores when sampling every `every` steps:
-        0, every, 2 every, ... and always the last step (by default only the
-        first and the last).  ValueError unless `every` is None or positive."""
+        """The grid steps whose states both propagators return, in order, when
+        sampling every `every` steps: 0, every, 2 every, ... and always the
+        last step (by default only the first and the last).  ValueError
+        unless `every` is None or positive."""
         if every is not None and every < 1:
             raise ValueError(f"collect_every must be positive, got {every}")
         return np.append(np.arange(0, self.steps, every or self.steps), self.steps)
@@ -265,44 +265,33 @@ def zero_order_solution(model: Model, couplings: CoefficientSet, strategy: Modul
     return sol
 
 
-class ResidualResult(NamedTuple):
-    """Rotated-frame states |t> stored at the grid steps `steps` (increasing,
-    the initial and the final step always included); on an exact split
-    (``ZeroOrderSolution.exact_split``) every state is |0,k0) exactly."""
-    sol: ZeroOrderSolution
-    steps: np.ndarray   # (samples,)
-    states: np.ndarray  # (samples, N, levels)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def propagate_residual(sol: ZeroOrderSolution, *more: ZeroOrderSolution,
-                       collect_every: int | None = None) -> tuple[ResidualResult, ...]:
+                       collect_every: int | None = None) -> np.ndarray:
     """Integrate i d/dt |t> = U0^dag H1 U0 |t> in the rotated frame
-    |t> = U0^dag(t)|t) from |0,k0) for the stack of solutions `sol, *more`,
-    one result per solution, in order (``solution_stack``).  A solution whose
-    split is exact (H1 = 0 identically, ``ZeroOrderSolution.exact_split``) is
-    not stepped: its states are |0,k0) exactly.  The others are stepped in
-    one loop over the grid (``_midpoint_steps``).  States are stored at the steps
+    |t> = U0^dag(t)|t) from |0,k0) for the stack of solutions `sol, *more`
+    (``solution_stack``).  Returns the states, shape (members, samples, N,
+    levels), in stack order, stored at the steps
     ``TimeGrid.samples(collect_every)`` (by default only the initial and the
-    final one), the rule the oracle's ``propagate_exact`` shares.
+    final one), the rule the oracle's ``propagate_exact`` shares.  A member
+    whose split is exact (H1 = 0 identically, ``ZeroOrderSolution.exact_split``)
+    is not stepped: its states are |0,k0) exactly.  The others are stepped in
+    one loop over the grid (``_midpoint_steps``).
     """
     sols = solution_stack((sol, *more))
-    model, grid, k0 = sol.model, sol.grid, sol.k0
-    stored = grid.samples(collect_every)
-    states = np.empty((len(sols), stored.size) + model.shape, dtype=complex)
-    states[:] = make_basis_state(model, k0, 0)
+    stored = sol.grid.samples(collect_every)
+    states = np.empty((len(sols), stored.size) + sol.model.shape, dtype=complex)
+    states[:] = make_basis_state(sol.model, sol.k0, 0)
     live = [m for m, s in enumerate(sols) if not s.exact_split]
     if live:
-        states[live, 1:] = _midpoint_steps([sols[m] for m in live], stored[1:])
-    return tuple(ResidualResult(s, stored, member) for s, member in zip(sols, states))
+        _midpoint_steps([sols[m] for m in live], stored, states, live)
+    return states
 
 
-def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.ndarray:
-    """The states of ``propagate_residual`` for the stack `sols` at the grid
-    steps `stored` (after step 0), shape (len(sols), stored.size, N, levels).
+def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray, states: np.ndarray,
+                    members: list[int]) -> None:
+    """Step the stack `sols` for ``propagate_residual``, writing the state at
+    the grid step stored[s] (s >= 1) into states[members, s] when that step
+    is reached; slot 0 is left as the caller set it.
 
     Each step is U0m^dag exp(-i dt H1) U0m with U0m = U0 at the midpoint t_m,
     on the states kept in the branch basis phi = F psi (F = ``fourier``).
@@ -316,9 +305,10 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     least as strict as a rule per member, since every member keeps the unit
     norm of |0,k0) under the unitary step.  A term is two matmuls for the
     whole stack, Z = term [b | b^T] then [P~ | P~^dag] Z.  The midpoint
-    branches are computed before the loop; only the stored states go back
-    to the momentum basis.  The one eigensolver is ``ladder_quadrature``'s
-    eigh, once per run, and no operator on the product space is formed."""
+    branches are computed before the loop; each stored state goes back to
+    the momentum basis once, when it is stored.  The one eigensolver is
+    ``ladder_quadrature``'s eigh, once per run, and no operator on the
+    product space is formed."""
     model, grid, k0, offsets = sols[0].model, sols[0].grid, sols[0].k0, sols[0].offsets
     (N, levels), M = model.shape, len(sols)
     t_mid = grid.midpoint(np.arange(grid.steps))
@@ -339,8 +329,7 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
     phi = np.repeat((dft @ make_basis_state(model, k0, 0))[None], M, axis=0)
     # columns interleaved like the rows of term @ b_pair viewed as (2N, levels)
     pe_pair = np.empty((M, N, 2 * N), dtype=complex)
-    states = np.empty((M, stored.size, N, levels), dtype=complex)
-    slot = 0
+    slot = 1
     for i in range(grid.steps):
         p = g_mat * np.exp(i_diff * t_mid[i]) - g_mat * np.exp(i_delta * t_mid[i])
         pe = osc[i] * (dft @ p @ dft_dag)
@@ -359,6 +348,5 @@ def _midpoint_steps(sols: list[ZeroOrderSolution], stored: np.ndarray) -> np.nda
             n += 1
         phi = branch_displacement(total, phases, w, adjoint=True)
         if i + 1 == stored[slot]:
-            states[:, slot] = phi
+            states[members, slot] = dft_dag @ phi
             slot += 1
-    return dft_dag @ states

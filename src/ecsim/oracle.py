@@ -90,9 +90,9 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
     |eps_k| that dwarfs w cutoff does not round w n away.  At zero coupling
     every stored state is the initial state, unchanged.
 
-    Returns the final state; with `collect_every` also a pair (step indices,
-    states) stored at ``TimeGrid.samples(collect_every)``, the rule
-    ``propagate_residual`` shares.
+    Returns the final state, shape (N, levels); with `collect_every` instead
+    the states (samples, N, levels) stored at the steps
+    ``TimeGrid.samples(collect_every)``, the rule ``propagate_residual`` shares.
     """
     check_stability(model, couplings, grid)
     stored = grid.samples(collect_every)
@@ -115,4 +115,4 @@ def propagate_exact(model: Model, couplings: CoefficientSet, grid: TimeGrid,
             if i == stored[slot]:
                 states[slot] = (np.exp(1j * times[slot] * energies) * phi).reshape(model.shape)
                 slot += 1
-    return states[-1] if collect_every is None else (states[-1], (stored, states))
+    return states[-1] if collect_every is None else states

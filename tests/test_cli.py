@@ -393,6 +393,23 @@ def test_non_hermitian_couplings_are_a_configuration_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first,second", [("1", "+1"), ("-1", "-01"), ("0", "-0")])
+def test_two_keys_naming_one_offset_are_a_configuration_error(tmp_path, capsys, first, second):
+    """Keys that parse to the same integer would otherwise keep only the last
+    value; the error names both keys.  (Offsets congruent modulo sites are
+    distinct keys whose values sum.)"""
+    p = tmp_path / "twice.ini"
+    text = SMALL_CONFIG.replace("-1 = 0.12, 0.0",
+                                f"-1 = 0.12, 0.0\n0 = 0.12, 0.0\n{second} = 0.12, 0.0")
+    assert f"\n{first} = 0.12, 0.0\n" in text   # valid if only the last value were kept
+    p.write_text(text)
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"keys '{first}' and '{second}' name offset {int(first)}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old,new,name", [
     ("steps = 250", "stpes = 25", "'stpes' in [time]"),
     ("kind = recoil_phase", "knd = static_unit", "'knd' in [strategy]"),
@@ -692,7 +709,7 @@ def test_gamma_fails_on_a_non_unit_exact_state(config_path, tmp_path, capsys, mo
     propagate = ecsim.cli.propagate_residual
 
     def shrunk(*sols, **kwargs):
-        return tuple(r._replace(states=0.9 * r.states) for r in propagate(*sols, **kwargs))
+        return 0.9 * propagate(*sols, **kwargs)
 
     monkeypatch.setattr(ecsim.cli, "propagate_residual", shrunk)
     out = tmp_path / "gm"

@@ -96,12 +96,12 @@ def test_free_particle_gamma_is_plane_wave():
     zero = CoefficientSet(model.lattice)
     sol = solved(model, zero, steps=50)
     pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
-    res, = propagate_residual(sol)
+    final = propagate_residual(sol)[0, -1]
 
     k0_val = model.lattice.momenta[sol.k0]
     x = pos.points
     want = np.exp(-1j * k0_val * (x[:, None] - x[None, :]))
-    for gamma in (gamma_exact(res.final, sol, pos), gamma_first_approx(sol, pos)):
+    for gamma in (gamma_exact(final, sol, pos), gamma_first_approx(sol, pos)):
         assert np.allclose(gamma.values, want, atol=1e-12)
         assert abs(gamma.trace_mean() - 1.0) < 1e-12
 
@@ -242,10 +242,10 @@ def test_exact_first_gap_bounded_by_residual():
     model = make_model(sites=5, cutoff=12, omega=2.5)
     c = hermitian_pair(model.lattice, 1, 0.15)
     sol = solved(model, c, steps=400, t0=-1.5)
-    res, = propagate_residual(sol)
+    states, = propagate_residual(sol)
     pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
-    gap = gamma_exact(res.final, sol, pos).max_deviation(gamma_first_approx(sol, pos))
-    dev = float(np.linalg.norm(res.final - res.states[0]))
+    gap = gamma_exact(states[-1], sol, pos).max_deviation(gamma_first_approx(sol, pos))
+    dev = float(np.linalg.norm(states[-1] - states[0]))
     n = model.lattice.sites
     assert gap <= 2 * n * dev + n * dev ** 2 + 1e-9
 
@@ -257,9 +257,9 @@ def test_single_mode_gamma_translation_invariance():
     model = make_model(sites=7, cutoff=16, omega=2.5)
     c = CoefficientSet.from_dict(model.lattice, {1: 0.25})
     sol = solved(model, c, steps=300, t0=-1.5)
-    res, = propagate_residual(sol)
+    final = propagate_residual(sol)[0, -1]
     pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
-    for g in (gamma_exact(res.final, sol, pos),
+    for g in (gamma_exact(final, sol, pos),
               gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)):
         mags = np.abs(g.values)
         n = pos.size
@@ -276,7 +276,7 @@ def test_gamma_invariants_over_random_models(mc, kind):
     unit trace, and under flat dispersion (H1 = 0) exact equals first."""
     sol = scaled_solution(mc, kind, TimeGrid(-1.0, 0.0, 20))
     pos = PositionGrid.uniform(sol.model.lattice, sol.model.lattice.sites)
-    ge = gamma_exact(propagate_residual(sol)[0].final, sol, pos)
+    ge = gamma_exact(propagate_residual(sol)[0, -1], sol, pos)
     gf = gamma_first_approx(sol, pos)
     gc = gamma_closed_form(alpha_phi(sol, pos), sol.k0, pos)
     for g in (ge, gf, gc):
@@ -300,18 +300,17 @@ def test_stacked_gamma_routes_equal_a_loop_of_one_member_calls(factors, kinds):
     c = hermitian_pair(model.lattice, 1, 0.15 + 0.05j)
     sols = [solved(model, c.scaled(f), ModulatorStrategy(kind), steps=60, k0=1)
             for f, kind in zip(factors, kinds)]
-    results = propagate_residual(*sols)
     pos = PositionGrid.uniform(model.lattice, model.lattice.sites)
-    states = np.array([res.final for res in results])
+    states = propagate_residual(*sols)[:, -1]
     ge, gf = gamma_exact(states, sols, pos), gamma_first_approx(sols, pos)
     field = alpha_phi(sols, pos)
     gc = gamma_closed_form(field, 1, pos)
-    for m, (sol, res) in enumerate(zip(sols, results)):
+    for m, sol in enumerate(sols):
         one_field = alpha_phi(sol, pos)
         assert np.abs(field.alpha_final[m] - one_field.alpha_final).max() < 1e-13
         assert np.abs(field.phi[m] - one_field.phi).max() < 1e-13
         assert abs(field.phi_spread()[m] - one_field.phi_spread()) < 1e-13
-        alone = (gamma_exact(res.final, sol, pos), gamma_first_approx(sol, pos),
+        alone = (gamma_exact(states[m], sol, pos), gamma_first_approx(sol, pos),
                  gamma_closed_form(one_field, 1, pos))
         for stacked, one in zip((ge, gf, gc), alone):
             assert np.abs(stacked.values[m] - one.values).max() < 1e-13
@@ -319,5 +318,5 @@ def test_stacked_gamma_routes_equal_a_loop_of_one_member_calls(factors, kinds):
             assert abs(stacked.trace_mean()[m] - one.trace_mean()) < 1e-13
         assert abs(ge.max_deviation(gc)[m] - alone[0].max_deviation(alone[2])) < 1e-13
     frozen = make_basis_state(model, 1, 0)
-    both = gamma_exact(np.array([results[0].final, frozen]), sols[0], pos)
+    both = gamma_exact(np.array([states[0], frozen]), sols[0], pos)
     assert np.abs(both.values - np.array([ge.values[0], gf.values[0]])).max() < 1e-13

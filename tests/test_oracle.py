@@ -117,11 +117,11 @@ def test_propagate_exact_matches_per_step_dense_reference(case, stride):
     final = oracle.propagate_exact(model, couplings, grid, psi0)
     assert np.abs(final - midpoint_propagate(model, h_int, grid, psi0)).max() < 1e-12
 
-    collected_final, (idx, states) = oracle.propagate_exact(
-        model, couplings, grid, psi0, collect_every=stride)
-    assert np.array_equal(collected_final, final)
-    want_idx = sorted(set(range(0, grid.steps + 1, stride)) | {grid.steps})
-    assert idx.tolist() == want_idx
+    states = oracle.propagate_exact(model, couplings, grid, psi0, collect_every=stride)
+    assert np.array_equal(states[-1], final)
+    idx = grid.samples(stride)
+    assert idx.tolist() == sorted(set(range(0, grid.steps + 1, stride)) | {grid.steps})
+    assert len(states) == len(idx)
     assert np.array_equal(states[0], psi0)
     # the reference trajectory, stepped from one sampled index to the next
     times, ref = grid.times, psi0
@@ -224,9 +224,9 @@ def test_collect_every():
     c = hermitian_pair(model.lattice, 1, 0.1)
     grid = TimeGrid(t0=-1.0, t_end=0.0, steps=40)
     psi0 = make_basis_state(model, 1, 0)
-    final, (idx, states) = oracle.propagate_exact(model, c, grid, psi0, collect_every=10)
-    assert idx.tolist() == [0, 10, 20, 30, 40]
-    assert np.array_equal(states[-1], final)
+    states = oracle.propagate_exact(model, c, grid, psi0, collect_every=10)
+    assert grid.samples(10).tolist() == [0, 10, 20, 30, 40] and len(states) == 5
+    assert np.array_equal(states[-1], oracle.propagate_exact(model, c, grid, psi0))
     assert np.array_equal(states[0], psi0)
 
 
